@@ -25,7 +25,6 @@ from .sqtree import (
     Side,
     SqPairNode,
     SqTree,
-    all_leaves_at,
     parent_node,
     parent_sq,
     recompute_labels,
@@ -74,7 +73,6 @@ __all__ = [
     "SqTree",
     "Superquadric",
     "TreeFormatError",
-    "all_leaves_at",
     "box",
     "child_labels",
     "dumbbell",

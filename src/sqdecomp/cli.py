@@ -23,7 +23,7 @@ from .export import (
     load_tree,
     save_tree,
 )
-from .fitter import ConfigError, FitConfig, config_as_dict, fit_tree
+from .fitter import ConfigError, FitConfig, fit_tree
 from .geometry import (
     DegenerateMeshError,
     MeshFormatError,
@@ -34,34 +34,14 @@ from .geometry import (
 )
 from .metrics import EmptyUnionError, IoUReport, iou
 from .splitter import SliceSpec
-from .superquadric import OccupancyConfig, Superquadric
-
-_CONFIG_FLAGS = (
-    "max_depth",
-    "iterations",
-    "step_size",
-    "restarts",
-    "sharpness",
-    "seed",
-    "a_min",
-    "a_max",
-    "e_min",
-    "e_max",
-)
+from .superquadric import Superquadric
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config plus one --field-name flag per FitConfig field."""
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--sharpness", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--a-min", type=float, default=None)
-    p.add_argument("--a-max", type=float, default=None)
-    p.add_argument("--e-min", type=float, default=None)
-    p.add_argument("--e-max", type=float, default=None)
+    for name, cast in FitConfig.field_casters().items():
+        p.add_argument("--" + name.replace("_", "-"), type=cast, default=None)
 
 
 def _resolve_config(args) -> FitConfig:
@@ -69,8 +49,8 @@ def _resolve_config(args) -> FitConfig:
     cfg = FitConfig.from_file(args.config) if args.config else FitConfig()
     overrides = {
         name: getattr(args, name)
-        for name in _CONFIG_FLAGS
-        if getattr(args, name, None) is not None
+        for name in FitConfig.field_casters()
+        if getattr(args, name) is not None
     }
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
@@ -99,18 +79,10 @@ def cmd_fit(args) -> int:
     tree_path = os.path.join(out, "tree.json")
     save_tree(tree, report, tree_path)
     report_doc = {
-        "config": config_as_dict(cfg),
+        **report.to_json_dict(),
         "samples_uniform": args.samples_uniform,
         "samples_surface": args.samples_surface,
-        "level_iou": [None if v is None else float(v) for v in report.level_iou],
-        "node_losses": [
-            [d, i, float(loss)] for (d, i), loss in sorted(report.node_losses.items())
-        ],
-        "iterations_used": [
-            [d, i, n] for (d, i), n in sorted(report.iterations_used.items())
-        ],
         "degenerate_nodes": sorted(report.degenerate_nodes),
-        "loss_sum": float(report.loss_sum),
         "wall_time_seconds": report.wall_time,
     }
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
@@ -129,14 +101,13 @@ def cmd_eval(args) -> int:
     pointset = sample_labeled_points(
         mesh, args.samples_surface, args.samples_uniform, seed=args.seed
     )
-    occ = OccupancyConfig()
     depth = tree.fitted_depth
     if depth == 0:
         raise TreeFormatError(f"{args.tree}: tree has no complete level")
     per_level = []
     for d in range(1, depth + 1):
         try:
-            per_level.append(iou(tree.superquadrics_at_level(d), pointset, occ))
+            per_level.append(iou(tree.superquadrics_at_level(d), pointset))
         except EmptyUnionError:
             per_level.append(None)
     rep = IoUReport(
@@ -249,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--samples-uniform", type=int, default=100000)
     p_eval.add_argument("--samples-surface", type=int, default=0)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--threads", type=int, default=1)
     p_eval.add_argument("--out-dir", default=".")
     p_eval.set_defaults(func=cmd_eval)
 

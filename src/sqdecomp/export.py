@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .fitter import FitReport, config_as_dict
+from .fitter import FitReport
 from .splitter import SliceSpec, SplitField, split_field_2d
 from .sqtree import SqPairNode, SqTree
 from .superquadric import Superquadric, surface_points
@@ -27,10 +27,9 @@ def save_tree(tree: SqTree, report: FitReport | None, path) -> None:
     """Write the fitted tree as JSON.
 
     All parameters are serialized through Python float repr (17 significant
-    digits), so a load/save round-trip is bit-exact. The metadata block
-    carries the config echo and per-level IoU from the report; wall-clock
-    time deliberately stays out so that identical runs produce identical
-    bytes.
+    digits), so a load/save round-trip is bit-exact. The metadata block is
+    :meth:`FitReport.to_json_dict`, which leaves wall-clock time out so that
+    identical runs produce identical bytes.
     """
     if not tree.has_level(1):
         raise ValueError("tree has no fitted root; nothing to save")
@@ -46,21 +45,11 @@ def save_tree(tree: SqTree, report: FitReport | None, path) -> None:
                 "degenerate": bool(node.degenerate),
             }
         )
-    metadata: dict = {}
-    if report is not None:
-        metadata["config"] = config_as_dict(report.config)
-        metadata["level_iou"] = [
-            None if v is None else float(v) for v in report.level_iou
-        ]
-        metadata["node_losses"] = [
-            [d, i, float(loss)] for (d, i), loss in sorted(report.node_losses.items())
-        ]
-        metadata["loss_sum"] = float(report.loss_sum)
     doc = {
         "format_version": FORMAT_VERSION,
         "max_depth": tree.max_depth,
         "nodes": nodes,
-        "metadata": metadata,
+        "metadata": {} if report is None else report.to_json_dict(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -159,8 +148,29 @@ def export_level_obj(tree: SqTree, depth: int, path, resolution: int = 32) -> No
             base += len(vertices)
 
 
-def _format_cell(value: float) -> str:
-    return repr(float(value))
+# Column lists of the split-field CSVs.
+_COMBINED_CSV = ("x", "y", "Fa", "Fb", "da", "db", "selector")
+_SPLIT_DEMO_CSVS = {
+    "split_f.csv": ("x", "y", "Fa", "Fb"),
+    "split_d.csv": ("x", "y", "da", "db"),
+    "split_selector.csv": ("x", "y", "selector"),
+}
+
+
+def _split_columns(fld: SplitField) -> dict:
+    """Every split-field CSV column by name, as cell strings in row-major order."""
+    uu, vv = np.meshgrid(fld.u, fld.v)
+    grids = {"x": uu, "y": vv, "Fa": fld.h_a, "Fb": fld.h_b, "da": fld.d_a, "db": fld.d_b}
+    columns = {name: [repr(float(v)) for v in g.ravel()] for name, g in grids.items()}
+    columns["selector"] = ["A" if a else "B" for a in fld.to_a.ravel()]
+    return columns
+
+
+def _write_csv(path, columns: dict, names) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in zip(*(columns[name] for name in names)):
+            fh.write(",".join(row) + "\n")
 
 
 def export_split_csv(sq_a: Superquadric, sq_b: Superquadric, spec: SliceSpec, path) -> None:
@@ -171,31 +181,7 @@ def export_split_csv(sq_a: Superquadric, sq_b: Superquadric, spec: SliceSpec, pa
     row-major over the (nv, nu) grid. Deterministic: identical inputs yield
     identical bytes.
     """
-    fld = split_field_2d(sq_a, sq_b, spec)
-    _write_fields_csv(fld, path, "x,y,Fa,Fb,da,db,selector", _combined_row)
-
-
-def _combined_row(fld: SplitField, iv: int, iu: int) -> str:
-    sel = "A" if fld.to_a[iv, iu] else "B"
-    return ",".join(
-        [
-            _format_cell(fld.u[iu]),
-            _format_cell(fld.v[iv]),
-            _format_cell(fld.h_a[iv, iu]),
-            _format_cell(fld.h_b[iv, iu]),
-            _format_cell(fld.d_a[iv, iu]),
-            _format_cell(fld.d_b[iv, iu]),
-            sel,
-        ]
-    )
-
-
-def _write_fields_csv(fld: SplitField, path, header: str, row_fn) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for iv in range(len(fld.v)):
-            for iu in range(len(fld.u)):
-                fh.write(row_fn(fld, iv, iu) + "\n")
+    _write_csv(path, _split_columns(split_field_2d(sq_a, sq_b, spec)), _COMBINED_CSV)
 
 
 def export_split_demo_csvs(
@@ -206,38 +192,9 @@ def export_split_demo_csvs(
     Returns the written paths: split_f.csv, split_d.csv, split_selector.csv
     inside ``out_dir``. Same grid layout as :func:`export_split_csv`.
     """
-    fld = split_field_2d(sq_a, sq_b, spec)
-
-    def f_row(fld, iv, iu):
-        return ",".join(
-            [
-                _format_cell(fld.u[iu]),
-                _format_cell(fld.v[iv]),
-                _format_cell(fld.h_a[iv, iu]),
-                _format_cell(fld.h_b[iv, iu]),
-            ]
-        )
-
-    def d_row(fld, iv, iu):
-        return ",".join(
-            [
-                _format_cell(fld.u[iu]),
-                _format_cell(fld.v[iv]),
-                _format_cell(fld.d_a[iv, iu]),
-                _format_cell(fld.d_b[iv, iu]),
-            ]
-        )
-
-    def sel_row(fld, iv, iu):
-        sel = "A" if fld.to_a[iv, iu] else "B"
-        return ",".join([_format_cell(fld.u[iu]), _format_cell(fld.v[iv]), sel])
-
-    paths = [
-        os.path.join(out_dir, "split_f.csv"),
-        os.path.join(out_dir, "split_d.csv"),
-        os.path.join(out_dir, "split_selector.csv"),
-    ]
-    _write_fields_csv(fld, paths[0], "x,y,Fa,Fb", f_row)
-    _write_fields_csv(fld, paths[1], "x,y,da,db", d_row)
-    _write_fields_csv(fld, paths[2], "x,y,selector", sel_row)
+    columns = _split_columns(split_field_2d(sq_a, sq_b, spec))
+    paths = []
+    for name, names in _SPLIT_DEMO_CSVS.items():
+        paths.append(os.path.join(out_dir, name))
+        _write_csv(paths[-1], columns, names)
     return paths

@@ -25,11 +25,10 @@ children inherit empty label sets and therefore the same treatment.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -44,7 +43,7 @@ from .superquadric import (
     SIZE_BOUNDS,
     OccupancyConfig,
     Superquadric,
-    _stable_value_and_gradient,
+    _log_field,
 )
 
 MOMENTUM = 0.9
@@ -99,14 +98,21 @@ class FitConfig:
         return OccupancyConfig(sharpness=self.sharpness)
 
     @classmethod
+    def field_casters(cls) -> dict:
+        """Field name -> int or float, the parser of its config-file and flag
+        values, in field order."""
+        return {f.name: {"int": int, "float": float}[f.type] for f in fields(cls)}
+
+    @classmethod
     def from_file(cls, path) -> "FitConfig":
         """Parse a plain key-value config file (`key = value`, # comments).
 
-        Keys are exactly the FitConfig field names; unknown keys and
-        unparsable values raise ConfigError.
+        Keys are exactly the FitConfig field names, each at most once;
+        unknown or repeated keys and unparsable values raise ConfigError.
         """
-        by_name = {f.name: f for f in fields(cls)}
+        casters = cls.field_casters()
         overrides: dict[str, object] = {}
+        key_lines: dict[str, int] = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -117,12 +123,15 @@ class FitConfig:
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
-                if key not in by_name:
+                if key not in casters:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                caster = by_name[key].type
-                cast = int if caster in ("int", int) else float
+                if key in key_lines:
+                    raise ConfigError(
+                        f"{path}:{lineno}: {key!r} repeats line {key_lines[key]}"
+                    )
+                key_lines[key] = lineno
                 try:
-                    overrides[key] = cast(value)
+                    overrides[key] = casters[key](value)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
         cfg = cls(**overrides)
@@ -147,11 +156,24 @@ class FitReport:
 
     config: FitConfig
     node_losses: dict[tuple[int, int], float] = field(default_factory=dict)
-    iterations_used: dict[tuple[int, int], int] = field(default_factory=dict)
     level_iou: list = field(default_factory=list)
     degenerate_nodes: list = field(default_factory=list)
     loss_sum: float = 0.0
     wall_time: float = 0.0
+
+    def to_json_dict(self) -> dict:
+        """Config echo, per-level IoU, per-node losses and their sum.
+
+        Wall-clock time stays out, so identical fits give identical dicts.
+        """
+        return {
+            "config": asdict(self.config),
+            "level_iou": [None if v is None else float(v) for v in self.level_iou],
+            "node_losses": [
+                [d, i, float(loss)] for (d, i), loss in sorted(self.node_losses.items())
+            ],
+            "loss_sum": float(self.loss_sum),
+        }
 
 
 def node_loss(
@@ -180,8 +202,8 @@ def _pair_loss_and_grad(sq_a, sq_b, points, y, sharpness):
     which keeps the analytic gradient equal to the derivative of the clamped
     loss actually being reported.
     """
-    ha, grad_a_h = _stable_value_and_gradient(sq_a, points)
-    hb, grad_b_h = _stable_value_and_gradient(sq_b, points)
+    ha, _, _, grad_a_h = _log_field(sq_a, points, grad=True)
+    hb, _, _, grad_b_h = _log_field(sq_b, points, grad=True)
     ga = expit(sharpness * (1.0 - ha))
     gb = expit(sharpness * (1.0 - hb))
     a_wins = ga >= gb
@@ -375,8 +397,9 @@ def fit_tree(
     results are identical for any thread count.
     """
     cfg.validate()
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0, got {threads}")
     t0 = time.perf_counter()
-    occ = cfg.occupancy()
     points = pointset.points
     report = FitReport(config=cfg)
     tree = SqTree(max_depth=cfg.max_depth, points=points)
@@ -389,7 +412,6 @@ def fit_tree(
                        degenerate=fit.degenerate)
         )
         report.node_losses[key] = fit.loss
-        report.iterations_used[key] = fit.iterations
         if fit.degenerate:
             report.degenerate_nodes.append(key)
 
@@ -416,7 +438,7 @@ def fit_tree(
     for depth in range(1, cfg.max_depth + 1):
         sqs = tree.superquadrics_at_level(depth)
         try:
-            iou = label_iou(predicted_label(sqs, points, occ), truth)
+            iou = label_iou(predicted_label(sqs, points), truth)
         except EmptyUnionError:
             iou = None
         report.level_iou.append(iou)
@@ -424,8 +446,3 @@ def fit_tree(
     report.loss_sum = float(sum(report.node_losses.values()) * len(points))
     report.wall_time = time.perf_counter() - t0
     return tree, report
-
-
-def config_as_dict(cfg: FitConfig) -> dict:
-    """Plain-dict echo of a config (JSON-ready, field order fixed)."""
-    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}

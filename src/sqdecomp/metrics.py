@@ -7,18 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SAMPLING_DOMAIN, LabeledPointSet, Mesh, point_in_mesh
-from .superquadric import OccupancyConfig, Superquadric, occupancy
+from .superquadric import inside_outside_stable
 
 
 class EmptyUnionError(ValueError):
     """IoU is undefined: neither prediction nor truth marks any point inside."""
 
 
-def predicted_label(sqs, points, cfg: OccupancyConfig = OccupancyConfig()) -> np.ndarray:
-    """1 where any of the SQs' occupancies exceeds 0.5 (strictly), else 0.
+def predicted_label(sqs, points) -> np.ndarray:
+    """1 where any of the SQs has F^e1 < 1 (strictly), else 0.
 
-    g(x) > 0.5 is exactly F^e1 < 1, so this marks the union of the open SQ
-    interiors regardless of sharpness.
+    F^e1 < 1 is exactly occupancy g(x) > 0.5 at any sharpness, so this marks
+    the union of the open SQ interiors.
     """
     sqs = list(sqs)
     if not sqs:
@@ -26,7 +26,7 @@ def predicted_label(sqs, points, cfg: OccupancyConfig = OccupancyConfig()) -> np
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     out = np.zeros(len(pts), dtype=bool)
     for sq in sqs:
-        out |= occupancy(sq, pts, cfg) > 0.5
+        out |= inside_outside_stable(sq, pts) < 1.0
     return out.astype(np.uint8)
 
 
@@ -42,9 +42,9 @@ def label_iou(predicted, truth) -> float:
     return float(np.logical_and(p, t).sum() / union)
 
 
-def iou(sqs, pointset: LabeledPointSet, cfg: OccupancyConfig = OccupancyConfig()) -> float:
+def iou(sqs, pointset: LabeledPointSet) -> float:
     """Sampled IoU between the SQ union and the labeled ground truth."""
-    return label_iou(predicted_label(sqs, pointset.points, cfg), pointset.labels)
+    return label_iou(predicted_label(sqs, pointset.points), pointset.labels)
 
 
 def voxel_grid(resolution: int) -> np.ndarray:
@@ -58,12 +58,7 @@ def voxel_grid(resolution: int) -> np.ndarray:
     return np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
 
 
-def voxel_iou(
-    sqs,
-    mesh: Mesh,
-    resolution: int = 64,
-    cfg: OccupancyConfig = OccupancyConfig(),
-) -> float:
+def voxel_iou(sqs, mesh: Mesh, resolution: int = 64) -> float:
     """IoU on a regular voxel grid, with mesh-inside tests as ground truth.
 
     Slower than the sampled estimate but independent of the training sample,
@@ -71,7 +66,7 @@ def voxel_iou(
     """
     centers = voxel_grid(resolution)
     truth = point_in_mesh(mesh, centers)
-    return label_iou(predicted_label(sqs, centers, cfg), truth)
+    return label_iou(predicted_label(sqs, centers), truth)
 
 
 @dataclass(frozen=True)

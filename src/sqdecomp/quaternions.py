@@ -40,12 +40,6 @@ def multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     )
 
 
-def conjugate(q: np.ndarray) -> np.ndarray:
-    """Conjugate (inverse for unit quaternions)."""
-    w, x, y, z = q
-    return np.array([w, -x, -y, -z])
-
-
 def to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion (active, world = R @ local)."""
     w, x, y, z = q

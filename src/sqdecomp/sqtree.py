@@ -146,15 +146,6 @@ class SqTree:
         return out
 
 
-def all_leaves_at(tree: SqTree, depth: int) -> list[Superquadric]:
-    """The flat list of 2^depth superquadrics at one fitted level.
-
-    Ordered by (index, side a then b). Raises ValueError if the level is
-    not fully fitted.
-    """
-    return tree.superquadrics_at_level(depth)
-
-
 def recompute_labels(tree: SqTree) -> dict[tuple[int, int], np.ndarray]:
     """Re-derive every node's labels from the root labels and the split rule.
 

@@ -146,18 +146,57 @@ def local_to_world(sq: Superquadric, x) -> np.ndarray:
     return world[0] if single else world
 
 
-def _log_f(sq: Superquadric, local: np.ndarray):
-    """ln F at local points (n, 3), plus intermediates for gradients."""
+def _log_field(sq: Superquadric, pts: np.ndarray, grad: bool = False):
+    """The one log-space field kernel at world points (n, 3).
+
+    Returns (h, ln_f, local, dh): h = F^e1, ln F, the local coordinates, and
+    the (n, 11) gradient of h when ``grad`` is set (else None). Derivatives
+    of h pass through the log-space intermediates; the softmax weights
+    alpha, beta (and aw1, aw2 inside the xy term) fall out of differentiating
+    logaddexp. Coordinates pinned by the clamp contribute zero positional
+    derivative.
+    """
+    rot = sq.rotation_matrix()
+    offset = pts - sq.translation
+    local = offset @ rot
+    a = sq.size
     e1, e2 = sq.exponents
+
     abs_local = np.maximum(np.abs(local), COORD_CLAMP)
-    ln_u = np.log(abs_local / sq.size)
+    ln_u = np.log(abs_local / a)
     w1 = (2.0 / e2) * ln_u[:, 0]
     w2 = (2.0 / e2) * ln_u[:, 1]
     ln_s = np.logaddexp(w1, w2)
     term_xy = (e2 / e1) * ln_s
     term_z = (2.0 / e1) * ln_u[:, 2]
     ln_f = np.logaddexp(term_xy, term_z)
-    return ln_f, ln_u, ln_s, term_xy, term_z
+    h = np.exp(e1 * ln_f)
+    if not grad:
+        return h, ln_f, local, None
+
+    alpha = np.exp(term_xy - ln_f)
+    beta = np.exp(term_z - ln_f)
+    aw1 = np.exp(w1 - ln_s)
+    aw2 = np.exp(w2 - ln_s)
+
+    two_h = 2.0 * h
+    dh_dlnu = np.stack(
+        [two_h * alpha * aw1, two_h * alpha * aw2, two_h * beta], axis=1
+    )
+    dh_dsize = -dh_dlnu / a
+    dh_de1 = h * ln_f - (h / e1) * (alpha * e2 * ln_s + 2.0 * beta * ln_u[:, 2])
+    dh_de2 = h * alpha * (ln_s - (2.0 / e2) * (aw1 * ln_u[:, 0] + aw2 * ln_u[:, 1]))
+
+    dlnu_dlocal = np.where(np.abs(local) > COORD_CLAMP, np.sign(local) / abs_local, 0.0)
+    dh_dlocal = dh_dlnu * dlnu_dlocal
+    world_grad = dh_dlocal @ rot.T
+    dh_dt = -world_grad
+    dh_du = np.cross(world_grad, offset)
+
+    dh = np.concatenate(
+        [dh_dsize, dh_de1[:, None], dh_de2[:, None], dh_dt, dh_du], axis=1
+    )
+    return h, ln_f, local, dh
 
 
 def inside_outside(sq: Superquadric, x) -> np.ndarray:
@@ -168,7 +207,7 @@ def inside_outside(sq: Superquadric, x) -> np.ndarray:
     :func:`inside_outside_stable` for anything quantitative.
     """
     pts, single = _as_points(x)
-    ln_f, *_ = _log_f(sq, world_to_local(sq, pts))
+    _, ln_f, _, _ = _log_field(sq, pts)
     with np.errstate(over="ignore"):
         f = np.exp(ln_f)
     return f[0] if single else f
@@ -177,9 +216,7 @@ def inside_outside(sq: Superquadric, x) -> np.ndarray:
 def inside_outside_stable(sq: Superquadric, x) -> np.ndarray:
     """F^e1: same level sets and same side of 1 as F, but bounded growth."""
     pts, single = _as_points(x)
-    e1 = sq.exponents[0]
-    ln_f, *_ = _log_f(sq, world_to_local(sq, pts))
-    h = np.exp(e1 * ln_f)
+    h, _, _, _ = _log_field(sq, pts)
     return h[0] if single else h
 
 
@@ -201,62 +238,11 @@ def radial_distance(sq: Superquadric, x) -> np.ndarray:
     this cannot happen.
     """
     pts, single = _as_points(x)
-    local = world_to_local(sq, pts)
-    e1 = sq.exponents[0]
+    _, ln_f, local, _ = _log_field(sq, pts)
     r = np.linalg.norm(local, axis=1)
-    ln_f, *_ = _log_f(sq, local)
-    d = r * np.abs(1.0 - np.exp(-0.5 * e1 * ln_f))
+    d = r * np.abs(1.0 - np.exp(-0.5 * sq.exponents[0] * ln_f))
     d = np.where(r < 1e-12, np.min(sq.size), d)
     return d[0] if single else d
-
-
-def _stable_value_and_gradient(sq: Superquadric, pts: np.ndarray):
-    """h = F^e1 and its (n, 11) gradient, shared by occupancy and the fitter.
-
-    Derivatives of h pass through the log-space intermediates; the softmax
-    weights alpha, beta (and aw1, aw2 inside the xy term) fall out of
-    differentiating logaddexp. Coordinates pinned by the clamp contribute
-    zero positional derivative.
-    """
-    rot = sq.rotation_matrix()
-    offset = pts - sq.translation
-    local = offset @ rot
-    a = sq.size
-    e1, e2 = sq.exponents
-
-    abs_local = np.maximum(np.abs(local), COORD_CLAMP)
-    ln_u = np.log(abs_local / a)
-    w1 = (2.0 / e2) * ln_u[:, 0]
-    w2 = (2.0 / e2) * ln_u[:, 1]
-    ln_s = np.logaddexp(w1, w2)
-    term_xy = (e2 / e1) * ln_s
-    term_z = (2.0 / e1) * ln_u[:, 2]
-    ln_f = np.logaddexp(term_xy, term_z)
-    h = np.exp(e1 * ln_f)
-
-    alpha = np.exp(term_xy - ln_f)
-    beta = np.exp(term_z - ln_f)
-    aw1 = np.exp(w1 - ln_s)
-    aw2 = np.exp(w2 - ln_s)
-
-    two_h = 2.0 * h
-    dh_dlnu = np.stack(
-        [two_h * alpha * aw1, two_h * alpha * aw2, two_h * beta], axis=1
-    )
-    dh_dsize = -dh_dlnu / a
-    dh_de1 = h * ln_f - (h / e1) * (alpha * e2 * ln_s + 2.0 * beta * ln_u[:, 2])
-    dh_de2 = h * alpha * (ln_s - (2.0 / e2) * (aw1 * ln_u[:, 0] + aw2 * ln_u[:, 1]))
-
-    dlnu_dlocal = np.where(np.abs(local) > COORD_CLAMP, np.sign(local) / abs_local, 0.0)
-    dh_dlocal = dh_dlnu * dlnu_dlocal
-    world_grad = dh_dlocal @ rot.T
-    dh_dt = -world_grad
-    dh_du = np.cross(world_grad, offset)
-
-    grad = np.concatenate(
-        [dh_dsize, dh_de1[:, None], dh_de2[:, None], dh_dt, dh_du], axis=1
-    )
-    return h, grad
 
 
 def occupancy_gradient(
@@ -269,7 +255,7 @@ def occupancy_gradient(
     for a single point or (n, 11) for a batch.
     """
     pts, single = _as_points(x)
-    h, dh = _stable_value_and_gradient(sq, pts)
+    h, _, _, dh = _log_field(sq, pts, grad=True)
     g = expit(cfg.sharpness * (1.0 - h))
     dg_dh = -cfg.sharpness * g * (1.0 - g)
     grad = dg_dh[:, None] * dh

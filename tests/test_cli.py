@@ -1,11 +1,20 @@
 """End-to-end CLI tests driving main() in-process."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sqdecomp import SqPairNode, SqTree, Superquadric, load_mesh, load_tree, save_tree
+from sqdecomp import (
+    FitConfig,
+    SqPairNode,
+    SqTree,
+    Superquadric,
+    load_mesh,
+    load_tree,
+    save_tree,
+)
 from sqdecomp.cli import main
 
 FAST_FIT = [
@@ -17,6 +26,21 @@ FAST_FIT = [
     "--samples-uniform", "1500",
     "--samples-surface", "500",
 ]
+
+# A value other than the default for every FitConfig field; together they
+# make a small fit.
+FLAG_VALUES = {
+    "max_depth": 1,
+    "iterations": 5,
+    "step_size": 0.003,
+    "restarts": 1,
+    "sharpness": 12.5,
+    "seed": 3,
+    "a_min": 0.01,
+    "a_max": 0.8,
+    "e_min": 0.2,
+    "e_max": 1.7,
+}
 
 
 def run(capsys, argv):
@@ -72,6 +96,49 @@ class TestFitCommand:
         assert len(doc["level_iou"]) == 1
         assert doc["wall_time_seconds"] > 0
         assert doc["config"]["max_depth"] == 1
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(FitConfig)])
+    def test_every_config_flag_reaches_report(self, capsys, mesh_dir, tmp_path, name):
+        argv = [
+            "fit", str(mesh_dir / "sphere.obj"),
+            "--samples-uniform", "300",
+            "--samples-surface", "100",
+            "--out-dir", str(tmp_path),
+        ]
+        # The flag under test, plus the three that keep the fit small.
+        for key in dict.fromkeys((name, "max_depth", "iterations", "restarts")):
+            argv += ["--" + key.replace("_", "-"), str(FLAG_VALUES[key])]
+        assert run(capsys, argv)[0] == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert FLAG_VALUES[name] != getattr(FitConfig(), name)
+        assert doc["config"][name] == FLAG_VALUES[name]
+
+    def test_tree_metadata_matches_report(self, capsys, mesh_dir, tmp_path):
+        mesh = str(mesh_dir / "dumbbell.obj")
+        argv = ["fit", mesh, *FAST_FIT, "--max-depth", "2", "--out-dir", str(tmp_path)]
+        assert run(capsys, argv)[0] == 0
+        _, metadata = load_tree(tmp_path / "tree.json")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(metadata) == {"config", "level_iou", "node_losses", "loss_sum"}
+        assert metadata == {key: report[key] for key in metadata}
+
+    def test_repeated_config_key_exits_2(self, capsys, mesh_dir, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("iterations = 100\niterations = 200\n")
+        code, _, err = run(
+            capsys, ["fit", str(mesh_dir / "sphere.obj"), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert "fit.cfg:2" in err and "line 1" in err
+
+    def test_negative_threads_exits_2(self, capsys, mesh_dir, tmp_path):
+        code, _, err = run(
+            capsys,
+            ["fit", str(mesh_dir / "sphere.obj"), *FAST_FIT, "--threads", "-3",
+             "--out-dir", str(tmp_path)],
+        )
+        assert code == 2
+        assert "threads" in err
 
     def test_missing_mesh_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["fit", str(tmp_path / "absent.obj"), *FAST_FIT])

@@ -104,6 +104,12 @@ class TestFitConfig:
         with pytest.raises(ConfigError):
             FitConfig.from_file(p)
 
+    def test_from_file_rejects_repeated_key_naming_both_lines(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("iterations = 100\n# comment\nsharpness = 20\niterations = 200\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:4: 'iterations' repeats line 1"):
+            FitConfig.from_file(p)
+
     def test_from_file_rejects_missing_separator(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("iterations 100\n")
@@ -305,9 +311,14 @@ class TestFitTree:
         rng = np.random.default_rng(73)
         ps = LabeledPointSet(rng.uniform(-0.5, 0.5, (300, 3)), np.zeros(300, dtype=np.uint8))
         cfg = FitConfig(max_depth=2, iterations=30, restarts=1)
-        tree, report = fit_tree(ps, cfg)
+        _, report = fit_tree(ps, cfg)
         assert sorted(report.degenerate_nodes) == [(1, 1), (2, 1), (2, 2)]
-        assert all(report.iterations_used[k] == 0 for k in tree.nodes)
+        assert fit_node(ps.points, ps.labels, cfg).iterations == 0
+
+    def test_negative_thread_count_rejected(self):
+        ps = self.small_pointset(n=100)
+        with pytest.raises(ConfigError, match="threads"):
+            fit_tree(ps, FitConfig(max_depth=1, iterations=1, restarts=1), threads=-3)
 
     def test_report_accounting(self):
         ps = self.small_pointset(seed=74, n=600)

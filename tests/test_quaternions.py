@@ -18,14 +18,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             quat.normalize(np.zeros(4))
 
-    def test_conjugate_is_inverse(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            q = quat.normalize(rng.normal(size=4))
-            np.testing.assert_allclose(
-                quat.multiply(q, quat.conjugate(q)), quat.IDENTITY, atol=1e-12
-            )
-
 
 class TestMatrixForm:
     def test_rotation_matrices_are_special_orthogonal(self):

@@ -6,7 +6,6 @@ from sqdecomp import (
     Side,
     SqPairNode,
     SqTree,
-    all_leaves_at,
     child_labels,
     parent_node,
     parent_sq,
@@ -112,9 +111,9 @@ class TestTreeStructure:
         for d in (1, 2, 3):
             for i in range(1, 2 ** (d - 1) + 1):
                 tree.add_node(make_node(d, i, rng))
-        assert len(all_leaves_at(tree, 1)) == 2
-        assert len(all_leaves_at(tree, 2)) == 4
-        assert len(all_leaves_at(tree, 3)) == 8
+        assert len(tree.superquadrics_at_level(1)) == 2
+        assert len(tree.superquadrics_at_level(2)) == 4
+        assert len(tree.superquadrics_at_level(3)) == 8
         assert len(tree.nodes) == 7
 
     def test_leaves_ordered_index_then_side(self):
@@ -125,14 +124,14 @@ class TestTreeStructure:
         n22 = make_node(2, 2, rng)
         for n in (n1, n21, n22):
             tree.add_node(n)
-        assert all_leaves_at(tree, 2) == [n21.sq_a, n21.sq_b, n22.sq_a, n22.sq_b]
+        assert tree.superquadrics_at_level(2) == [n21.sq_a, n21.sq_b, n22.sq_a, n22.sq_b]
 
     def test_unfitted_level_rejected(self):
         rng = np.random.default_rng(36)
         tree = SqTree(max_depth=3)
         tree.add_node(make_node(1, 1, rng))
         with pytest.raises(ValueError):
-            all_leaves_at(tree, 2)
+            tree.superquadrics_at_level(2)
 
 
 class TestRecomputeLabels:

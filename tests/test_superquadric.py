@@ -15,7 +15,7 @@ from sqdecomp import (
     world_to_local,
 )
 from sqdecomp import quaternions as quat
-from sqdecomp.superquadric import local_to_world
+from sqdecomp.superquadric import _log_field, local_to_world
 
 
 def unit_sphere() -> Superquadric:
@@ -159,6 +159,29 @@ class TestStableVariant:
             for cfg in cfgs:
                 g = occupancy(sq, pts, cfg)
                 np.testing.assert_array_equal((g > 0.5)[keep], (f < 1)[keep])
+
+
+class TestFieldKernel:
+    @pytest.mark.parametrize(
+        "exponents", [None, (0.1, 0.1), (1.9, 1.9), (0.1, 1.9), (1.9, 0.1)]
+    )
+    def test_value_only_and_gradient_calls_give_identical_h(self, exponents):
+        """Every field evaluator and the fitter read h from one kernel, so
+        asking for the gradient must not change a single bit of h."""
+        rng = np.random.default_rng(90)
+        pts = rng.uniform(-1.2, 1.2, (3000, 3))
+        for _ in range(5):
+            sq = random_superquadric(rng)
+            if exponents is not None:
+                sq = Superquadric(sq.size, exponents, sq.translation, sq.rotation)
+            h, ln_f, local, dh = _log_field(sq, pts)
+            h_g, ln_f_g, local_g, dh_g = _log_field(sq, pts, grad=True)
+            assert dh is None
+            assert dh_g.shape == (len(pts), 11)
+            assert np.array_equal(h, h_g)
+            assert np.array_equal(ln_f, ln_f_g)
+            assert np.array_equal(local, local_g)
+            assert np.array_equal(h, inside_outside_stable(sq, pts))
 
 
 class TestRadialDistance:
