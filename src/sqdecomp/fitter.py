@@ -41,6 +41,7 @@ from .sqtree import Side, SqPairNode, SqTree, child_node
 from .superquadric import (
     EXPONENT_BOUNDS,
     SIZE_BOUNDS,
+    FieldWorkspace,
     OccupancyConfig,
     Superquadric,
     _log_field,
@@ -194,16 +195,17 @@ def node_loss(
     return float(loss)
 
 
-def _pair_loss_and_grad(sq_a, sq_b, points, y, sharpness):
+def _pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws_a=None, ws_b=None):
     """Loss plus its (11,) gradients for both SQs.
 
     The max over the pair differentiates through the achieving branch (ties
     to a). Points where the BCE log clamp is active contribute zero gradient,
     which keeps the analytic gradient equal to the derivative of the clamped
-    loss actually being reported.
+    loss actually being reported. ``ws_a`` and ``ws_b`` are optional field
+    workspaces for the two SQs (see :class:`FieldWorkspace`).
     """
-    ha, _, _, grad_a_h = _log_field(sq_a, points, grad=True)
-    hb, _, _, grad_b_h = _log_field(sq_b, points, grad=True)
+    ha, _, _, grad_a_h = _log_field(sq_a, points, grad=True, ws=ws_a)
+    hb, _, _, grad_b_h = _log_field(sq_b, points, grad=True, ws=ws_b)
     ga = expit(sharpness * (1.0 - ha))
     gb = expit(sharpness * (1.0 - hb))
     a_wins = ga >= gb
@@ -301,7 +303,12 @@ def init_node(
 
 
 def _optimize_pair(sq_a, sq_b, points, y, cfg: FitConfig):
-    """Momentum descent from one start; returns the best iterate seen."""
+    """Momentum descent from one start; returns the best iterate seen.
+
+    The two field workspaces belong to this call alone, so concurrent calls
+    from fit_tree's threads never share one.
+    """
+    ws_a, ws_b = FieldWorkspace(len(points)), FieldWorkspace(len(points))
     pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
     pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
     qa, qb = sq_a.rotation, sq_b.rotation
@@ -314,7 +321,7 @@ def _optimize_pair(sq_a, sq_b, points, y, cfg: FitConfig):
     best_loss = np.inf
     best = (sq_a, sq_b)
     for t in range(cfg.iterations):
-        loss, ga, gb = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness)
+        loss, ga, gb = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
         if loss < best_loss:
             best_loss, best = loss, (cur_a, cur_b)
         lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
@@ -327,7 +334,7 @@ def _optimize_pair(sq_a, sq_b, points, y, cfg: FitConfig):
         qa = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[8:11]), qa))
         qb = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[19:22]), qb))
         cur_a, cur_b = build(pa, qa), build(pb, qb)
-    loss, _, _ = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness)
+    loss, _, _ = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
     if loss < best_loss:
         best_loss, best = loss, (cur_a, cur_b)
     return best[0], best[1], float(best_loss)

@@ -25,6 +25,16 @@ _PARALLEL_EPS = 1e-12
 _BARY_EPS = 1e-10
 _ON_SURFACE_T = 1e-12
 
+# Padding of each triangle's projected bounding box, relative to the mesh
+# extent. bary_wide admits points up to _BARY_EPS (relative) outside a
+# triangle, plus rounding; this margin is orders of magnitude wider.
+_BIN_MARGIN = 1e-6
+# The grid is coarsened while the boxes cover more cells than this on average.
+_MAX_CELLS_PER_BOX = 16
+# Candidate (point, triangle) pairs tested at once: about 200 bytes each,
+# so about 20 MB of temporaries.
+_PAIR_CHUNK = 100_000
+
 
 class MeshFormatError(ValueError):
     """The OBJ file is malformed (bad record, bad index, too few vertices)."""
@@ -183,49 +193,215 @@ def _retry_directions() -> np.ndarray:
 _DIRECTIONS = _retry_directions()
 
 
-def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarray):
-    """Ray-parity test for one chunk of points against all triangles.
+def _require_closed_manifold(triangles: np.ndarray) -> None:
+    """Raise DegenerateMeshError unless the mesh is closed and manifold.
 
-    Returns (resolved mask, inside labels). A point is unresolved when its ray
-    produced a degenerate intersection (hit near a triangle edge/vertex, or
-    ran parallel within a triangle's plane) and needs a different direction.
+    Ray parity counts surface crossings, which tells inside from outside
+    only when every edge joins two distinct vertices and every undirected
+    edge is used by exactly two triangles with opposite orientation.
+    """
+    start = triangles.ravel()
+    end = np.roll(triangles, -1, axis=1).ravel()
+    if np.any(start == end):
+        raise DegenerateMeshError("mesh has a triangle with a repeated vertex")
+    n = int(triangles.max()) + 1
+    edges, uses = np.unique(start * n + end, return_counts=True)
+    repeated = int(np.count_nonzero(uses > 1))
+    unpaired = int(np.count_nonzero(~np.isin(edges, end * n + start)))
+    if repeated or unpaired:
+        raise DegenerateMeshError(
+            f"mesh is not closed and manifold: {unpaired} edges lack an oppositely "
+            f"oriented twin and {repeated} are used more than once in the same orientation"
+        )
+
+
+@dataclass(frozen=True)
+class _TriangleTerms:
+    """Per-triangle Möller–Trumbore quantities for one ray direction."""
+
+    a: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    pvec: np.ndarray
+    parallel: np.ndarray
+    safe_det: np.ndarray
+    normal: np.ndarray
+    norm_len: np.ndarray
+
+    @classmethod
+    def of(cls, corners: np.ndarray, direction: np.ndarray) -> "_TriangleTerms":
+        a = corners[:, 0]
+        e1 = corners[:, 1] - a
+        e2 = corners[:, 2] - a
+        pvec = np.cross(direction, e2)
+        det = np.einsum("tk,tk->t", e1, pvec)
+        parallel = np.abs(det) < _PARALLEL_EPS
+        normal = np.cross(e1, e2)
+        norm_len = np.linalg.norm(normal, axis=1)
+        return cls(a, e1, e2, pvec, parallel, np.where(parallel, 1.0, det), normal,
+                   np.where(norm_len == 0, 1.0, norm_len))
+
+
+def _classify_pairs(points, pair_point, pair_tri, terms: _TriangleTerms, direction):
+    """Ray-parity test of points against the triangles paired with them.
+
+    ``pair_point`` and ``pair_tri`` list (point, triangle) pairs; a pair
+    left out must be one whose predicate is false. Returns (resolved mask,
+    inside labels) per point. A point is unresolved when its ray produced a
+    degenerate intersection (hit near a triangle edge/vertex, or ran
+    parallel within a triangle's plane) and needs a different direction.
     Points lying on the surface resolve immediately as inside.
     """
-    a = corners[:, 0]
-    e1 = corners[:, 1] - a
-    e2 = corners[:, 2] - a
-    pvec = np.cross(direction, e2)
-    det = np.einsum("tk,tk->t", e1, pvec)
-    parallel = np.abs(det) < _PARALLEL_EPS
-    safe_det = np.where(parallel, 1.0, det)
+    n = len(points)
+    det = terms.safe_det[pair_tri]
+    s = points[pair_point] - terms.a[pair_tri]
+    u = np.einsum("pk,pk->p", s, terms.pvec[pair_tri]) / det
+    qvec = np.cross(s, terms.e1[pair_tri])
+    v = np.einsum("pk,k->p", qvec, direction) / det
+    t_hit = np.einsum("pk,pk->p", qvec, terms.e2[pair_tri]) / det
+    del qvec
+    plane_dist = np.abs(np.einsum("pk,pk->p", s, terms.normal[pair_tri])) / terms.norm_len[pair_tri]
+    del s
 
-    normal = np.cross(e1, e2)
-    norm_len = np.linalg.norm(normal, axis=1)
-    norm_len = np.where(norm_len == 0, 1.0, norm_len)
-
-    s = points[:, None, :] - a[None, :, :]          # (n, t, 3)
-    u = np.einsum("ntk,tk->nt", s, pvec) / safe_det
-    qvec = np.cross(s, e1[None, :, :])
-    v = np.einsum("ntk,k->nt", qvec, direction) / safe_det
-    t_hit = np.einsum("ntk,tk->nt", qvec, e2) / safe_det
-
-    plane_dist = np.abs(np.einsum("ntk,tk->nt", s, normal)) / norm_len
-
+    parallel = terms.parallel[pair_tri]
     bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
     bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
 
-    on_surface = (~parallel[None, :]) & (np.abs(t_hit) <= _ON_SURFACE_T) & bary_wide
-    forward = (~parallel[None, :]) & (t_hit > _ON_SURFACE_T)
+    on_surface = (~parallel) & (np.abs(t_hit) <= _ON_SURFACE_T) & bary_wide
+    forward = (~parallel) & (t_hit > _ON_SURFACE_T)
     counted = forward & bary_strict
     grazing = forward & bary_wide & ~bary_strict
-    coplanar = parallel[None, :] & (plane_dist < 1e-9)
+    coplanar = parallel & (plane_dist < 1e-9)
 
-    is_on_surface = on_surface.any(axis=1)
-    is_degenerate = (grazing | coplanar).any(axis=1) & ~is_on_surface
-    parity = counted.sum(axis=1) & 1
+    def per_point(mask):
+        return np.bincount(pair_point[mask], minlength=n)
+
+    is_on_surface = per_point(on_surface) > 0
+    is_degenerate = (per_point(grazing | coplanar) > 0) & ~is_on_surface
+    parity = per_point(counted) & 1
 
     resolved = is_on_surface | ~is_degenerate
     labels = np.where(is_on_surface, 1, parity).astype(np.uint8)
+    return resolved, labels
+
+
+def _plane_basis(direction: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (3, 2) of the plane orthogonal to a unit direction."""
+    b1 = np.cross(direction, np.eye(3)[np.argmin(np.abs(direction))])
+    b1 /= np.linalg.norm(b1)
+    return np.stack([b1, np.cross(direction, b1)], axis=1)
+
+
+@dataclass(frozen=True)
+class _BoxGrid:
+    """Uniform 2D grid over boxes, with the boxes of each cell in CSR form.
+
+    ``members[start[c]:start[c + 1]]`` are the ids of the boxes that overlap
+    cell c = iy * size + ix. Cell ``size**2`` is an extra, always empty cell
+    for points outside every box.
+    """
+
+    origin: np.ndarray
+    top: np.ndarray
+    cell: np.ndarray
+    size: int
+    start: np.ndarray
+    members: np.ndarray
+
+    @classmethod
+    def build(cls, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> "_BoxGrid":
+        if len(ids) == 0:
+            lo = hi = np.zeros((1, 2))
+        origin, top = lo.min(axis=0), hi.max(axis=0)
+        extent = top - origin
+        size = max(1, int(np.ceil(np.sqrt(len(ids)))))
+        while True:
+            cell = np.where(extent > 0, extent / size, 1.0)
+            first = _cell_index(lo, origin, cell, size)
+            span = _cell_index(hi, origin, cell, size) - first + 1
+            count = span[:, 0] * span[:, 1]
+            # Long thin boxes cover many cells; coarsen until the CSR is
+            # a small multiple of the box count.
+            if size == 1 or count.sum() <= _MAX_CELLS_PER_BOX * len(ids):
+                break
+            size = max(1, size // 2)
+        box = np.repeat(np.arange(len(ids)), count)
+        k = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
+        ix = first[box, 0] + k % span[box, 0]
+        iy = first[box, 1] + k // span[box, 0]
+        cells = iy * size + ix
+        members = ids[box[np.argsort(cells, kind="stable")]]
+        start = np.zeros(size * size + 2, dtype=np.intp)
+        np.cumsum(np.bincount(cells, minlength=size * size + 1), out=start[1:])
+        return cls(origin, top, cell, size, start, members)
+
+    def cells_of(self, xy: np.ndarray) -> np.ndarray:
+        """The cell of each point (n, 2); the empty cell outside the grid."""
+        index = _cell_index(xy, self.origin, self.cell, self.size)
+        cells = index[:, 1] * self.size + index[:, 0]
+        inside = np.all((xy >= self.origin) & (xy <= self.top), axis=1)
+        cells[~inside] = self.size * self.size
+        return cells
+
+    def pairs(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point, box id) pairs for points in the given cells."""
+        first = self.start[cells]
+        count = self.start[cells + 1] - first
+        point = np.repeat(np.arange(len(cells)), count)
+        pos = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(point))
+        return point, self.members[pos]
+
+
+def _cell_index(xy: np.ndarray, origin, cell, size: int) -> np.ndarray:
+    return np.clip(np.floor((xy - origin) / cell), 0, size - 1).astype(np.intp)
+
+
+def _chunks(weights: np.ndarray, budget: int):
+    """Consecutive slices whose weights sum to at most ``budget`` (or one item)."""
+    total = np.cumsum(weights)
+    begin = 0
+    while begin < len(weights):
+        base = total[begin - 1] if begin else 0
+        end = max(int(np.searchsorted(total, base + budget, side="right")), begin + 1)
+        yield slice(begin, end)
+        begin = end
+
+
+def _classify_along(points: np.ndarray, corners: np.ndarray, direction: np.ndarray):
+    """(resolved mask, inside labels) of points for rays along one direction.
+
+    Equals testing every point against every triangle, but tests each point
+    only against the triangles whose projection along the ray can contain
+    it: the triangles' projected bounding boxes, padded by a margin far
+    wider than the barycentric tolerance, are binned into a uniform grid of
+    about sqrt(t) x sqrt(t) cells. Triangles parallel to the ray are tested
+    against every point, since their in-plane test has no barycentric
+    bound. Work is chunked by candidate pairs, which bounds peak memory.
+    """
+    terms = _TriangleTerms.of(corners, direction)
+    margin = _BIN_MARGIN * float(np.max(np.ptp(corners.reshape(-1, 3), axis=0)))
+    basis = _plane_basis(direction)
+    projected = corners @ basis
+    binned = np.flatnonzero(~terms.parallel)
+    grid = _BoxGrid.build(
+        projected[binned].min(axis=1) - margin,
+        projected[binned].max(axis=1) + margin,
+        binned,
+    )
+    parallel = np.flatnonzero(terms.parallel)
+    cells = grid.cells_of(points @ basis)
+    load = grid.start[cells + 1] - grid.start[cells] + len(parallel)
+    resolved = np.empty(len(points), dtype=bool)
+    labels = np.empty(len(points), dtype=np.uint8)
+    for part in _chunks(load, _PAIR_CHUNK):
+        pair_point, pair_tri = grid.pairs(cells[part])
+        if len(parallel):
+            m = part.stop - part.start
+            pair_point = np.concatenate([pair_point, np.repeat(np.arange(m), len(parallel))])
+            pair_tri = np.concatenate([pair_tri, np.tile(parallel, m)])
+        resolved[part], labels[part] = _classify_pairs(
+            points[part], pair_point, pair_tri, terms, direction
+        )
     return resolved, labels
 
 
@@ -237,10 +413,14 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     a fixed deterministic sequence, so results never depend on luck. Raises
     RayDegeneracyError if a point stays unresolved after all retries (does not
     happen for watertight meshes) and DegenerateMeshError for meshes with no
-    triangles.
+    triangles or that are not closed and manifold. Each point is tested only
+    against the triangles a uniform grid pairs it with (see
+    :func:`_classify_along`), so the cost grows with points times triangles
+    per grid cell, not points times triangles.
     """
     if len(mesh.triangles) == 0:
         raise DegenerateMeshError("mesh has no triangles; inside test undefined")
+    _require_closed_manifold(mesh.triangles)
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
@@ -250,19 +430,14 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     corners = mesh.triangle_corners
     labels = np.zeros(len(pts), dtype=np.uint8)
     unresolved = np.ones(len(pts), dtype=bool)
-    # Keep the (n, t, 3) intermediates around ~200 MB peak.
-    chunk = max(1, int(2_000_000 / max(len(corners), 1)))
-
     for direction in _DIRECTIONS:
         idx = np.flatnonzero(unresolved)
         if len(idx) == 0:
             break
-        for start in range(0, len(idx), chunk):
-            sel = idx[start:start + chunk]
-            resolved, lab = _classify_chunk(pts[sel], corners, direction)
-            done = sel[resolved]
-            labels[done] = lab[resolved]
-            unresolved[done] = False
+        resolved, lab = _classify_along(pts[idx], corners, direction)
+        done = idx[resolved]
+        labels[done] = lab[resolved]
+        unresolved[done] = False
     if unresolved.any():
         raise RayDegeneracyError(
             f"{int(unresolved.sum())} points could not be classified after "

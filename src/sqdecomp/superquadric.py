@@ -139,14 +139,40 @@ def world_to_local(sq: Superquadric, x) -> np.ndarray:
     return local[0] if single else local
 
 
-def local_to_world(sq: Superquadric, x) -> np.ndarray:
-    """Inverse of :func:`world_to_local`: R @ x + t."""
-    pts, single = _as_points(x)
-    world = pts @ sq.rotation_matrix().T + sq.translation
-    return world[0] if single else world
+class FieldWorkspace:
+    """Output buffers of :func:`_log_field` for a fixed number of points.
+
+    A caller that evaluates the field many times at the same points (the
+    fitter, every iteration) passes one workspace to every call. The kernel
+    then writes into the same memory each time instead of allocating about
+    6 MB of short-lived arrays per gradient call at 8k points, which the
+    allocator returns to the OS and faults back in on the next call. The
+    gradient buffers exist only when ``grad`` is set. A workspace must not
+    be shared between threads.
+    """
+
+    def __init__(self, n: int, grad: bool = True):
+        self.n = n
+        self.grad = grad
+        self.offset, self.local, self.abs_local, self.ln_u = (
+            np.empty((n, 3)) for _ in range(4)
+        )
+        self.w1, self.w2, self.ln_s, self.term_xy, self.term_z, self.ln_f, self.h = (
+            np.empty(n) for _ in range(7)
+        )
+        if grad:
+            self.alpha, self.beta, self.aw1, self.aw2, self.tmp_a, self.tmp_b = (
+                np.empty(n) for _ in range(6)
+            )
+            self.dh_dlnu, self.dh_dlocal, self.world_grad = (
+                np.empty((n, 3)) for _ in range(3)
+            )
+            self.pinned = np.empty((n, 3), dtype=bool)
+            self.dh = np.empty((n, 11))
 
 
-def _log_field(sq: Superquadric, pts: np.ndarray, grad: bool = False):
+def _log_field(sq: Superquadric, pts: np.ndarray, grad: bool = False,
+               ws: FieldWorkspace | None = None):
     """The one log-space field kernel at world points (n, 3).
 
     Returns (h, ln_f, local, dh): h = F^e1, ln F, the local coordinates, and
@@ -155,47 +181,109 @@ def _log_field(sq: Superquadric, pts: np.ndarray, grad: bool = False):
     alpha, beta (and aw1, aw2 inside the xy term) fall out of differentiating
     logaddexp. Coordinates pinned by the clamp contribute zero positional
     derivative.
+
+    Every intermediate is written into ``ws`` (a fresh workspace when none
+    is given), so the returned arrays are views into the workspace: the
+    next call with the same workspace overwrites them. The operations and
+    their order are those of the plain expressions in the comments, so the
+    results do not depend on whether a workspace is reused.
     """
+    if ws is None:
+        ws = FieldWorkspace(len(pts), grad)
+    if ws.n != len(pts) or (grad and not ws.grad):
+        raise ValueError(f"workspace for {ws.n} points (grad={ws.grad}) cannot serve "
+                         f"{len(pts)} points (grad={grad})")
     rot = sq.rotation_matrix()
-    offset = pts - sq.translation
-    local = offset @ rot
     a = sq.size
     e1, e2 = sq.exponents
+    offset, local, abs_local, ln_u = ws.offset, ws.local, ws.abs_local, ws.ln_u
+    w1, w2, ln_s, term_xy, term_z, ln_f, h = (
+        ws.w1, ws.w2, ws.ln_s, ws.term_xy, ws.term_z, ws.ln_f, ws.h
+    )
 
-    abs_local = np.maximum(np.abs(local), COORD_CLAMP)
-    ln_u = np.log(abs_local / a)
-    w1 = (2.0 / e2) * ln_u[:, 0]
-    w2 = (2.0 / e2) * ln_u[:, 1]
-    ln_s = np.logaddexp(w1, w2)
-    term_xy = (e2 / e1) * ln_s
-    term_z = (2.0 / e1) * ln_u[:, 2]
-    ln_f = np.logaddexp(term_xy, term_z)
-    h = np.exp(e1 * ln_f)
+    np.subtract(pts, sq.translation, out=offset)
+    np.matmul(offset, rot, out=local)
+    # abs_local = max(|local|, COORD_CLAMP); ln_u = log(abs_local / a)
+    np.abs(local, out=abs_local)
+    np.maximum(abs_local, COORD_CLAMP, out=abs_local)
+    np.divide(abs_local, a, out=ln_u)
+    np.log(ln_u, out=ln_u)
+    np.multiply(2.0 / e2, ln_u[:, 0], out=w1)
+    np.multiply(2.0 / e2, ln_u[:, 1], out=w2)
+    np.logaddexp(w1, w2, out=ln_s)
+    np.multiply(e2 / e1, ln_s, out=term_xy)
+    np.multiply(2.0 / e1, ln_u[:, 2], out=term_z)
+    np.logaddexp(term_xy, term_z, out=ln_f)
+    np.multiply(e1, ln_f, out=h)
+    np.exp(h, out=h)
     if not grad:
         return h, ln_f, local, None
 
-    alpha = np.exp(term_xy - ln_f)
-    beta = np.exp(term_z - ln_f)
-    aw1 = np.exp(w1 - ln_s)
-    aw2 = np.exp(w2 - ln_s)
-
-    two_h = 2.0 * h
-    dh_dlnu = np.stack(
-        [two_h * alpha * aw1, two_h * alpha * aw2, two_h * beta], axis=1
+    alpha, beta, aw1, aw2, tmp_a, tmp_b = (
+        ws.alpha, ws.beta, ws.aw1, ws.aw2, ws.tmp_a, ws.tmp_b
     )
-    dh_dsize = -dh_dlnu / a
-    dh_de1 = h * ln_f - (h / e1) * (alpha * e2 * ln_s + 2.0 * beta * ln_u[:, 2])
-    dh_de2 = h * alpha * (ln_s - (2.0 / e2) * (aw1 * ln_u[:, 0] + aw2 * ln_u[:, 1]))
-
-    dlnu_dlocal = np.where(np.abs(local) > COORD_CLAMP, np.sign(local) / abs_local, 0.0)
-    dh_dlocal = dh_dlnu * dlnu_dlocal
-    world_grad = dh_dlocal @ rot.T
-    dh_dt = -world_grad
-    dh_du = np.cross(world_grad, offset)
-
-    dh = np.concatenate(
-        [dh_dsize, dh_de1[:, None], dh_de2[:, None], dh_dt, dh_du], axis=1
+    dh_dlnu, dh_dlocal, world_grad, pinned, dh = (
+        ws.dh_dlnu, ws.dh_dlocal, ws.world_grad, ws.pinned, ws.dh
     )
+    for out, num, den in ((alpha, term_xy, ln_f), (beta, term_z, ln_f),
+                          (aw1, w1, ln_s), (aw2, w2, ln_s)):
+        np.subtract(num, den, out=out)
+        np.exp(out, out=out)
+
+    # dh_dlnu = [2h alpha aw1, 2h alpha aw2, 2h beta]
+    np.multiply(2.0, h, out=tmp_a)
+    np.multiply(tmp_a, alpha, out=dh_dlnu[:, 0])
+    np.multiply(dh_dlnu[:, 0], aw1, out=dh_dlnu[:, 0])
+    np.multiply(tmp_a, alpha, out=dh_dlnu[:, 1])
+    np.multiply(dh_dlnu[:, 1], aw2, out=dh_dlnu[:, 1])
+    np.multiply(tmp_a, beta, out=dh_dlnu[:, 2])
+
+    # dh_dsize = -dh_dlnu / a
+    dh_dsize = dh[:, 0:3]
+    np.negative(dh_dlnu, out=dh_dsize)
+    np.divide(dh_dsize, a, out=dh_dsize)
+
+    # dh_de1 = h ln_f - (h / e1) (alpha e2 ln_s + 2 beta ln_u_z)
+    dh_de1 = dh[:, 3]
+    np.multiply(h, ln_f, out=dh_de1)
+    np.multiply(alpha, e2, out=tmp_a)
+    np.multiply(tmp_a, ln_s, out=tmp_a)
+    np.multiply(2.0, beta, out=tmp_b)
+    np.multiply(tmp_b, ln_u[:, 2], out=tmp_b)
+    np.add(tmp_a, tmp_b, out=tmp_a)
+    np.divide(h, e1, out=tmp_b)
+    np.multiply(tmp_b, tmp_a, out=tmp_b)
+    np.subtract(dh_de1, tmp_b, out=dh_de1)
+
+    # dh_de2 = h alpha (ln_s - (2 / e2) (aw1 ln_u_x + aw2 ln_u_y))
+    dh_de2 = dh[:, 4]
+    np.multiply(h, alpha, out=dh_de2)
+    np.multiply(aw1, ln_u[:, 0], out=tmp_a)
+    np.multiply(aw2, ln_u[:, 1], out=tmp_b)
+    np.add(tmp_a, tmp_b, out=tmp_a)
+    np.multiply(2.0 / e2, tmp_a, out=tmp_a)
+    np.subtract(ln_s, tmp_a, out=tmp_a)
+    np.multiply(dh_de2, tmp_a, out=dh_de2)
+
+    # dh_dlocal = dh_dlnu * where(|local| > clamp, sign(local) / abs_local, 0);
+    # |local| > clamp exactly where abs_local > clamp.
+    np.sign(local, out=dh_dlocal)
+    np.divide(dh_dlocal, abs_local, out=dh_dlocal)
+    np.greater(abs_local, COORD_CLAMP, out=pinned)
+    np.logical_not(pinned, out=pinned)
+    np.copyto(dh_dlocal, 0.0, where=pinned)
+    np.multiply(dh_dlnu, dh_dlocal, out=dh_dlocal)
+    np.matmul(dh_dlocal, rot.T, out=world_grad)
+
+    # dh_dt = -world_grad
+    np.negative(world_grad, out=dh[:, 5:8])
+    # dh_du = world_grad x offset, in np.cross's order of operations
+    g0, g1, g2 = world_grad[:, 0], world_grad[:, 1], world_grad[:, 2]
+    o0, o1, o2 = offset[:, 0], offset[:, 1], offset[:, 2]
+    for k, (p, q, r, s) in enumerate(((g1, o2, g2, o1), (g2, o0, g0, o2), (g0, o1, g1, o0))):
+        np.multiply(p, q, out=dh[:, 8 + k])
+        np.multiply(r, s, out=tmp_a)
+        np.subtract(dh[:, 8 + k], tmp_a, out=dh[:, 8 + k])
     return h, ln_f, local, dh
 
 

@@ -4,6 +4,13 @@ import numpy as np
 
 from sqdecomp import OccupancyConfig, Superquadric, occupancy
 from sqdecomp import quaternions as quat
+from sqdecomp.geometry import (
+    _BARY_EPS,
+    _DIRECTIONS,
+    _ON_SURFACE_T,
+    _PARALLEL_EPS,
+    RayDegeneracyError,
+)
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -71,3 +78,69 @@ def gradient_corpus(rng: np.random.Generator, n: int):
             made += 1
             if made == n:
                 return
+
+
+def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarray):
+    """Ray-parity test for one chunk of points against all triangles.
+
+    The brute-force reference for ``geometry.point_in_mesh``, which tests
+    only the pairs its grid finds. Returns (resolved mask, inside labels). A point is unresolved when its ray
+    produced a degenerate intersection (hit near a triangle edge/vertex, or
+    ran parallel within a triangle's plane) and needs a different direction.
+    Points lying on the surface resolve immediately as inside.
+    """
+    a = corners[:, 0]
+    e1 = corners[:, 1] - a
+    e2 = corners[:, 2] - a
+    pvec = np.cross(direction, e2)
+    det = np.einsum("tk,tk->t", e1, pvec)
+    parallel = np.abs(det) < _PARALLEL_EPS
+    safe_det = np.where(parallel, 1.0, det)
+
+    normal = np.cross(e1, e2)
+    norm_len = np.linalg.norm(normal, axis=1)
+    norm_len = np.where(norm_len == 0, 1.0, norm_len)
+
+    s = points[:, None, :] - a[None, :, :]          # (n, t, 3)
+    u = np.einsum("ntk,tk->nt", s, pvec) / safe_det
+    qvec = np.cross(s, e1[None, :, :])
+    v = np.einsum("ntk,k->nt", qvec, direction) / safe_det
+    t_hit = np.einsum("ntk,tk->nt", qvec, e2) / safe_det
+
+    plane_dist = np.abs(np.einsum("ntk,tk->nt", s, normal)) / norm_len
+
+    bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
+    bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
+
+    on_surface = (~parallel[None, :]) & (np.abs(t_hit) <= _ON_SURFACE_T) & bary_wide
+    forward = (~parallel[None, :]) & (t_hit > _ON_SURFACE_T)
+    counted = forward & bary_strict
+    grazing = forward & bary_wide & ~bary_strict
+    coplanar = parallel[None, :] & (plane_dist < 1e-9)
+
+    is_on_surface = on_surface.any(axis=1)
+    is_degenerate = (grazing | coplanar).any(axis=1) & ~is_on_surface
+    parity = counted.sum(axis=1) & 1
+
+    resolved = is_on_surface | ~is_degenerate
+    labels = np.where(is_on_surface, 1, parity).astype(np.uint8)
+    return resolved, labels
+
+
+def point_in_mesh_reference(mesh, points) -> np.ndarray:
+    """``point_in_mesh`` labels by the brute-force predicate, same retry order."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    corners = mesh.triangle_corners
+    labels = np.zeros(len(pts), dtype=np.uint8)
+    unresolved = np.ones(len(pts), dtype=bool)
+    chunk = max(1, int(2_000_000 / len(corners)))
+    for direction in _DIRECTIONS:
+        idx = np.flatnonzero(unresolved)
+        for start in range(0, len(idx), chunk):
+            sel = idx[start:start + chunk]
+            resolved, lab = _classify_chunk(pts[sel], corners, direction)
+            labels[sel[resolved]] = lab[resolved]
+            unresolved[sel[resolved]] = False
+    if unresolved.any():
+        raise RayDegeneracyError(f"{int(unresolved.sum())} points unresolved")
+    return labels

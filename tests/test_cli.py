@@ -8,11 +8,14 @@ import pytest
 
 from sqdecomp import (
     FitConfig,
+    Mesh,
     SqPairNode,
     SqTree,
     Superquadric,
+    box,
     load_mesh,
     load_tree,
+    save_mesh,
     save_tree,
 )
 from sqdecomp.cli import main
@@ -151,6 +154,15 @@ class TestFitCommand:
         code, _, err = run(capsys, ["fit", str(bad), *FAST_FIT])
         assert code == 1
         assert "error:" in err
+
+    def test_open_mesh_exits_1(self, capsys, tmp_path):
+        """Ray parity cannot label points of a mesh with a hole."""
+        cube = box()
+        open_box = tmp_path / "open.obj"
+        save_mesh(Mesh(cube.vertices, cube.triangles[1:]), open_box)
+        code, _, err = run(capsys, ["fit", str(open_box), *FAST_FIT, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "closed and manifold" in err
 
     def test_zero_max_depth_exits_2(self, capsys, mesh_dir, tmp_path):
         code, _, err = run(

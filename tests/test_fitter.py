@@ -1,3 +1,6 @@
+import resource
+import sys
+
 import numpy as np
 import pytest
 
@@ -267,6 +270,19 @@ class TestFitNode:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             fit_node(np.zeros((0, 3)), np.zeros(0), FitConfig())
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux minor-fault counts")
+    def test_iterations_reuse_field_buffers(self):
+        """The pair kernel writes into per-call workspaces, so iterations
+        do not fault fresh pages in: 50 iterations at 8k points stay far
+        below the ~46k minor faults of allocating per call."""
+        rng = np.random.default_rng(68)
+        pts = rng.uniform(-0.6, 0.6, (8000, 3))
+        labels = (np.linalg.norm(pts, axis=1) < 0.4).astype(np.uint8)
+        cfg = FitConfig(iterations=50, restarts=1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fit_node(pts, labels, cfg)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 10_000
 
 
 class TestFitTree:

@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import _classify_chunk, point_in_mesh_reference
 from sqdecomp import (
     DegenerateMeshError,
     Mesh,
     MeshFormatError,
     box,
+    dumbbell,
+    icosphere,
     load_mesh,
     merge,
     normalize,
     point_in_mesh,
     sample_labeled_points,
     save_mesh,
+)
+from sqdecomp import quaternions as quat
+from sqdecomp.geometry import (
+    _DIRECTIONS,
+    _BoxGrid,
+    _classify_along,
+    _plane_basis,
+    _TriangleTerms,
 )
 
 
@@ -198,6 +211,147 @@ class TestPointInMesh:
                 inside_leg |= np.all(np.abs(pts - c) <= [0.05, 0.05, 0.4], axis=1)
         np.testing.assert_array_equal(
             point_in_mesh(mesh, pts), (inside_top | inside_leg).astype(np.uint8)
+        )
+
+
+def probe_points(mesh: Mesh, rng: np.random.Generator, n: int = 1000) -> np.ndarray:
+    """Uniform points around the mesh, jittered and exact surface samples,
+    every vertex and every edge midpoint."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pad = 0.1 * (hi - lo).max()
+    corners = mesh.triangle_corners[rng.integers(0, len(mesh.triangles), n)]
+    surface = np.einsum("nk,nkd->nd", rng.dirichlet(np.ones(3), n), corners)
+    start, end = mesh.triangles.ravel(), np.roll(mesh.triangles, -1, axis=1).ravel()
+    once = start < end  # each edge of a closed mesh appears in both orientations
+    midpoints = 0.5 * (mesh.vertices[start[once]] + mesh.vertices[end[once]])
+    return np.vstack([
+        rng.uniform(lo - pad, hi + pad, (n, 3)),
+        surface + rng.normal(0.0, 0.02 * (hi - lo).max(), surface.shape),
+        surface,
+        mesh.vertices,
+        midpoints,
+    ])
+
+
+def prism_along(direction: np.ndarray) -> Mesh:
+    """Closed triangular prism extruded along ``direction``: the ray along
+    that direction runs parallel to all six side triangles."""
+    local = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], float)
+    b1 = np.cross(direction, [1.0, 0.0, 0.0])
+    b1 /= np.linalg.norm(b1)
+    frame = np.stack([b1, np.cross(direction, b1), direction], axis=1)
+    faces = [[0, 2, 1], [3, 4, 5], [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+             [2, 0, 3], [2, 3, 5]]
+    return Mesh(0.4 * local @ frame.T - 0.1, faces)
+
+
+def cylinder(segments: int) -> Mesh:
+    """Closed cylinder along z, radius 0.3 and height 1: its side and cap
+    triangles are long and thin."""
+    angle = 2 * np.pi * np.arange(segments) / segments
+    ring = 0.3 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    vertices = np.vstack([
+        np.c_[ring, np.full(segments, -0.5)],
+        np.c_[ring, np.full(segments, 0.5)],
+        [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]],
+    ])
+    n = segments
+    i = np.arange(n)
+    j = (i + 1) % n
+    faces = np.vstack([
+        np.c_[np.full(n, 2 * n), j, i],
+        np.c_[np.full(n, 2 * n + 1), n + i, n + j],
+        np.c_[i, j, n + j],
+        np.c_[i, n + j, n + i],
+    ])
+    return Mesh(vertices, faces)
+
+
+class TestClosedManifoldCheck:
+    def test_box_with_a_face_removed_rejected(self):
+        cube = box()
+        with pytest.raises(DegenerateMeshError, match="closed and manifold"):
+            point_in_mesh(Mesh(cube.vertices, cube.triangles[1:]), [0.0, 0.0, 0.0])
+
+    def test_box_with_a_duplicated_face_rejected(self):
+        cube = box()
+        doubled = np.vstack([cube.triangles, cube.triangles[:1]])
+        with pytest.raises(DegenerateMeshError, match="closed and manifold"):
+            point_in_mesh(Mesh(cube.vertices, doubled), [0.0, 0.0, 0.0])
+
+    def test_triangle_with_repeated_vertex_rejected(self):
+        cube = box()
+        tris = np.vstack([cube.triangles, [[0, 0, 1]]])
+        with pytest.raises(DegenerateMeshError, match="repeated vertex"):
+            point_in_mesh(Mesh(cube.vertices, tris), [0.0, 0.0, 0.0])
+
+
+class TestBinnedMatchesBruteForce:
+    """point_in_mesh tests only the triangles its grid pairs with each
+    point; its labels must equal those of testing every triangle."""
+
+    @pytest.mark.parametrize("name", ["box", "dumbbell", "table", "icosphere4"])
+    def test_labels_equal_reference(self, name):
+        mesh = {
+            "box": box,
+            "dumbbell": lambda: normalize(dumbbell()),
+            "table": table_mesh,
+            "icosphere4": lambda: icosphere(subdivisions=4),
+        }[name]()
+        pts = probe_points(mesh, np.random.default_rng(50))
+        np.testing.assert_array_equal(point_in_mesh(mesh, pts), point_in_mesh_reference(mesh, pts))
+
+    def test_triangles_parallel_to_the_ray(self):
+        """Triangles parallel to the ray are tested against every point, so
+        points in their planes are sent on to the next ray exactly as the
+        brute-force test sends them."""
+        mesh = prism_along(_DIRECTIONS[0])
+        corners = mesh.triangle_corners
+        assert np.count_nonzero(_TriangleTerms.of(corners, _DIRECTIONS[0]).parallel) == 6
+        rng = np.random.default_rng(51)
+        v = mesh.vertices
+        coef = rng.uniform(-0.5, 1.5, (300, 2))
+        in_side_plane = v[0] + coef[:, :1] * (v[1] - v[0]) + coef[:, 1:] * (v[3] - v[0])
+        pts = np.vstack([probe_points(mesh, rng, 300), in_side_plane])
+        resolved, labels = _classify_along(pts, corners, _DIRECTIONS[0])
+        ref_resolved, ref_labels = _classify_chunk(pts, corners, _DIRECTIONS[0])
+        np.testing.assert_array_equal(resolved, ref_resolved)
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert not resolved[-len(in_side_plane):].any()
+        got = point_in_mesh(mesh, pts)
+        np.testing.assert_array_equal(got, point_in_mesh_reference(mesh, pts))
+        assert got.any() and not got.all()
+
+    def test_long_thin_triangles_coarsen_the_grid(self):
+        """Slivers spanning the mesh would each fill a row of a sqrt(t)-wide
+        grid; the grid coarsens so the CSR stays a small multiple of t."""
+        mesh = cylinder(200)
+        direction = _DIRECTIONS[0]
+        projected = mesh.triangle_corners @ _plane_basis(direction)
+        ids = np.flatnonzero(~_TriangleTerms.of(mesh.triangle_corners, direction).parallel)
+        grid = _BoxGrid.build(projected[ids].min(axis=1), projected[ids].max(axis=1), ids)
+        assert grid.size < np.ceil(np.sqrt(len(ids)))
+        assert len(grid.members) <= 16 * len(ids)
+        pts = probe_points(mesh, np.random.default_rng(52))
+        np.testing.assert_array_equal(point_in_mesh(mesh, pts), point_in_mesh_reference(mesh, pts))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from(["box", "icosphere2"]),
+        rotation=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda q: np.linalg.norm(q) > 0.1
+        ),
+        scale=st.floats(0.01, 100.0),
+        shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rigidly_moved_meshes(self, shape, rotation, scale, shift, seed):
+        mesh = box() if shape == "box" else icosphere(subdivisions=2)
+        rot = quat.to_matrix(quat.normalize(np.array(rotation)))
+        moved = Mesh(scale * mesh.vertices @ rot.T + np.array(shift), mesh.triangles)
+        pts = probe_points(moved, np.random.default_rng(seed), 200)
+        np.testing.assert_array_equal(
+            point_in_mesh(moved, pts), point_in_mesh_reference(moved, pts)
         )
 
 
