@@ -18,8 +18,8 @@ sq_a, sq_b = _PRESET_PAIRS["fig3"]
 spec = SliceSpec(axis=2, offset=0.0, nu=72, nv=36)
 field = split_field_2d(sq_a, sq_b, spec)
 
-inside_a = field.h_a <= 1.0
-inside_b = field.h_b <= 1.0
+inside_a = field.h_a < 1.0
+inside_b = field.h_b < 1.0
 for iv in reversed(range(spec.nv)):  # top row = +y
     chars = []
     for iu in range(spec.nu):

@@ -18,18 +18,18 @@ from .geometry import (
     sample_labeled_points,
     save_mesh,
 )
-from .metrics import EmptyUnionError, IoUReport, iou, label_iou, predicted_label, voxel_iou
+from .metrics import (
+    EmptyUnionError,
+    IoUReport,
+    iou,
+    label_iou,
+    level_ious,
+    predicted_label,
+    voxel_iou,
+)
 from .shapes import box, dumbbell, icosphere, merge
 from .splitter import SliceSpec, SplitAssignment, child_labels, split_field_2d, split_pair
-from .sqtree import (
-    Side,
-    SqPairNode,
-    SqTree,
-    parent_node,
-    parent_sq,
-    recompute_labels,
-    uncle_sq,
-)
+from .sqtree import Side, SqPairNode, SqTree, parent_node, recompute_labels, split_node
 from .superquadric import (
     NonFiniteGradientError,
     OccupancyConfig,
@@ -86,6 +86,7 @@ __all__ = [
     "inside_outside_stable",
     "iou",
     "label_iou",
+    "level_ious",
     "load_mesh",
     "load_tree",
     "merge",
@@ -94,7 +95,6 @@ __all__ = [
     "occupancy",
     "occupancy_gradient",
     "parent_node",
-    "parent_sq",
     "point_in_mesh",
     "predicted_label",
     "radial_distance",
@@ -103,9 +103,9 @@ __all__ = [
     "save_mesh",
     "save_tree",
     "split_field_2d",
+    "split_node",
     "split_pair",
     "surface_points",
-    "uncle_sq",
     "voxel_iou",
     "world_to_local",
 ]

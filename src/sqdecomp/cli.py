@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -22,6 +21,7 @@ from .export import (
     export_split_demo_csvs,
     load_tree,
     save_tree,
+    write_json,
 )
 from .fitter import ConfigError, FitConfig, fit_tree
 from .geometry import (
@@ -32,7 +32,7 @@ from .geometry import (
     normalize,
     sample_labeled_points,
 )
-from .metrics import EmptyUnionError, IoUReport, iou
+from .metrics import IoUReport, level_ious
 from .splitter import SliceSpec
 from .superquadric import Superquadric
 
@@ -85,9 +85,7 @@ def cmd_fit(args) -> int:
         "degenerate_nodes": sorted(report.degenerate_nodes),
         "wall_time_seconds": report.wall_time,
     }
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_doc, os.path.join(out, "report.json"))
 
     for depth, value in enumerate(report.level_iou, start=1):
         print(f"level {depth}: IoU {_format_iou(value)}")
@@ -104,14 +102,8 @@ def cmd_eval(args) -> int:
     depth = tree.fitted_depth
     if depth == 0:
         raise TreeFormatError(f"{args.tree}: tree has no complete level")
-    per_level = []
-    for d in range(1, depth + 1):
-        try:
-            per_level.append(iou(tree.superquadrics_at_level(d), pointset))
-        except EmptyUnionError:
-            per_level.append(None)
     rep = IoUReport(
-        per_level=per_level,
+        per_level=level_ious(tree, pointset),
         sample_count=len(pointset),
         method="sampled",
         seed=args.seed,
@@ -121,9 +113,7 @@ def cmd_eval(args) -> int:
     print(header)
     print(rep.tsv_line())
     out = _out_dir(args)
-    with open(os.path.join(out, "iou_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(rep.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rep.to_json_dict(), os.path.join(out, "iou_report.json"))
     with open(os.path.join(out, "iou_report.tsv"), "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + rep.tsv_line() + "\n")
     return 0

@@ -8,6 +8,7 @@ import os
 import numpy as np
 
 from .fitter import FitReport
+from .geometry import write_obj_records
 from .splitter import SliceSpec, SplitField, split_field_2d
 from .sqtree import SqPairNode, SqTree
 from .superquadric import Superquadric, surface_points
@@ -21,6 +22,14 @@ class TreeFormatError(ValueError):
 
 def _sq_params_list(sq: Superquadric) -> list:
     return [float(v) for v in sq.params()]
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as JSON with sorted keys, two-space indent and a
+    trailing newline, so equal documents give equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_tree(tree: SqTree, report: FitReport | None, path) -> None:
@@ -51,9 +60,7 @@ def save_tree(tree: SqTree, report: FitReport | None, path) -> None:
         "nodes": nodes,
         "metadata": {} if report is None else report.to_json_dict(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_tree(path) -> tuple[SqTree, dict]:
@@ -141,10 +148,7 @@ def export_level_obj(tree: SqTree, depth: int, path, resolution: int = 32) -> No
             grid = surface_points(sq, resolution, resolution)
             vertices, faces = _triangulate_grid(grid)
             fh.write(f"g {name}\n")
-            for v in vertices:
-                fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-            for f in faces:
-                fh.write(f"f {base + f[0] + 1} {base + f[1] + 1} {base + f[2] + 1}\n")
+            write_obj_records(fh, vertices, faces, base)
             base += len(vertices)
 
 

@@ -35,9 +35,8 @@ from scipy.special import expit
 
 from . import quaternions as quat
 from .geometry import LabeledPointSet
-from .metrics import EmptyUnionError, label_iou, predicted_label
-from .splitter import child_labels, split_pair
-from .sqtree import Side, SqPairNode, SqTree, child_node
+from .metrics import level_ious
+from .sqtree import SqPairNode, SqTree, split_node
 from .superquadric import (
     EXPONENT_BOUNDS,
     SIZE_BOUNDS,
@@ -413,24 +412,14 @@ def fit_tree(
 
     workers = threads if threads > 0 else (os.cpu_count() or 1)
 
-    def record(key, labels, fit: NodeFit) -> None:
-        tree.add_node(
-            SqPairNode(key[0], key[1], fit.sq_a, fit.sq_b, labels=labels,
-                       degenerate=fit.degenerate)
-        )
-        report.node_losses[key] = fit.loss
-        if fit.degenerate:
-            report.degenerate_nodes.append(key)
-
-    record((1, 1), pointset.labels, fit_node(points, pointset.labels, cfg, node=(1, 1)))
-
-    for depth in range(1, cfg.max_depth):
-        tasks = []
-        for parent in tree.level_nodes(depth):
-            assignment = split_pair(parent.sq_a, parent.sq_b, points)
-            for side in (Side.A, Side.B):
-                key = child_node(depth, parent.index, side)
-                tasks.append((key, child_labels(parent.labels, assignment, side.value)))
+    tasks = [((1, 1), pointset.labels)]
+    for depth in range(1, cfg.max_depth + 1):
+        if depth > 1:
+            tasks = [
+                child
+                for parent in tree.level_nodes(depth - 1)
+                for child in split_node(parent, points, parent.labels)
+            ]
         if workers > 1 and len(tasks) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 fits = list(
@@ -439,17 +428,12 @@ def fit_tree(
         else:
             fits = [fit_node(points, labels, cfg, node=key) for key, labels in tasks]
         for (key, labels), fit in zip(tasks, fits):
-            record(key, labels, fit)
+            tree.add_node(SqPairNode(*key, fit.sq_a, fit.sq_b, labels, fit.degenerate))
+            report.node_losses[key] = fit.loss
+            if fit.degenerate:
+                report.degenerate_nodes.append(key)
 
-    truth = pointset.labels
-    for depth in range(1, cfg.max_depth + 1):
-        sqs = tree.superquadrics_at_level(depth)
-        try:
-            iou = label_iou(predicted_label(sqs, points), truth)
-        except EmptyUnionError:
-            iou = None
-        report.level_iou.append(iou)
-
+    report.level_iou = level_ious(tree, pointset)
     report.loss_sum = float(sum(report.node_losses.values()) * len(points))
     report.wall_time = time.perf_counter() - t0
     return tree, report

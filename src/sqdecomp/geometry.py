@@ -156,13 +156,20 @@ def load_mesh(path) -> Mesh:
     return Mesh(verts, tris)
 
 
+def write_obj_records(fh, vertices, triangles, base: int = 0) -> None:
+    """OBJ v records, then f records for 0-based ``triangles`` that follow
+    ``base`` earlier vertices in ``fh``. Coordinates use float repr, so a
+    load is bit-exact."""
+    for v in vertices:
+        fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
+    for t in triangles:
+        fh.write(f"f {base + t[0] + 1} {base + t[1] + 1} {base + t[2] + 1}\n")
+
+
 def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh as a minimal OBJ file (v and f records)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        write_obj_records(fh, mesh.vertices, mesh.triangles)
 
 
 def normalize(mesh: Mesh) -> Mesh:
@@ -413,7 +420,8 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     a fixed deterministic sequence, so results never depend on luck. Raises
     RayDegeneracyError if a point stays unresolved after all retries (does not
     happen for watertight meshes) and DegenerateMeshError for meshes with no
-    triangles or that are not closed and manifold. Each point is tested only
+    triangles or that are not closed and manifold. Zero-area triangles are
+    left out of the parity test. Each point is tested only
     against the triangles a uniform grid pairs it with (see
     :func:`_classify_along`), so the cost grows with points times triangles
     per grid cell, not points times triangles.
@@ -427,7 +435,9 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     if pts.shape[1] != 3:
         raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
 
-    corners = mesh.triangle_corners
+    # A zero-area triangle is parallel to every ray, so it never counts a
+    # crossing; left in, its zero normal would mark every point coplanar.
+    corners = mesh.triangle_corners[triangle_areas(mesh) >= 0.5 * _PARALLEL_EPS]
     labels = np.zeros(len(pts), dtype=np.uint8)
     unresolved = np.ones(len(pts), dtype=bool)
     for direction in _DIRECTIONS:

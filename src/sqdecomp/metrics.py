@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SAMPLING_DOMAIN, LabeledPointSet, Mesh, point_in_mesh
+from .sqtree import SqTree
 from .superquadric import inside_outside_stable
 
 
@@ -45,6 +46,18 @@ def label_iou(predicted, truth) -> float:
 def iou(sqs, pointset: LabeledPointSet) -> float:
     """Sampled IoU between the SQ union and the labeled ground truth."""
     return label_iou(predicted_label(sqs, pointset.points), pointset.labels)
+
+
+def level_ious(tree: SqTree, pointset: LabeledPointSet) -> list:
+    """Sampled IoU of each complete level of ``tree``, top down; None for a
+    level whose IoU is undefined (see :class:`EmptyUnionError`)."""
+    out = []
+    for depth in range(1, tree.fitted_depth + 1):
+        try:
+            out.append(iou(tree.superquadrics_at_level(depth), pointset))
+        except EmptyUnionError:
+            out.append(None)
+    return out
 
 
 def voxel_grid(resolution: int) -> np.ndarray:

@@ -10,7 +10,9 @@ for the node's children. The assignment needs no surface meshing:
 * a point outside both belongs to the one with the smaller radial Euclidean
   distance.
 
-Ties go to side a, so the assignment is a deterministic total function.
+"Inside" is F^e1 < 1, the predicate :func:`metrics.predicted_label` uses, so
+a point on a surface counts as outside that SQ. Ties go to side a, so the
+assignment is a deterministic total function.
 """
 
 from __future__ import annotations
@@ -19,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .superquadric import (
-    Superquadric,
-    inside_outside_stable,
-    radial_distance,
-)
+from .superquadric import Superquadric, _as_points, _field_and_radial
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,25 +50,24 @@ class SplitAssignment:
         return len(self.to_a)
 
 
+def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, pts: np.ndarray):
+    """(h_a, h_b, d_a, d_b, to_a) at points (n, 3), from one field pass per SQ.
+
+    h is F^e1, d the radial distance and to_a the split rule of the module
+    docstring.
+    """
+    h_a, d_a = _field_and_radial(sq_a, pts)
+    h_b, d_b = _field_and_radial(sq_b, pts)
+    in_a, in_b = h_a < 1.0, h_b < 1.0
+    # Containment wins outright; the remaining cases compare fields.
+    to_a = np.where(in_a == in_b, np.where(in_a, h_a >= h_b, d_a <= d_b), in_a)
+    return h_a, h_b, d_a, d_b, to_a
+
+
 def split_pair(sq_a: Superquadric, sq_b: Superquadric, points) -> SplitAssignment:
     """Assign every point to side a or side b of the pair."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    ha = np.atleast_1d(inside_outside_stable(sq_a, pts))
-    hb = np.atleast_1d(inside_outside_stable(sq_b, pts))
-    in_a = ha <= 1.0
-    in_b = hb <= 1.0
-
-    # Containment wins outright; the remaining cases compare fields.
-    to_a = in_a & ~in_b
-    both = in_a & in_b
-    neither = ~in_a & ~in_b
-    if both.any():
-        to_a[both] = ha[both] >= hb[both]
-    if neither.any():
-        da = radial_distance(sq_a, pts[neither])
-        db = radial_distance(sq_b, pts[neither])
-        to_a[neither] = da <= db
-    return SplitAssignment(to_a)
+    pts, _ = _as_points(points)
+    return SplitAssignment(_pair_fields(sq_a, sq_b, pts)[4])
 
 
 def child_labels(parent_labels, assignment: SplitAssignment, side: str) -> np.ndarray:
@@ -140,18 +137,10 @@ class SplitField:
 def split_field_2d(sq_a: Superquadric, sq_b: Superquadric, spec: SliceSpec) -> SplitField:
     """Evaluate both fields and the selector on a slice grid.
 
-    The selector grid is computed by :func:`split_pair` on the flattened grid
-    points, so it agrees with the pointwise rule by construction.
+    The fields and the selector come from the pass :func:`split_pair` makes
+    on the flattened grid points, so the selector agrees with the pointwise
+    rule by construction.
     """
     u, v, pts = spec.grid()
-    flat = pts.reshape(-1, 3)
-    shape = (spec.nv, spec.nu)
-    return SplitField(
-        u=u,
-        v=v,
-        h_a=inside_outside_stable(sq_a, flat).reshape(shape),
-        h_b=inside_outside_stable(sq_b, flat).reshape(shape),
-        d_a=radial_distance(sq_a, flat).reshape(shape),
-        d_b=radial_distance(sq_b, flat).reshape(shape),
-        to_a=split_pair(sq_a, sq_b, flat).to_a.reshape(shape),
-    )
+    fields = _pair_fields(sq_a, sq_b, pts.reshape(-1, 3))
+    return SplitField(u, v, *(f.reshape(spec.nv, spec.nu) for f in fields))

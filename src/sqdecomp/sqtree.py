@@ -38,18 +38,6 @@ def parent_node(depth: int, index: int) -> tuple[int, int]:
     return depth - 1, (index + 1) // 2
 
 
-def parent_sq(depth: int, index: int) -> tuple[int, int, Side]:
-    """The specific parent-pair SQ whose region node (depth, index) refines."""
-    d, i = parent_node(depth, index)
-    return d, i, Side.A if index % 2 == 0 else Side.B
-
-
-def uncle_sq(depth: int, index: int) -> tuple[int, int, Side]:
-    """The sibling SQ of the parent SQ (the other half of the parent pair)."""
-    d, i, side = parent_sq(depth, index)
-    return d, i, Side.B if side is Side.A else Side.A
-
-
 def child_node(depth: int, index: int, side: Side) -> tuple[int, int]:
     """Child coordinates grown from one side of node (depth, index)."""
     _check_key(depth, index)
@@ -78,9 +66,6 @@ class SqPairNode:
     @property
     def key(self) -> tuple[int, int]:
         return self.depth, self.index
-
-    def sq(self, side: Side) -> Superquadric:
-        return self.sq_a if side is Side.A else self.sq_b
 
 
 @dataclass(eq=False)
@@ -146,12 +131,26 @@ class SqTree:
         return out
 
 
+def split_node(node: SqPairNode, points, labels) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """Keys and inside labels of the two children of ``node``, side a first.
+
+    Each child's labels are ``labels`` AND-ed with assignment to the side the
+    child grows from, under the split of ``points`` between the node's pair
+    (:func:`split_pair`), so the two label sets partition the inside points.
+    """
+    assignment = split_pair(node.sq_a, node.sq_b, points)
+    return [
+        (child_node(node.depth, node.index, side), child_labels(labels, assignment, side.value))
+        for side in (Side.A, Side.B)
+    ]
+
+
 def recompute_labels(tree: SqTree) -> dict[tuple[int, int], np.ndarray]:
     """Re-derive every node's labels from the root labels and the split rule.
 
-    Walks the tree top-down: each child's labels are the parent's labels
-    AND-ed with assignment to the side the child grew from. Used to audit
-    stored label sets. Requires the tree to carry points and root labels.
+    Walks the complete levels top-down through :func:`split_node`. Used to
+    audit stored label sets. Requires the tree to carry points and root
+    labels.
     """
     if tree.points is None:
         raise ValueError("tree carries no points; cannot recompute labels")
@@ -159,13 +158,7 @@ def recompute_labels(tree: SqTree) -> dict[tuple[int, int], np.ndarray]:
     if root.labels is None:
         raise ValueError("root node carries no labels")
     out: dict[tuple[int, int], np.ndarray] = {(1, 1): root.labels.copy()}
-    for depth in range(1, tree.max_depth):
-        if not tree.has_level(depth + 1):
-            break
-        for i in range(1, 2 ** (depth - 1) + 1):
-            node = tree.node(depth, i)
-            assignment = split_pair(node.sq_a, node.sq_b, tree.points)
-            for side in (Side.A, Side.B):
-                ck = child_node(depth, i, side)
-                out[ck] = child_labels(out[(depth, i)], assignment, side.value)
+    for depth in range(1, tree.fitted_depth):
+        for node in tree.level_nodes(depth):
+            out.update(split_node(node, tree.points, out[node.key]))
     return out

@@ -326,11 +326,17 @@ def radial_distance(sq: Superquadric, x) -> np.ndarray:
     this cannot happen.
     """
     pts, single = _as_points(x)
-    _, ln_f, local, _ = _log_field(sq, pts)
+    _, d = _field_and_radial(sq, pts)
+    return d[0] if single else d
+
+
+def _field_and_radial(sq: Superquadric, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F^e1 and :func:`radial_distance` at points (n, 3), from one
+    :func:`_log_field` pass."""
+    h, ln_f, local, _ = _log_field(sq, pts)
     r = np.linalg.norm(local, axis=1)
     d = r * np.abs(1.0 - np.exp(-0.5 * sq.exponents[0] * ln_f))
-    d = np.where(r < 1e-12, np.min(sq.size), d)
-    return d[0] if single else d
+    return h, np.where(r < 1e-12, np.min(sq.size), d)
 
 
 def occupancy_gradient(

@@ -285,7 +285,7 @@ class TestAcceptance:
         (sel,) = grid("split_selector.csv", [(2, "U1")])
         to_a = sel == "A"
 
-        in_a, in_b = fa <= 1.0, fb <= 1.0
+        in_a, in_b = fa < 1.0, fb < 1.0
         expected = np.where(
             in_a & ~in_b,
             True,

@@ -285,6 +285,23 @@ class TestClosedManifoldCheck:
         with pytest.raises(DegenerateMeshError, match="repeated vertex"):
             point_in_mesh(Mesh(cube.vertices, tris), [0.0, 0.0, 0.0])
 
+    def test_zero_area_triangle_is_left_out(self):
+        """Splitting face (0, 1, 5) at the midpoint M of edge 0-1 adds the
+        collinear triangle (0, 1, M); the mesh stays closed and manifold and
+        must label points as the box does."""
+        cube = box()
+        mid = len(cube.vertices)
+        vertices = np.vstack([cube.vertices, 0.5 * (cube.vertices[0] + cube.vertices[1])])
+        split = [[0, mid, 5], [mid, 1, 5], [0, 1, mid]]
+        tris = np.vstack([[t for t in cube.triangles if list(t) != [0, 1, 5]], split])
+        pts = np.vstack([
+            [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.1, 0.2, 0.3]],
+            np.random.default_rng(7).uniform(-1.0, 1.0, (2000, 3)),
+        ])
+        np.testing.assert_array_equal(
+            point_in_mesh(Mesh(vertices, tris), pts), point_in_mesh(cube, pts)
+        )
+
 
 class TestBinnedMatchesBruteForce:
     """point_in_mesh tests only the triangles its grid pairs with each

@@ -6,11 +6,14 @@ from sqdecomp import (
     EmptyUnionError,
     IoUReport,
     LabeledPointSet,
+    SqPairNode,
+    SqTree,
     Superquadric,
     icosphere,
     inside_outside_stable,
     iou,
     label_iou,
+    level_ious,
     normalize,
     predicted_label,
     sample_labeled_points,
@@ -103,6 +106,22 @@ class TestSampledIoU:
         truth = (np.linalg.norm(pts, axis=1) < 0.4).astype(np.uint8)
         got = iou([sphere_sq(0.3)], LabeledPointSet(pts, truth))
         assert abs(got - 0.75**3) < 0.01
+
+
+class TestLevelIoUs:
+    def test_one_value_per_complete_level_none_where_undefined(self):
+        """All-outside truth: IoU is 0 where a level marks points inside and
+        undefined (None) where it marks none; the incomplete level 3 is left
+        out."""
+        rng = np.random.default_rng(55)
+        pts = LabeledPointSet(rng.uniform(-0.5, 0.5, (500, 3)), np.zeros(500, dtype=np.uint8))
+        far = Superquadric(np.full(3, 0.01), np.ones(2), np.array([5.0, 0.0, 0.0]))
+        tree = SqTree(max_depth=3)
+        tree.add_node(SqPairNode(1, 1, far, far))
+        tree.add_node(SqPairNode(2, 1, far, sphere_sq(0.3)))
+        tree.add_node(SqPairNode(2, 2, far, far))
+        tree.add_node(SqPairNode(3, 1, far, far))
+        assert level_ious(tree, pts) == [None, 0.0]
 
 
 class TestVoxelIoU:

@@ -64,6 +64,16 @@ class TestSplitPair:
             checked += int(only_a.sum() + only_b.sum())
         assert checked > 1000  # the corpus actually exercised the rule
 
+    def test_point_on_one_surface_goes_to_the_other_it_is_inside(self):
+        """(0.5, 0, 0) is on sphere a (h_a is exactly 1) and strictly inside
+        sphere b; inside is strict, as in predicted_label, so it goes to b."""
+        a = Superquadric(np.full(3, 0.5), np.ones(2))
+        b = Superquadric(np.full(3, 0.5), np.ones(2), np.array([0.3, 0.0, 0.0]))
+        pt = [[0.5, 0.0, 0.0]]
+        assert inside_outside_stable(a, pt)[0] == 1.0
+        assert inside_outside_stable(b, pt)[0] < 1.0
+        assert not split_pair(a, b, pt).to_a[0]
+
     def test_rigid_equivariance(self):
         """Moving both SQs and the points by one rigid transform does not
         change who gets which point."""

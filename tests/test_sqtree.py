@@ -8,10 +8,9 @@ from sqdecomp import (
     SqTree,
     child_labels,
     parent_node,
-    parent_sq,
     recompute_labels,
+    split_node,
     split_pair,
-    uncle_sq,
 )
 from sqdecomp.sqtree import child_node
 
@@ -36,28 +35,16 @@ class TestIndexing:
         with pytest.raises(ValueError):
             parent_node(2, 0)
 
-    def test_parent_sq_of_2_2_is_side_a(self):
-        assert parent_sq(2, 2) == (1, 1, Side.A)
-
-    def test_parent_sq_of_2_1_is_side_b(self):
-        assert parent_sq(2, 1) == (1, 1, Side.B)
-
-    def test_uncle_is_other_side_of_same_parent(self):
-        assert uncle_sq(2, 2) == (1, 1, Side.B)
-        for d in (2, 3, 4):
-            for i in range(1, 2 ** (d - 1) + 1):
-                pd, pi, ps = parent_sq(d, i)
-                ud, ui, us = uncle_sq(d, i)
-                assert (pd, pi) == (ud, ui)
-                assert {ps, us} == {Side.A, Side.B}
-
-    def test_child_node_inverts_parent_sq(self):
+    def test_child_node_inverts_parent_node(self):
+        """parent_node undoes child_node, and side a children have even
+        indices, side b children odd ones."""
         for d in (1, 2, 3):
             for i in range(1, 2 ** (d - 1) + 1):
                 for side in (Side.A, Side.B):
                     cd, ci = child_node(d, i, side)
                     assert cd == d + 1
-                    assert parent_sq(cd, ci) == (d, i, side)
+                    assert parent_node(cd, ci) == (d, i)
+                    assert (ci % 2 == 0) == (side is Side.A)
 
     def test_sibling_children_are_adjacent(self):
         assert child_node(1, 1, Side.A) == (2, 2)
@@ -132,6 +119,20 @@ class TestTreeStructure:
         tree.add_node(make_node(1, 1, rng))
         with pytest.raises(ValueError):
             tree.superquadrics_at_level(2)
+
+
+class TestSplitNode:
+    def test_children_partition_the_inside_points(self):
+        rng = np.random.default_rng(39)
+        points = rng.uniform(-1, 1, (500, 3))
+        labels = (rng.random(500) < 0.6).astype(np.uint8)
+        node = make_node(2, 2, rng)
+        asg = split_pair(node.sq_a, node.sq_b, points)
+        (key_a, la), (key_b, lb) = split_node(node, points, labels)
+        assert (key_a, key_b) == ((3, 4), (3, 3))
+        np.testing.assert_array_equal(la, labels & asg.to_a)
+        np.testing.assert_array_equal(lb, labels & asg.to_b)
+        np.testing.assert_array_equal(la | lb, labels)
 
 
 class TestRecomputeLabels:
