@@ -1,9 +1,11 @@
 """Shared corpus generators and finite-difference harnesses for the tests."""
 
 import numpy as np
+from scipy.special import expit
 
 from sqdecomp import OccupancyConfig, Superquadric, occupancy
 from sqdecomp import quaternions as quat
+from sqdecomp.fitter import LOG_CLAMP
 from sqdecomp.geometry import (
     _BARY_EPS,
     _DIRECTIONS,
@@ -11,6 +13,7 @@ from sqdecomp.geometry import (
     _PARALLEL_EPS,
     RayDegeneracyError,
 )
+from sqdecomp.superquadric import _log_field
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -144,3 +147,39 @@ def point_in_mesh_reference(mesh, points) -> np.ndarray:
     if unresolved.any():
         raise RayDegeneracyError(f"{int(unresolved.sum())} points unresolved")
     return labels
+
+
+def pair_loss_and_grad_reference(sq_a, sq_b, points, y, sharpness, ws_a=None, ws_b=None):
+    """Loss plus its (11,) gradients for both SQs.
+
+    The dense reference for ``fitter._pair_loss_and_grad``, which computes
+    gradient rows only for each point's winning side where the residual is
+    not negligible. This one differentiates both SQs at every point.
+
+    The max over the pair differentiates through the achieving branch (ties
+    to a). Points where the BCE log clamp is active contribute zero gradient,
+    which keeps the analytic gradient equal to the derivative of the clamped
+    loss actually being reported. ``ws_a`` and ``ws_b`` are optional field
+    workspaces for the two SQs (see :class:`FieldWorkspace`).
+    """
+    ha, _, _, grad_a_h = _log_field(sq_a, points, grad=True, ws=ws_a)
+    hb, _, _, grad_b_h = _log_field(sq_b, points, grad=True, ws=ws_b)
+    ga = expit(sharpness * (1.0 - ha))
+    gb = expit(sharpness * (1.0 - hb))
+    a_wins = ga >= gb
+    g = np.where(a_wins, ga, gb)
+
+    positive = y == 1.0
+    losses = np.where(
+        positive,
+        -np.log(np.maximum(g, LOG_CLAMP)),
+        -np.log(np.maximum(1.0 - g, LOG_CLAMP)),
+    )
+    loss = losses.mean()
+
+    clamped = np.where(positive, g < LOG_CLAMP, 1.0 - g < LOG_CLAMP)
+    dz = np.where(clamped, 0.0, g - y) / len(y)
+    # dz/dparams = -sharpness * dh/dparams on the winning branch only.
+    grad_a = -sharpness * (np.where(a_wins, dz, 0.0) @ grad_a_h)
+    grad_b = -sharpness * (np.where(a_wins, 0.0, dz) @ grad_b_h)
+    return loss, grad_a, grad_b

@@ -162,11 +162,11 @@ class TestAcceptance:
             idx = pt_rng.integers(0, len(grid), 3000)
             pts.append(grid[idx] + pt_rng.normal(0, 0.05, (3000, 3)))
             pts = np.vstack(pts)
-            labels = (inside_outside_stable(gt, pts) <= 1.0).astype(np.uint8)
+            labels = (inside_outside_stable(gt, pts) < 1.0).astype(np.uint8)
             fit = fit_node(pts, labels, cfg)
             best = 0.0
             for sq in (fit.sq_a, fit.sq_b):
-                pred = (inside_outside_stable(sq, pts) <= 1.0).astype(np.uint8)
+                pred = (inside_outside_stable(sq, pts) < 1.0).astype(np.uint8)
                 if pred.any():
                     best = max(best, label_iou(pred, labels))
             ious.append(best)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import perturbed, random_superquadric
+from helpers import pair_loss_and_grad_reference, perturbed, random_superquadric
 from sqdecomp import (
     ConfigError,
     FitConfig,
@@ -217,6 +217,46 @@ class TestPairGradient:
         assert worst < 1e-3, f"worst in-situ gradient error {worst:.2e}"
 
 
+    @pytest.mark.parametrize("sharpness", [10.0, 50.0])
+    def test_active_set_matches_dense_reference(self, sharpness):
+        """Differentiating only each point's winning side where the residual
+        is not negligible gives the dense kernel's loss and gradient. The
+        pairs are mid-fit: two SQs jittered around a ground truth that
+        labels the points, plus coincident pairs (every point a tie, h_a ==
+        h_b). The points include deep-inside and far-outside ones, each
+        under both labels, so the log clamp is active at some of them."""
+        rng = np.random.default_rng(75)
+        for case in range(12):
+            gt = random_superquadric(rng)
+            pts = np.vstack([
+                rng.uniform(-0.8, 0.8, (600, 3)),
+                gt.translation + rng.normal(0.0, 1e-3, (40, 3)),  # deep inside
+                gt.translation + rng.normal(0.0, 4.0, (40, 3)),  # far outside
+            ])
+            y = (inside_outside_stable(gt, pts) < 1.0).astype(np.float64)
+            flip = rng.choice(len(pts), 60, replace=False)
+            y[flip] = 1.0 - y[flip]
+            sq_a, sq_b = (
+                Superquadric(
+                    np.clip(gt.size * rng.uniform(0.8, 1.2, 3), 0.005, 1.0),
+                    np.clip(gt.exponents + rng.normal(0.0, 0.1, 2), 0.1, 1.9),
+                    gt.translation + rng.normal(0.0, 0.05, 3),
+                    gt.rotation,
+                )
+                for _ in range(2)
+            )
+            if case % 3 == 0:
+                sq_b = sq_a
+            loss, grad_a, grad_b = _pair_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
+            ref_loss, ref_a, ref_b = pair_loss_and_grad_reference(sq_a, sq_b, pts, y, sharpness)
+            assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+            ref = np.concatenate([ref_a, ref_b])
+            err = np.linalg.norm(np.concatenate([grad_a, grad_b]) - ref)
+            assert err <= 1e-8 * np.linalg.norm(ref)
+            if sq_b is sq_a:
+                assert not grad_b.any()
+
+
 class TestFitNode:
     def test_all_outside_labels_give_degenerate_sentinel(self):
         rng = np.random.default_rng(64)
@@ -232,7 +272,7 @@ class TestFitNode:
         rng = np.random.default_rng(65)
         gt = Superquadric(np.array([0.3, 0.2, 0.25]), np.ones(2), np.array([0.05, 0.0, 0.0]))
         pts = rng.uniform(-0.6, 0.6, (3000, 3))
-        labels = (inside_outside_stable(gt, pts) <= 1.0).astype(np.uint8)
+        labels = (inside_outside_stable(gt, pts) < 1.0).astype(np.uint8)
         cfg = FitConfig(iterations=120, restarts=2, sharpness=20.0, step_size=0.005)
         fit = fit_node(pts, labels, cfg)
         start = init_node(pts, labels, cfg, restart=0)
@@ -244,7 +284,7 @@ class TestFitNode:
         rng = np.random.default_rng(66)
         gt = Superquadric(np.array([0.3, 0.2, 0.25]), np.ones(2), np.array([0.05, -0.02, 0.0]))
         pts = rng.uniform(-0.6, 0.6, (4000, 3))
-        labels = (inside_outside_stable(gt, pts) <= 1.0).astype(np.uint8)
+        labels = (inside_outside_stable(gt, pts) < 1.0).astype(np.uint8)
         cfg = FitConfig(iterations=300, restarts=2, sharpness=50.0, step_size=0.005, seed=0)
         fit = fit_node(pts, labels, cfg)
         pred_a = inside_outside_stable(fit.sq_a, pts) < 1.0

@@ -15,7 +15,7 @@ from sqdecomp import (
     world_to_local,
 )
 from sqdecomp import quaternions as quat
-from sqdecomp.superquadric import FieldWorkspace, _log_field
+from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _log_field, _logaddexp
 
 
 def unit_sphere() -> Superquadric:
@@ -188,6 +188,55 @@ class TestFieldKernel:
             _log_field(unit_sphere(), pts, ws=FieldWorkspace(5))
         with pytest.raises(ValueError):
             _log_field(unit_sphere(), pts, grad=True, ws=FieldWorkspace(4, grad=False))
+
+
+    @pytest.mark.parametrize("exponents", [None, (0.1, 0.1), (1.9, 0.1)])
+    def test_row_subset_gradient_is_bitwise_the_full_rows(self, exponents):
+        """The fitter differentiates only some rows; each of them must equal
+        its row of a full-row call bit for bit, whatever the subset."""
+        rng = np.random.default_rng(91)
+        for _ in range(4):
+            sq = random_superquadric(rng)
+            if exponents is not None:
+                sq = Superquadric(sq.size, exponents, sq.translation, sq.rotation)
+            axes = sq.rotation_matrix().T  # rows: the local axes in world space
+            pts = np.vstack([
+                rng.uniform(-1.2, 1.2, (2000, 3)),
+                sq.translation,  # every coordinate pinned by the clamp
+                sq.translation + 0.3 * axes,  # two coordinates pinned
+            ])
+            full = _log_field(sq, pts, grad=True)[3].copy()
+            ws = FieldWorkspace(len(pts))
+            _log_field(sq, pts, ws=ws)
+            for rows in (
+                np.zeros(0, dtype=np.intp),
+                np.array([len(pts) - 1]),
+                np.arange(len(pts)),
+                np.flatnonzero(rng.random(len(pts)) < 0.3),
+                rng.permutation(len(pts))[:700],
+            ):
+                dh = _field_gradient(sq, ws, rows)
+                assert dh.shape == (len(rows), 11)
+                assert np.array_equal(dh, full[rows])
+
+    def test_logaddexp_matches_numpy(self):
+        """Within 4e-16 max(1, |x|, |y|) of np.logaddexp, on equal arguments,
+        on gaps up to 1e3, and at the clamp's extremes: with e2 = 0.1 a
+        clamped coordinate gives w1 = 20 log(1e-9 / a), down to about -414."""
+        rng = np.random.default_rng(92)
+        base = np.concatenate([rng.uniform(-420.0, 40.0, 3000), [0.0, -320.0, -414.5]])
+        gap = np.concatenate([
+            np.zeros(200),
+            rng.choice([-1.0, 1.0], 2803) * 10.0 ** rng.uniform(-12.0, 3.0, 2803),
+        ])
+        clamp_w1 = 20.0 * np.log(1e-9 / rng.uniform(0.005, 1.0, 500))
+        x = np.concatenate([base, base + 0.0, clamp_w1, clamp_w1])
+        y = np.concatenate([base + gap, base, clamp_w1 + rng.uniform(-1e3, 1e3, 500),
+                            rng.uniform(-420.0, 0.0, 500)])
+        out, scratch = np.empty_like(x), np.empty_like(x)
+        _logaddexp(x, y, out, scratch)
+        bound = 4e-16 * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+        assert np.all(np.abs(out - np.logaddexp(x, y)) <= bound)
 
 
 class TestRadialDistance:
