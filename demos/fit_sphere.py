@@ -27,6 +27,4 @@ for name, sq in (("A", root.sq_a), ("B", root.sq_b)):
 
 print(f"training IoU (level 1): {100 * report.level_iou[0]:.1f}%")
 print(f"voxel IoU vs mesh:      {100 * voxel_iou([root.sq_a, root.sq_b], mesh):.1f}%")
-fitted_nodes = len(tree.nodes) - len(report.degenerate_nodes)
-iterations = fitted_nodes * cfg.iterations * cfg.restarts
-print(f"fit time: {report.wall_time:.1f}s over {iterations} iterations")
+print(f"fit time: {report.wall_time:.1f}s over {report.iterations} iterations")

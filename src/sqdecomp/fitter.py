@@ -22,8 +22,15 @@ manifold.
 Multi-restart: the first start is a deterministic PCA/moment init with the
 pair offset along the long axis, the next three start the pair coincident
 (effectively a single-SQ fit) while cycling the principal-axis roles, and
-further starts add seeded noise. The best iterate ever seen (across all
-restarts) is returned, so the final loss never exceeds the initial one.
+further starts add seeded noise. The R restarts race with one cut at
+mid-schedule, as in successive halving: all of them run to iteration
+``iterations // 2``, and only the better half, ceil(R/2) of them by
+running-best loss (ties to the lower restart index), runs on to the end.
+A restart that survives does exactly the arithmetic of an uncut one, so
+wherever the overall winner survives the result is bit for bit that of
+running every restart to the end; at four restarts the cut saves a quarter
+of the iterations. The best iterate ever seen by the surviving restarts is
+returned, so the final loss never exceeds any restart's initial one.
 
 Nodes without a single inside-labeled point get a degenerate sentinel pair
 (two minimum-size SQs at the point centroid) and are not optimized; their
@@ -58,6 +65,9 @@ MOMENTUM = 0.9
 LOG_CLAMP = 1e-12
 # A point enters the gradient when its BCE residual |g - y| is at least this.
 ACTIVE_RESIDUAL = 1e-9
+
+# The restarts race to iterations // _CUT_DIVISOR, then half of them stop.
+_CUT_DIVISOR = 2
 
 _JITTER_TRANSLATION = 0.05
 _JITTER_ROTATION = 0.3
@@ -157,6 +167,7 @@ class NodeFit:
     sq_b: Superquadric
     loss: float
     degenerate: bool = False
+    # Iterations actually run, summed over the node's restarts.
     iterations: int = 0
 
 
@@ -170,11 +181,14 @@ class FitReport:
     degenerate_nodes: list = field(default_factory=list)
     loss_sum: float = 0.0
     wall_time: float = 0.0
+    # Iterations run over every restart of every node.
+    iterations: int = 0
 
     def to_json_dict(self) -> dict:
         """Config echo, per-level IoU, per-node losses and their sum.
 
-        Wall-clock time stays out, so identical fits give identical dicts.
+        Wall-clock time and the iteration count stay out, so identical fits
+        give identical dicts and tree.json does not change with the race.
         """
         return {
             "config": asdict(self.config),
@@ -199,14 +213,22 @@ def node_loss(
     max(g_a, g_b); the value is that of :func:`_pair_loss_and_grad`, whose
     active-set gradient is discarded here.
     """
+    pts, y = _points_and_labels(points, labels)
+    loss, _, _ = _pair_loss_and_grad(sq_a, sq_b, pts, y.astype(np.float64), cfg.sharpness)
+    return float(loss)
+
+
+def _points_and_labels(points, labels):
+    """(n, 3) float points and (n,) labels, each label 0 or 1."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.atleast_1d(np.asarray(labels))
     if len(pts) == 0:
-        raise ValueError("node loss needs at least one point")
+        raise ValueError("need at least one point")
     if y.shape != (len(pts),):
         raise ValueError(f"labels shape {y.shape} does not match {len(pts)} points")
-    loss, _, _ = _pair_loss_and_grad(sq_a, sq_b, pts, y.astype(np.float64), cfg.sharpness)
-    return float(loss)
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return pts, y
 
 
 def _pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws_a=None, ws_b=None):
@@ -324,42 +346,94 @@ def init_node(
     return pair[0], pair[1]
 
 
-def _optimize_pair(sq_a, sq_b, points, y, cfg: FitConfig):
-    """Momentum descent from one start; returns the best iterate seen.
+class _Restart:
+    """One restart's momentum descent, resumable at any iteration.
 
-    The two field workspaces belong to this call alone, so concurrent calls
-    from fit_tree's threads never share one.
+    Holds the parameters, the velocity, the next iteration ``t``, the
+    running best loss and the pair that reached it. ``advance`` steps it to
+    an iteration, ``finish`` runs the post-loop evaluation of the last
+    iterate. The two field workspaces are overwritten by every call, so the
+    restarts of one node can share them; fit_tree's threads never do.
     """
-    ws_a, ws_b = FieldWorkspace(len(points)), FieldWorkspace(len(points))
-    pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
-    pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
-    qa, qb = sq_a.rotation, sq_b.rotation
-    vel = np.zeros(22)
 
-    def build(p, q):
-        return Superquadric(p[:3], p[3:5], p[5:8], q)
+    def __init__(self, sq_a, sq_b, points, y, cfg: FitConfig, ws_a, ws_b):
+        self.points, self.y, self.cfg = points, y, cfg
+        self.ws_a, self.ws_b = ws_a, ws_b
+        self.pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
+        self.pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
+        self.qa, self.qb = sq_a.rotation, sq_b.rotation
+        self.vel = np.zeros(22)
+        self.t = 0
+        self.cur = (sq_a, sq_b)
+        self.best_loss = np.inf
+        self.best = (sq_a, sq_b)
 
-    cur_a, cur_b = sq_a, sq_b
-    best_loss = np.inf
-    best = (sq_a, sq_b)
-    for t in range(cfg.iterations):
-        loss, ga, gb = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
-        if loss < best_loss:
-            best_loss, best = loss, (cur_a, cur_b)
-        lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
-        vel = MOMENTUM * vel - lr * np.concatenate([ga, gb])
-        pa = pa + vel[0:8]
-        pb = pb + vel[11:19]
-        for p in (pa, pb):
-            p[0:3] = np.clip(p[0:3], cfg.a_min, cfg.a_max)
-            p[3:5] = np.clip(p[3:5], cfg.e_min, cfg.e_max)
-        qa = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[8:11]), qa))
-        qb = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[19:22]), qb))
-        cur_a, cur_b = build(pa, qa), build(pb, qb)
-    loss, _, _ = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
-    if loss < best_loss:
-        best_loss, best = loss, (cur_a, cur_b)
-    return best[0], best[1], float(best_loss)
+    def _loss_and_grad(self):
+        return _pair_loss_and_grad(
+            *self.cur, self.points, self.y, self.cfg.sharpness, self.ws_a, self.ws_b
+        )
+
+    def advance(self, stop: int) -> None:
+        """Run iterations ``t`` up to ``stop`` (exclusive)."""
+        cfg = self.cfg
+        for t in range(self.t, stop):
+            loss, ga, gb = self._loss_and_grad()
+            if loss < self.best_loss:
+                self.best_loss, self.best = loss, self.cur
+            lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
+            self.vel = MOMENTUM * self.vel - lr * np.concatenate([ga, gb])
+            self.pa = self.pa + self.vel[0:8]
+            self.pb = self.pb + self.vel[11:19]
+            for p in (self.pa, self.pb):
+                p[0:3] = np.clip(p[0:3], cfg.a_min, cfg.a_max)
+                p[3:5] = np.clip(p[3:5], cfg.e_min, cfg.e_max)
+            self.qa = quat.normalize(
+                quat.multiply(quat.from_rotation_vector(self.vel[8:11]), self.qa)
+            )
+            self.qb = quat.normalize(
+                quat.multiply(quat.from_rotation_vector(self.vel[19:22]), self.qb)
+            )
+            self.cur = (
+                Superquadric(self.pa[:3], self.pa[3:5], self.pa[5:8], self.qa),
+                Superquadric(self.pb[:3], self.pb[3:5], self.pb[5:8], self.qb),
+            )
+        self.t = max(self.t, stop)
+
+    def finish(self):
+        """Score the last iterate too; the best pair and its loss."""
+        loss, _, _ = self._loss_and_grad()
+        if loss < self.best_loss:
+            self.best_loss, self.best = loss, self.cur
+        return self.best[0], self.best[1], float(self.best_loss)
+
+
+def _race(pts, y, cfg: FitConfig, node: tuple[int, int]):
+    """Every restart of one node, raced with one cut at mid-schedule.
+
+    All restarts run to ``c = iterations // _CUT_DIVISOR``; the ceil(R/2)
+    with the lowest running-best loss (ties to the lower restart index) run
+    on to the end, the rest stop at c. With c == 0 every restart runs to
+    the end. Returns all restarts and the survivors, each in restart order.
+    """
+    starts = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
+        )
+        starts.append(init_node(pts, y, cfg, restart=r, rng=rng))
+    ws_a, ws_b = FieldWorkspace(len(pts)), FieldWorkspace(len(pts))
+    yf = y.astype(np.float64)
+    runs = [_Restart(a, b, pts, yf, cfg, ws_a, ws_b) for a, b in starts]
+    cut = cfg.iterations // _CUT_DIVISOR
+    survivors = runs
+    if cut > 0:
+        for run in runs:
+            run.advance(cut)
+        ranked = sorted(range(len(runs)), key=lambda r: (runs[r].best_loss, r))
+        survivors = [runs[r] for r in sorted(ranked[: (len(runs) + 1) // 2])]
+    for run in survivors:
+        run.advance(cfg.iterations)
+    return runs, survivors
 
 
 def fit_node(
@@ -368,19 +442,17 @@ def fit_node(
     cfg: FitConfig,
     node: tuple[int, int] = (1, 1),
 ) -> NodeFit:
-    """Fit one node's pair with restarts; deterministic for a fixed config.
+    """Fit one node's pair with raced restarts; deterministic for a fixed config.
 
     Restart r of node (d, i) draws its jitter from
     SeedSequence(cfg.seed, spawn_key=(d, i, r)), so results do not depend on
-    scheduling order. A node with no inside-labeled points returns the
-    degenerate sentinel without optimizing.
+    scheduling order. The restarts that finish the schedule are compared in
+    restart order, a later one winning only with a strictly lower loss.
+    ``iterations`` counts the iterations actually run over all restarts. A
+    node with no inside-labeled points returns the degenerate sentinel
+    without optimizing.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    y = np.asarray(labels)
-    if len(pts) == 0:
-        raise ValueError("fit_node needs at least one point")
-    if y.shape != (len(pts),):
-        raise ValueError(f"labels shape {y.shape} does not match {len(pts)} points")
+    pts, y = _points_and_labels(points, labels)
     occ = cfg.occupancy()
 
     if int(y.sum()) == 0:
@@ -394,14 +466,10 @@ def fit_node(
             iterations=0,
         )
 
-    yf = y.astype(np.float64)
+    runs, survivors = _race(pts, y, cfg, node)
     best: tuple[Superquadric, Superquadric, float] | None = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
-        )
-        start_a, start_b = init_node(pts, y, cfg, restart=r, rng=rng)
-        result = _optimize_pair(start_a, start_b, pts, yf, cfg)
+    for run in survivors:
+        result = run.finish()
         if best is None or result[2] < best[2]:
             best = result
     return NodeFit(
@@ -409,7 +477,7 @@ def fit_node(
         sq_b=best[1],
         loss=best[2],
         degenerate=False,
-        iterations=cfg.iterations * cfg.restarts,
+        iterations=sum(run.t for run in runs),
     )
 
 
@@ -453,6 +521,7 @@ def fit_tree(
         for (key, labels), fit in zip(tasks, fits):
             tree.add_node(SqPairNode(*key, fit.sq_a, fit.sq_b, labels, fit.degenerate))
             report.node_losses[key] = fit.loss
+            report.iterations += fit.iterations
             if fit.degenerate:
                 report.degenerate_nodes.append(key)
 

@@ -5,7 +5,7 @@ from scipy.special import expit
 
 from sqdecomp import OccupancyConfig, Superquadric, occupancy
 from sqdecomp import quaternions as quat
-from sqdecomp.fitter import LOG_CLAMP
+from sqdecomp.fitter import LOG_CLAMP, MOMENTUM, FitConfig, _pair_loss_and_grad, init_node
 from sqdecomp.geometry import (
     _BARY_EPS,
     _DIRECTIONS,
@@ -13,7 +13,7 @@ from sqdecomp.geometry import (
     _PARALLEL_EPS,
     RayDegeneracyError,
 )
-from sqdecomp.superquadric import _log_field
+from sqdecomp.superquadric import FieldWorkspace, _log_field
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -183,3 +183,69 @@ def pair_loss_and_grad_reference(sq_a, sq_b, points, y, sharpness, ws_a=None, ws
     grad_a = -sharpness * (np.where(a_wins, dz, 0.0) @ grad_a_h)
     grad_b = -sharpness * (np.where(a_wins, 0.0, dz) @ grad_b_h)
     return loss, grad_a, grad_b
+
+
+def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig):
+    """Momentum descent from one start, every iteration to the end.
+
+    The loop ``fitter.fit_node`` ran per restart before its restarts raced.
+    Returns the best iterate seen, its loss, and the loss of every
+    iteration in order (the post-loop evaluation of the last iterate not
+    included).
+    """
+    ws_a, ws_b = FieldWorkspace(len(points)), FieldWorkspace(len(points))
+    pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
+    pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
+    qa, qb = sq_a.rotation, sq_b.rotation
+    vel = np.zeros(22)
+
+    def build(p, q):
+        return Superquadric(p[:3], p[3:5], p[5:8], q)
+
+    cur_a, cur_b = sq_a, sq_b
+    best_loss = np.inf
+    best = (sq_a, sq_b)
+    losses = []
+    for t in range(cfg.iterations):
+        loss, ga, gb = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
+        losses.append(loss)
+        if loss < best_loss:
+            best_loss, best = loss, (cur_a, cur_b)
+        lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
+        vel = MOMENTUM * vel - lr * np.concatenate([ga, gb])
+        pa = pa + vel[0:8]
+        pb = pb + vel[11:19]
+        for p in (pa, pb):
+            p[0:3] = np.clip(p[0:3], cfg.a_min, cfg.a_max)
+            p[3:5] = np.clip(p[3:5], cfg.e_min, cfg.e_max)
+        qa = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[8:11]), qa))
+        qb = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[19:22]), qb))
+        cur_a, cur_b = build(pa, qa), build(pb, qb)
+    loss, _, _ = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
+    if loss < best_loss:
+        best_loss, best = loss, (cur_a, cur_b)
+    return best[0], best[1], float(best_loss), losses
+
+
+def fit_node_reference(points, labels, cfg: FitConfig, node=(1, 1), restarts=None):
+    """The sequential restart loop of ``fitter.fit_node`` before the race.
+
+    Runs each restart in ``restarts`` (default: all of ``cfg.restarts``) to
+    the end, in order, and keeps the best by strict ``<``. Returns that
+    (sq_a, sq_b, loss) and a dict of each run restart's per-iteration
+    losses. The labels must hold at least one inside point.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    y = np.asarray(labels)
+    yf = y.astype(np.float64)
+    best = None
+    losses = {}
+    for r in range(cfg.restarts) if restarts is None else restarts:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
+        )
+        start_a, start_b = init_node(pts, y, cfg, restart=r, rng=rng)
+        *result, losses[r] = optimize_pair_reference(start_a, start_b, pts, yf, cfg)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best, losses

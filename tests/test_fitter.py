@@ -3,8 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import pair_loss_and_grad_reference, perturbed, random_superquadric
+from helpers import (
+    fit_node_reference,
+    pair_loss_and_grad_reference,
+    perturbed,
+    random_superquadric,
+)
 from sqdecomp import (
     ConfigError,
     FitConfig,
@@ -18,7 +25,7 @@ from sqdecomp import (
     occupancy,
     recompute_labels,
 )
-from sqdecomp.fitter import _pair_loss_and_grad, init_node
+from sqdecomp.fitter import _pair_loss_and_grad, _race, init_node
 
 
 class TestNodeLoss:
@@ -53,6 +60,14 @@ class TestNodeLoss:
         sq = Superquadric(np.ones(3), np.ones(2))
         with pytest.raises(ValueError):
             node_loss(sq, sq, np.zeros((3, 3)), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_label_outside_zero_one_rejected(self, bad):
+        """A label of 2 was credited as outside by the loss but pushed the
+        gradient inward; any label but 0 or 1 is now refused."""
+        sq = Superquadric(np.ones(3), np.ones(2))
+        with pytest.raises(ValueError, match="0 or 1"):
+            node_loss(sq, sq, np.zeros((3, 3)), np.array([1.0, 0.0, bad]))
 
 
 class TestFitConfig:
@@ -311,9 +326,25 @@ class TestFitNode:
         with pytest.raises(ValueError):
             fit_node(np.zeros((0, 3)), np.zeros(0), FitConfig())
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_label_outside_zero_one_rejected(self, bad):
+        rng = np.random.default_rng(69)
+        pts = rng.uniform(-0.5, 0.5, (50, 3))
+        labels = (np.linalg.norm(pts, axis=1) < 0.3).astype(np.float64)
+        labels[7] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            fit_node(pts, labels, FitConfig(iterations=2, restarts=1))
+
+    def test_all_labels_two_rejected_as_labels(self):
+        """All-2 labels used to fail later, in init_node, for want of an
+        inside point."""
+        pts = np.random.default_rng(69).uniform(-0.5, 0.5, (50, 3))
+        with pytest.raises(ValueError, match="0 or 1"):
+            fit_node(pts, np.full(50, 2, dtype=np.uint8), FitConfig(iterations=2, restarts=1))
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux minor-fault counts")
     def test_iterations_reuse_field_buffers(self):
-        """The pair kernel writes into per-call workspaces, so iterations
+        """The pair kernel writes into per-node workspaces, so iterations
         do not fault fresh pages in: 50 iterations at 8k points stay far
         below the ~46k minor faults of allocating per call."""
         rng = np.random.default_rng(68)
@@ -323,6 +354,95 @@ class TestFitNode:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         fit_node(pts, labels, cfg)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 10_000
+
+
+def race_problem(seed: int, n: int):
+    """n points in a cube, labelled by two overlapping ellipsoids."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.5, 0.5, (n, 3))
+    centre = rng.uniform(-0.1, 0.1, 3)
+    radii = rng.uniform(0.15, 0.3, 3)
+    inside = (
+        (np.linalg.norm((pts - centre - [0.15, 0, 0]) / radii, axis=1) < 1)
+        | (np.linalg.norm((pts - centre + [0.15, 0, 0]) / radii[::-1], axis=1) < 1)
+    )
+    labels = inside.astype(np.uint8)
+    labels[0] = 1  # at least one inside point
+    return pts, labels
+
+
+def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
+    """The raced fit_node equals the sequential reference over the
+    survivors, bitwise; each restart's running best equals the reference's
+    minimum over the iterations it ran; the iteration count is exact."""
+    _, losses = fit_node_reference(pts, labels, cfg)
+    restarts, total, cut = cfg.restarts, cfg.iterations, cfg.iterations // 2
+    if restarts > 1 and cut > 0:
+        ranked = sorted(range(restarts), key=lambda r: (min(losses[r][:cut]), r))
+        survivors = sorted(ranked[: (restarts + 1) // 2])
+    else:
+        survivors, cut = list(range(restarts)), total
+    (ref_a, ref_b, ref_loss), _ = fit_node_reference(pts, labels, cfg, restarts=survivors)
+
+    fit = fit_node(pts, labels, cfg)
+    np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
+    np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
+    assert fit.loss == ref_loss
+    assert fit.iterations == restarts * cut + len(survivors) * (total - cut)
+
+    runs, raced_survivors = _race(pts, labels, cfg, (1, 1))
+    assert raced_survivors == [runs[r] for r in survivors]
+    for r, run in enumerate(runs):
+        assert run.t == (total if r in survivors else cut)
+        assert run.best_loss == min(losses[r][: run.t])
+
+
+class TestRace:
+    @pytest.mark.parametrize("iterations", [1, 7, 40])
+    def test_one_restart_is_the_reference_bitwise(self, iterations):
+        pts, labels = race_problem(80, 300)
+        cfg = FitConfig(iterations=iterations, restarts=1, seed=2)
+        (ref_a, ref_b, ref_loss), _ = fit_node_reference(pts, labels, cfg)
+        fit = fit_node(pts, labels, cfg)
+        np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
+        np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
+        assert fit.loss == ref_loss
+        assert fit.iterations == iterations
+
+    @pytest.mark.parametrize("iterations", [1, 2, 7, 40])
+    @pytest.mark.parametrize("restarts", [2, 3, 4, 5])
+    def test_raced_fit_is_the_reference_over_survivors(self, restarts, iterations):
+        pts, labels = race_problem(80, 300)
+        check_race_against_reference(
+            pts, labels, FitConfig(iterations=iterations, restarts=restarts, seed=5)
+        )
+
+    def test_a_cut_winner_changes_the_result(self):
+        """On this problem the overall winner of four restarts over 40
+        iterations is cut at iteration 20, so the race returns a different
+        pair than running every restart to the end; the checks above would
+        hold trivially if no cut ever mattered."""
+        pts, labels = race_problem(80, 300)
+        cfg = FitConfig(iterations=40, restarts=4, seed=5)
+        (_, _, ref_loss), _ = fit_node_reference(pts, labels, cfg)
+        assert fit_node(pts, labels, cfg).loss > ref_loss
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(150, 250),
+        restarts=st.integers(1, 5),
+        iterations=st.integers(1, 30),
+        sharpness=st.sampled_from([10.0, 50.0]),
+    )
+    def test_race_matches_reference_on_random_problems(
+        self, seed, n, restarts, iterations, sharpness
+    ):
+        pts, labels = race_problem(seed, n)
+        cfg = FitConfig(
+            iterations=iterations, restarts=restarts, sharpness=sharpness, seed=seed
+        )
+        check_race_against_reference(pts, labels, cfg)
 
 
 class TestFitTree:
@@ -384,6 +504,8 @@ class TestFitTree:
             report.loss_sum, sum(report.node_losses.values()) * len(ps.points), rtol=1e-12
         )
         assert report.wall_time > 0
+        fitted = len(tree.nodes) - len(report.degenerate_nodes)
+        assert report.iterations == fitted * cfg.iterations
         for v in report.level_iou:
             assert v is None or 0.0 <= v <= 1.0
 
