@@ -32,6 +32,14 @@ running every restart to the end; at four restarts the cut saves a quarter
 of the iterations. The best iterate ever seen by the surviving restarts is
 returned, so the final loss never exceeds any restart's initial one.
 
+The live restarts of a node advance in lock step. Each iteration makes one
+value pass per SQ into the node's one field workspace, computes every
+restart's loss at once over (restarts, points) arrays, and differentiates
+the active rows of all the SQs in one gradient call (two when they fill
+more than one block of n rows, cut between SQs); then each restart takes
+its own momentum step and builds, and so validates, its new pair. Every
+value a restart gets is bitwise the one it gets run alone.
+
 Nodes without a single inside-labeled point get a degenerate sentinel pair
 (two minimum-size SQs at the point centroid) and are not optimized; their
 children inherit empty label sets and therefore the same treatment.
@@ -210,20 +218,24 @@ def node_loss(
     """Mean clamped BCE between the pair's occupancy and the labels.
 
     The occupancy is ``expit(s (1 - min(h_a, h_b)))``, which is
-    max(g_a, g_b); the value is that of :func:`_pair_loss_and_grad`, whose
-    active-set gradient is discarded here.
+    max(g_a, g_b); the value is the loss of :meth:`_PairBatch.evaluate`.
     """
     pts, y = _points_and_labels(points, labels)
-    loss, _, _ = _pair_loss_and_grad(sq_a, sq_b, pts, y.astype(np.float64), cfg.sharpness)
-    return float(loss)
+    batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, 1, grad=False)
+    losses, _ = batch.evaluate([(sq_a, sq_b)], grad=False)
+    return float(losses[0])
 
 
 def _points_and_labels(points, labels):
-    """(n, 3) float points and (n,) labels, each label 0 or 1."""
+    """(n, 3) finite float points and (n,) labels, each label 0 or 1."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.atleast_1d(np.asarray(labels))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
     if len(pts) == 0:
         raise ValueError("need at least one point")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if y.shape != (len(pts),):
         raise ValueError(f"labels shape {y.shape} does not match {len(pts)} points")
     if not ((y == 0) | (y == 1)).all():
@@ -231,44 +243,121 @@ def _points_and_labels(points, labels):
     return pts, y
 
 
-def _pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws_a=None, ws_b=None):
-    """Loss plus its (11,) gradients for both SQs, from an active set.
+class _PairBatch:
+    """The pair loss and its active-set gradient for up to ``pairs`` pairs
+    of superquadrics at one node's points, evaluated in lock step.
 
-    A value pass for each SQ gives h_a, h_b; the pair's occupancy is one
-    ``g = expit(s (1 - min(h_a, h_b)))``, which equals max(g_a, g_b)
-    because expit is monotone. Each point's max differentiates through its
-    winning side, the smaller h (ties to a). Points where the BCE log clamp
-    is active contribute zero gradient, which keeps the analytic gradient
-    equal to the derivative of the clamped loss actually being reported.
-    Gradient rows are computed only for the active set: each point's
-    winning side, where the residual g - y is at least ``ACTIVE_RESIDUAL``
-    in size (about a third of the points in a typical fit). The rows left
-    out are saturated points, each of which would change the mean-loss
-    gradient by less than ``s * ACTIVE_RESIDUAL / n`` times its field
-    derivative. ``ws_a`` and ``ws_b`` are optional gradient workspaces for
-    the two SQs (see :class:`FieldWorkspace`).
+    Pair j's two SQs take field slots 2j (a) and 2j + 1 (b) of one
+    :class:`FieldWorkspace`; the loss arrays are (pairs, n) buffers of
+    which a call uses the first L rows. Every array an iteration needs
+    lives here, so a node's iterations allocate nothing that the allocator
+    maps and unmaps.
     """
-    n = len(points)
-    ws_a = FieldWorkspace(n) if ws_a is None else ws_a
-    ws_b = FieldWorkspace(n) if ws_b is None else ws_b
-    ha, _, _, _ = _log_field(sq_a, points, ws=ws_a)
-    hb, _, _, _ = _log_field(sq_b, points, ws=ws_b)
-    a_wins = ha <= hb
-    g = expit(sharpness * (1.0 - np.minimum(ha, hb)))
 
-    # The occupancy the BCE credits: g for inside labels, 1 - g for outside.
-    credited = np.where(y == 1.0, g, 1.0 - g)
-    loss = -np.log(np.maximum(credited, LOG_CLAMP)).mean()
-    residual = np.where(credited < LOG_CLAMP, 0.0, g - y)
-    active = np.abs(residual) >= ACTIVE_RESIDUAL
+    def __init__(self, points, y, sharpness: float, pairs: int, grad: bool = True):
+        n = len(points)
+        self.field = FieldWorkspace(points, 2 * pairs, grad)
+        self.y, self.sharpness = y, sharpness
+        self.inside = y == 1.0
+        self.g, self.credited = np.empty((pairs, n)), np.empty((pairs, n))
+        if grad:
+            self.residual = np.empty((pairs, n))
+            self.a_wins, self.flag = (np.empty((pairs, n), dtype=bool) for _ in range(2))
+            self.sides = np.empty((pairs, 2, n), dtype=bool)
+            self.at, self.weight = np.empty(n, dtype=np.intp), np.empty(n)
 
-    # dz/dparams = -sharpness * dh/dparams on the winning side only.
-    grads = []
-    for sq, ws, wins in ((sq_a, ws_a, a_wins), (sq_b, ws_b, ~a_wins)):
-        rows = np.flatnonzero(active & wins)
-        dh = _field_gradient(sq, ws, rows)
-        grads.append(-sharpness * ((residual[rows] / n) @ dh))
-    return loss, grads[0], grads[1]
+    def evaluate(self, pairs, grad: bool = True):
+        """Losses (L,) of L pairs and, with ``grad``, their (2L, 11)
+        gradients: row 2j for pair j's sq_a, row 2j + 1 for its sq_b.
+
+        A value pass for each SQ gives h_a, h_b; a pair's occupancy is one
+        ``g = expit(s (1 - min(h_a, h_b)))``, which equals max(g_a, g_b)
+        because expit is monotone. Each point's max differentiates through
+        its winning side, the smaller h (ties to a). Points where the BCE
+        log clamp is active contribute zero gradient, which keeps the
+        analytic gradient equal to the derivative of the clamped loss
+        actually being reported. Gradient rows are computed only for the
+        active set: each point's winning side, where the residual g - y is
+        at least ``ACTIVE_RESIDUAL`` in size (about a third of the points
+        in a typical fit). The rows left out are saturated points, each of
+        which would change the mean-loss gradient by less than
+        ``s * ACTIVE_RESIDUAL / n`` times its field derivative.
+
+        The rows of all 2L SQs go through :func:`_field_gradient` together,
+        in blocks of at most n rows cut between SQs, and each SQ's rows are
+        summed by their own (m, 11) matrix-vector product; every value a
+        pair gets is bitwise the one it gets evaluated alone.
+        """
+        ws, n, live = self.field, self.field.n, len(pairs)
+        for j, (sq_a, sq_b) in enumerate(pairs):
+            _log_field(sq_a, ws, 2 * j)
+            _log_field(sq_b, ws, 2 * j + 1)
+        ha, hb = ws.h[0:2 * live:2], ws.h[1:2 * live:2]
+        g, credited = self.g[:live], self.credited[:live]
+        # g = expit(s (1 - min(h_a, h_b)))
+        np.minimum(ha, hb, out=g)
+        np.subtract(1.0, g, out=g)
+        np.multiply(self.sharpness, g, out=g)
+        expit(g, out=g)
+        # The occupancy the BCE credits: g for inside labels, 1 - g for outside.
+        np.subtract(1.0, g, out=credited)
+        np.copyto(credited, g, where=self.inside)
+        if grad:
+            residual, flag = self.residual[:live], self.flag[:live]
+            # residual = where(credited < LOG_CLAMP, 0, g - y)
+            np.less(credited, LOG_CLAMP, out=flag)
+            np.subtract(g, self.y, out=residual)
+            np.copyto(residual, 0.0, where=flag)
+        # loss = mean(-log(max(credited, LOG_CLAMP)))
+        np.maximum(credited, LOG_CLAMP, out=credited)
+        np.log(credited, out=credited)
+        np.negative(credited, out=credited)
+        losses = credited.mean(axis=1)
+        if not grad:
+            return losses, None
+
+        # The active set, split by winning side: sides[j, 0] for a, [j, 1] for b.
+        a_wins, sides = self.a_wins[:live], self.sides[:live]
+        np.abs(residual, out=g)  # g is not needed any more
+        np.greater_equal(g, ACTIVE_RESIDUAL, out=flag)
+        np.less_equal(ha, hb, out=a_wins)
+        np.logical_and(flag, a_wins, out=sides[:, 0])
+        np.logical_not(a_wins, out=a_wins)
+        np.logical_and(flag, a_wins, out=sides[:, 1])
+        # Rows per slot (2j + side), then blocks of whole slots, at most n
+        # rows each.
+        bounds = np.zeros(2 * live + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(sides, axis=2).ravel(), out=bounds[1:])
+        flat = sides.reshape(-1)
+
+        # dz/dparams = -sharpness * dh/dparams on the winning side only.
+        grads = np.empty((2 * live, 11))
+        first = 0
+        while first < 2 * live:
+            last = first + 1
+            while last < 2 * live and bounds[last + 1] - bounds[first] <= n:
+                last += 1
+            # Flat indices k n + i (slot k, point i) of the block's rows.
+            idx = np.flatnonzero(flat[first * n:last * n])
+            idx += first * n
+            m = len(idx)
+            # Each row's residual / n; pair k // 2's residual at point i is
+            # at (k // 2) n + i = idx - ((k + 1) // 2) n.
+            at, weight = self.at[:m], self.weight[:m]
+            np.floor_divide(idx, n, out=at)
+            np.add(at, 1, out=at)
+            np.right_shift(at, 1, out=at)
+            np.multiply(at, n, out=at)
+            np.subtract(idx, at, out=at)
+            np.take(residual, at, out=weight, mode="clip")
+            np.divide(weight, n, out=weight)
+            dh = _field_gradient(ws, idx)
+            lo = bounds[first]
+            for k in range(first, last):
+                rows = slice(bounds[k] - lo, bounds[k + 1] - lo)
+                grads[k] = -self.sharpness * (weight[rows] @ dh[rows])
+            first = last
+        return losses, grads
 
 
 def _principal_frame(inside: np.ndarray):
@@ -350,15 +439,14 @@ class _Restart:
     """One restart's momentum descent, resumable at any iteration.
 
     Holds the parameters, the velocity, the next iteration ``t``, the
-    running best loss and the pair that reached it. ``advance`` steps it to
-    an iteration, ``finish`` runs the post-loop evaluation of the last
-    iterate. The two field workspaces are overwritten by every call, so the
-    restarts of one node can share them; fit_tree's threads never do.
+    current pair, the running best loss and the pair that reached it, and
+    the node's :class:`_PairBatch`, which all restarts of a node share;
+    fit_tree's threads never do. :func:`_advance` steps restarts in lock
+    step, :func:`_finish` runs the post-loop evaluation of the last iterate.
     """
 
-    def __init__(self, sq_a, sq_b, points, y, cfg: FitConfig, ws_a, ws_b):
-        self.points, self.y, self.cfg = points, y, cfg
-        self.ws_a, self.ws_b = ws_a, ws_b
+    def __init__(self, sq_a, sq_b, cfg: FitConfig, batch: _PairBatch):
+        self.cfg, self.batch = cfg, batch
         self.pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
         self.pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
         self.qa, self.qb = sq_a.rotation, sq_b.rotation
@@ -368,43 +456,54 @@ class _Restart:
         self.best_loss = np.inf
         self.best = (sq_a, sq_b)
 
-    def _loss_and_grad(self):
-        return _pair_loss_and_grad(
-            *self.cur, self.points, self.y, self.cfg.sharpness, self.ws_a, self.ws_b
-        )
-
-    def advance(self, stop: int) -> None:
-        """Run iterations ``t`` up to ``stop`` (exclusive)."""
-        cfg = self.cfg
-        for t in range(self.t, stop):
-            loss, ga, gb = self._loss_and_grad()
-            if loss < self.best_loss:
-                self.best_loss, self.best = loss, self.cur
-            lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
-            self.vel = MOMENTUM * self.vel - lr * np.concatenate([ga, gb])
-            self.pa = self.pa + self.vel[0:8]
-            self.pb = self.pb + self.vel[11:19]
-            for p in (self.pa, self.pb):
-                p[0:3] = np.clip(p[0:3], cfg.a_min, cfg.a_max)
-                p[3:5] = np.clip(p[3:5], cfg.e_min, cfg.e_max)
-            self.qa = quat.normalize(
-                quat.multiply(quat.from_rotation_vector(self.vel[8:11]), self.qa)
-            )
-            self.qb = quat.normalize(
-                quat.multiply(quat.from_rotation_vector(self.vel[19:22]), self.qb)
-            )
-            self.cur = (
-                Superquadric(self.pa[:3], self.pa[3:5], self.pa[5:8], self.qa),
-                Superquadric(self.pb[:3], self.pb[3:5], self.pb[5:8], self.qb),
-            )
-        self.t = max(self.t, stop)
-
-    def finish(self):
-        """Score the last iterate too; the best pair and its loss."""
-        loss, _, _ = self._loss_and_grad()
+    def record(self, loss) -> None:
+        """Keep the current pair if its loss beats the running best."""
         if loss < self.best_loss:
             self.best_loss, self.best = loss, self.cur
-        return self.best[0], self.best[1], float(self.best_loss)
+
+    def step(self, ga, gb) -> None:
+        """One momentum step of iteration ``t`` along the gradients."""
+        cfg = self.cfg
+        lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * self.t / cfg.iterations))
+        self.vel = MOMENTUM * self.vel - lr * np.concatenate([ga, gb])
+        self.pa = self.pa + self.vel[0:8]
+        self.pb = self.pb + self.vel[11:19]
+        for p in (self.pa, self.pb):
+            p[0:3] = np.clip(p[0:3], cfg.a_min, cfg.a_max)
+            p[3:5] = np.clip(p[3:5], cfg.e_min, cfg.e_max)
+        self.qa = quat.normalize(
+            quat.multiply(quat.from_rotation_vector(self.vel[8:11]), self.qa)
+        )
+        self.qb = quat.normalize(
+            quat.multiply(quat.from_rotation_vector(self.vel[19:22]), self.qb)
+        )
+        self.cur = (
+            Superquadric(self.pa[:3], self.pa[3:5], self.pa[5:8], self.qa),
+            Superquadric(self.pb[:3], self.pb[3:5], self.pb[5:8], self.qb),
+        )
+        self.t += 1
+
+
+def _advance(runs, stop: int) -> None:
+    """Run restarts that stand at the same iteration up to ``stop``
+    (exclusive), in lock step: each iteration evaluates every current pair
+    in one :meth:`_PairBatch.evaluate`, then steps each restart."""
+    if not runs:
+        return
+    batch = runs[0].batch
+    for _ in range(runs[0].t, stop):
+        losses, grads = batch.evaluate([run.cur for run in runs])
+        for j, run in enumerate(runs):
+            run.record(losses[j])
+            run.step(grads[2 * j], grads[2 * j + 1])
+
+
+def _finish(runs):
+    """Score each restart's last iterate too; each one's best pair and loss."""
+    losses, _ = runs[0].batch.evaluate([run.cur for run in runs], grad=False)
+    for run, loss in zip(runs, losses):
+        run.record(loss)
+    return [(run.best[0], run.best[1], float(run.best_loss)) for run in runs]
 
 
 def _race(pts, y, cfg: FitConfig, node: tuple[int, int]):
@@ -421,18 +520,15 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int]):
             np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
         )
         starts.append(init_node(pts, y, cfg, restart=r, rng=rng))
-    ws_a, ws_b = FieldWorkspace(len(pts)), FieldWorkspace(len(pts))
-    yf = y.astype(np.float64)
-    runs = [_Restart(a, b, pts, yf, cfg, ws_a, ws_b) for a, b in starts]
+    batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, cfg.restarts)
+    runs = [_Restart(a, b, cfg, batch) for a, b in starts]
     cut = cfg.iterations // _CUT_DIVISOR
     survivors = runs
     if cut > 0:
-        for run in runs:
-            run.advance(cut)
+        _advance(runs, cut)
         ranked = sorted(range(len(runs)), key=lambda r: (runs[r].best_loss, r))
         survivors = [runs[r] for r in sorted(ranked[: (len(runs) + 1) // 2])]
-    for run in survivors:
-        run.advance(cfg.iterations)
+    _advance(survivors, cfg.iterations)
     return runs, survivors
 
 
@@ -468,8 +564,7 @@ def fit_node(
 
     runs, survivors = _race(pts, y, cfg, node)
     best: tuple[Superquadric, Superquadric, float] | None = None
-    for run in survivors:
-        result = run.finish()
+    for result in _finish(survivors):
         if best is None or result[2] < best[2]:
             best = result
     return NodeFit(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .geometry import SAMPLING_DOMAIN, LabeledPointSet, Mesh, point_in_mesh
 from .sqtree import SqTree
-from .superquadric import inside_outside_stable
+from .superquadric import FieldWorkspace, _log_field
 
 
 class EmptyUnionError(ValueError):
@@ -24,10 +24,10 @@ def predicted_label(sqs, points) -> np.ndarray:
     sqs = list(sqs)
     if not sqs:
         raise ValueError("need at least one superquadric")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.zeros(len(pts), dtype=bool)
+    ws = FieldWorkspace(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+    out = np.zeros(ws.n, dtype=bool)
     for sq in sqs:
-        out |= inside_outside_stable(sq, pts) < 1.0
+        out |= _log_field(sq, ws)[0] < 1.0
     return out.astype(np.uint8)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .superquadric import Superquadric, _as_points, _field_and_radial
+from .superquadric import FieldWorkspace, Superquadric, _field_and_radial
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +50,15 @@ class SplitAssignment:
         return len(self.to_a)
 
 
-def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, pts: np.ndarray):
+def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, points):
     """(h_a, h_b, d_a, d_b, to_a) at points (n, 3), from one field pass per SQ.
 
     h is F^e1, d the radial distance and to_a the split rule of the module
     docstring.
     """
-    h_a, d_a = _field_and_radial(sq_a, pts)
-    h_b, d_b = _field_and_radial(sq_b, pts)
+    ws = FieldWorkspace(points, 2)
+    h_a, d_a = _field_and_radial(sq_a, ws, 0)
+    h_b, d_b = _field_and_radial(sq_b, ws, 1)
     in_a, in_b = h_a < 1.0, h_b < 1.0
     # Containment wins outright; the remaining cases compare fields.
     to_a = np.where(in_a == in_b, np.where(in_a, h_a >= h_b, d_a <= d_b), in_a)
@@ -66,8 +67,7 @@ def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, pts: np.ndarray):
 
 def split_pair(sq_a: Superquadric, sq_b: Superquadric, points) -> SplitAssignment:
     """Assign every point to side a or side b of the pair."""
-    pts, _ = _as_points(points)
-    return SplitAssignment(_pair_fields(sq_a, sq_b, pts)[4])
+    return SplitAssignment(_pair_fields(sq_a, sq_b, points)[4])
 
 
 def child_labels(parent_labels, assignment: SplitAssignment, side: str) -> np.ndarray:

@@ -25,7 +25,14 @@ the rotation q by ``exp(u) * q``. Finite-difference checks must use the same
 retraction.
 
 Field evaluators accept a single point of shape (3,) or a batch (n, 3) and
-return a scalar or an (n,) array to match.
+return a scalar or an (n,) array to match. Underneath, the one field kernel
+(:func:`_log_field` and :func:`_field_gradient`) works on a
+structure-of-arrays layout, so that every ufunc runs over n contiguous
+values: points as (3, n) and, in a :class:`FieldWorkspace` of K superquadric
+slots, vector intermediates as (3, K, n) and scalar ones as (K, n). Each
+evaluator transposes its points once per call and uses one slot per
+superquadric; the fitter puts all the superquadrics of a node's restarts in
+the slots of one workspace.
 """
 
 from __future__ import annotations
@@ -139,44 +146,51 @@ def world_to_local(sq: Superquadric, x) -> np.ndarray:
     return local[0] if single else local
 
 
-# The value-stage arrays the gradient stage reads, per point.
-_GRADIENT_INPUTS = (
-    "offset", "local", "abs_local", "ln_u", "w1", "w2", "ln_s", "term_xy", "term_z", "ln_f", "h",
-)
+# FieldWorkspace.params holds one column per slot: what the gradient needs
+# of the slot's superquadric, with the value pass's own coefficients:
+# translation (3), size (3), 2/e2, e2/e1, 2/e1, e1, e2, rotation matrix
+# (9, row-major).
+_N_PARAMS = 20
+# One gradient block as rows of m values: the parameters, offset (3), the
+# kept local (3), ln_s, ln_f and h, abs_local (3), ln_u (3), w1, w2,
+# term_xy, term_z and two temporaries, dh_dlnu (3), and the 11 gradient
+# components.
+_BLOCK_PARTS = (_N_PARAMS, 3, 6, 3, 3, 6, 3, 11)
+_BLOCK_SPLITS = tuple(np.cumsum(_BLOCK_PARTS[:-1]))
 
 
 class FieldWorkspace:
-    """Output buffers of :func:`_log_field` for a fixed number of points.
+    """The points and buffers of the field kernel for K superquadric slots.
 
     A caller that evaluates the field many times at the same points (the
-    fitter, every iteration) passes one workspace to every call. The kernel
-    then writes into the same memory each time instead of allocating about
-    6 MB of short-lived arrays per gradient call at 8k points, which the
-    allocator returns to the OS and faults back in on the next call. The
-    gradient buffers exist only when ``grad`` is set; a gradient over m
-    rows uses their first m rows, and ``picked`` holds the value-stage
-    inputs of those rows. A workspace must not be shared between threads.
+    fitter, every iteration) builds one workspace and passes it to every
+    call, so the kernel writes into the same memory each time instead of
+    allocating short-lived arrays that the allocator returns to the OS and
+    faults back in. The points are stored once as (3, n). Slot k holds the
+    last value pass of some superquadric: ``local`` (3, K, n) and ``ln_s``,
+    ``ln_f``, ``h`` (K, n), which is all a gradient keeps per point, plus
+    that superquadric's parameters. The value pass's other intermediates
+    (offset, abs_local, ln_u, w1, w2, term_xy, term_z) live in scratch of
+    one slot's size and are recomputed, bitwise the same, at gradient rows.
+    With ``grad`` set the workspace also holds one gradient block of up to
+    n rows. A workspace must not be shared between threads.
     """
 
-    def __init__(self, n: int, grad: bool = True):
-        self.n = n
-        self.grad = grad
-        self.offset, self.local, self.abs_local, self.ln_u = (
-            np.empty((n, 3)) for _ in range(4)
-        )
-        self.w1, self.w2, self.ln_s, self.term_xy, self.term_z, self.ln_f, self.h, self.gap = (
-            np.empty(n) for _ in range(8)
-        )
+    def __init__(self, points, k: int = 1, grad: bool = False):
+        pts, _ = _as_points(points)
+        n = len(pts)
+        self.n, self.k, self.grad = n, k, grad
+        self.points = np.ascontiguousarray(pts.T)
+        kept = np.empty((6, k, n))
+        self.kept = kept.reshape(6, k * n)
+        self.local, self.ln_s, self.ln_f, self.h = kept[0:3], kept[3], kept[4], kept[5]
+        self.params = np.empty((_N_PARAMS, k))
+        self.vec = np.empty((3, n))
+        self.w1, self.w2, self.gap = (np.empty(n) for _ in range(3))
         if grad:
-            self.picked = {name: np.empty_like(getattr(self, name)) for name in _GRADIENT_INPUTS}
-            self.alpha, self.beta, self.aw1, self.aw2, self.tmp_a, self.tmp_b = (
-                np.empty(n) for _ in range(6)
-            )
-            self.dh_dlnu, self.dh_dlocal, self.world_grad = (
-                np.empty((n, 3)) for _ in range(3)
-            )
-            self.pinned = np.empty((n, 3), dtype=bool)
-            self.dh = np.empty((n, 11))
+            self.block = np.empty(sum(_BLOCK_PARTS) * n)
+            self.slot, self.point = (np.empty(n, dtype=np.intp) for _ in range(2))
+            self.pinned = np.empty(3 * n, dtype=bool)
 
 
 def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, gap: np.ndarray) -> None:
@@ -194,153 +208,170 @@ def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, gap: np.ndarray) -
     np.add(out, gap, out=out)
 
 
-def _log_field(sq: Superquadric, pts: np.ndarray, grad: bool = False,
-               ws: FieldWorkspace | None = None):
-    """The one log-space field kernel at world points (n, 3).
+def _log_field(sq: Superquadric, ws: FieldWorkspace, k: int = 0):
+    """The one log-space field kernel: a value pass of ``sq`` at the
+    workspace's points into slot ``k``.
 
-    Returns (h, ln_f, local, dh): h = F^e1, ln F, the local coordinates, and
-    the (n, 11) gradient of h when ``grad`` is set (else None; see
-    :func:`_field_gradient`, which can also differentiate a subset of the
-    points afterwards).
-
-    Every intermediate is written into ``ws`` (a fresh workspace when none
-    is given), so the returned arrays are views into the workspace: the
-    next call with the same workspace overwrites them. The operations and
-    their order are those of the plain expressions in the comments, so the
-    results do not depend on whether a workspace is reused.
+    Returns (h, ln_f, local): h = F^e1 (n,), ln F (n,) and the local
+    coordinates (3, n), as views of slot k that the next pass into that
+    slot overwrites. The operations and their order are those of the plain
+    expressions in the comments; every one but the rotation is elementwise,
+    so a point's values do not depend on the other points, the slot or the
+    workspace.
     """
-    if ws is None:
-        ws = FieldWorkspace(len(pts), grad)
-    if ws.n != len(pts) or (grad and not ws.grad):
-        raise ValueError(f"workspace for {ws.n} points (grad={ws.grad}) cannot serve "
-                         f"{len(pts)} points (grad={grad})")
+    if not 0 <= k < ws.k:
+        raise ValueError(f"slot {k} out of range for a workspace of {ws.k}")
     rot = sq.rotation_matrix()
     a = sq.size
     e1, e2 = sq.exponents
-    offset, local, abs_local, ln_u = ws.offset, ws.local, ws.abs_local, ws.ln_u
-    w1, w2, ln_s, term_xy, term_z, ln_f, h = (
-        ws.w1, ws.w2, ws.ln_s, ws.term_xy, ws.term_z, ws.ln_f, ws.h
+    c2e2, ce2e1, c2e1 = 2.0 / e2, e2 / e1, 2.0 / e1
+    ws.params[:, k] = np.concatenate(
+        (sq.translation, a, (c2e2, ce2e1, c2e1, e1, e2), rot.ravel())
     )
+    local, ln_s, ln_f, h = ws.local[:, k], ws.ln_s[k], ws.ln_f[k], ws.h[k]
+    vec, w1, w2 = ws.vec, ws.w1, ws.w2
 
-    np.subtract(pts, sq.translation, out=offset)
-    np.matmul(offset, rot, out=local)
-    # abs_local = max(|local|, COORD_CLAMP); ln_u = log(abs_local / a)
+    # local = R^T (x - t)
+    np.subtract(ws.points, sq.translation[:, None], out=vec)
+    np.matmul(rot.T, vec, out=local)
+    # vec = ln_u = log(max(|local|, COORD_CLAMP) / a)
+    np.abs(local, out=vec)
+    np.maximum(vec, COORD_CLAMP, out=vec)
+    np.divide(vec, a[:, None], out=vec)
+    np.log(vec, out=vec)
+    # ln_s = logaddexp(w1, w2), w = (2 / e2) ln_u_xy
+    np.multiply(c2e2, vec[0], out=w1)
+    np.multiply(c2e2, vec[1], out=w2)
+    _logaddexp(w1, w2, ln_s, ws.gap)
+    # ln_f = logaddexp(term_xy, term_z), term_xy = (e2 / e1) ln_s, term_z = (2 / e1) ln_u_z
+    np.multiply(ce2e1, ln_s, out=w1)
+    np.multiply(c2e1, vec[2], out=w2)
+    _logaddexp(w1, w2, ln_f, ws.gap)
+    # h = exp(e1 ln_f)
+    np.multiply(e1, ln_f, out=h)
+    np.exp(h, out=h)
+    return h, ln_f, local
+
+
+def _field_gradient(ws: FieldWorkspace, idx: np.ndarray) -> np.ndarray:
+    """Gradient of h over the 11 DOF at rows of the slots' last value passes.
+
+    ``idx`` holds flat indices ``k * n + i`` (slot k, point i; in range,
+    not bounds-checked), at most n of them, in any order and from any mix
+    of slots. Returns an (m, 11) view into the workspace that the next
+    gradient call overwrites, row j the gradient at ``idx[j]``. The block
+    is computed as (rows, m) arrays, each superquadric parameter gathered
+    per row, and copied to row-major once at the end.
+
+    Derivatives of h pass through the log-space intermediates; the softmax
+    weights alpha, beta (and aw1, aw2 inside the xy term) fall out of
+    differentiating logaddexp. Coordinates pinned by the clamp contribute
+    zero positional derivative. Each row depends only on its own point and
+    slot, by elementwise operations alone, so a row comes out bitwise the
+    same whichever rows share the call.
+    """
+    if not ws.grad:
+        raise ValueError("workspace has no gradient buffers")
+    n, m = ws.n, len(idx)
+    if m > n:
+        raise ValueError(f"{m} gradient rows exceed the block size {n}")
+    blk = ws.block[:sum(_BLOCK_PARTS) * m].reshape(sum(_BLOCK_PARTS), m)
+    prm, offset, kept, abs_local, ln_u, scalars, dh_dlnu, dh_t = np.split(blk, _BLOCK_SPLITS)
+    slot, point = ws.slot[:m], ws.point[:m]
+    np.divmod(idx, n, out=(slot, point))
+    # mode="clip" writes straight into the buffer; "raise" would copy
+    # through a temporary.
+    np.take(ws.params, slot, axis=1, out=prm, mode="clip")
+    np.take(ws.points, point, axis=1, out=offset, mode="clip")
+    np.take(ws.kept, idx, axis=1, out=kept, mode="clip")
+    t, a, (c2e2, ce2e1, c2e1, e1, e2), rot = np.split(prm, (3, 6, 11))
+    local, (ln_s, ln_f, h) = kept[0:3], kept[3:6]
+    w1, w2, term_xy, term_z, tmp_a, tmp_b = scalars
+
+    # The value pass again: offset = x - t, abs_local, ln_u, w1, w2, term_xy, term_z
+    np.subtract(offset, t, out=offset)
     np.abs(local, out=abs_local)
     np.maximum(abs_local, COORD_CLAMP, out=abs_local)
     np.divide(abs_local, a, out=ln_u)
     np.log(ln_u, out=ln_u)
-    np.multiply(2.0 / e2, ln_u[:, 0], out=w1)
-    np.multiply(2.0 / e2, ln_u[:, 1], out=w2)
-    _logaddexp(w1, w2, ln_s, ws.gap)
-    np.multiply(e2 / e1, ln_s, out=term_xy)
-    np.multiply(2.0 / e1, ln_u[:, 2], out=term_z)
-    _logaddexp(term_xy, term_z, ln_f, ws.gap)
-    np.multiply(e1, ln_f, out=h)
-    np.exp(h, out=h)
-    if not grad:
-        return h, ln_f, local, None
-    return h, ln_f, local, _field_gradient(sq, ws)
+    np.multiply(c2e2, ln_u[0], out=w1)
+    np.multiply(c2e2, ln_u[1], out=w2)
+    np.multiply(ce2e1, ln_s, out=term_xy)
+    np.multiply(c2e1, ln_u[2], out=term_z)
 
-
-def _field_gradient(sq: Superquadric, ws: FieldWorkspace,
-                    rows: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of h over the 11 DOF at the points of ``ws``'s last value
-    pass for ``sq``: all of them, or only ``rows`` (point indices in range,
-    in the order given; they are not bounds-checked).
-
-    Returns ``ws.dh`` or, for m rows, a view of its first m rows.
-    Derivatives of h pass through the log-space intermediates; the softmax
-    weights alpha, beta (and aw1, aw2 inside the xy term) fall out of
-    differentiating logaddexp. Coordinates pinned by the clamp contribute
-    zero positional derivative. Each row depends only on its own point, by
-    elementwise operations alone, so a row comes out bitwise the same
-    whichever rows are asked for.
-    """
-    if not ws.grad:
-        raise ValueError("workspace has no gradient buffers")
-    if rows is None:
-        m = ws.n
-        inputs = (getattr(ws, name) for name in _GRADIENT_INPUTS)
-    else:
-        # mode="clip" writes straight into the buffer; "raise" would copy
-        # through a temporary.
-        m = len(rows)
-        inputs = (np.take(getattr(ws, name), rows, axis=0, out=ws.picked[name][:m], mode="clip")
-                  for name in _GRADIENT_INPUTS)
-    offset, local, abs_local, ln_u, w1, w2, ln_s, term_xy, term_z, ln_f, h = inputs
-    rot = sq.rotation_matrix()
-    a = sq.size
-    e1, e2 = sq.exponents
-    alpha, beta, aw1, aw2, tmp_a, tmp_b, dh_dlnu, dh_dlocal, world_grad, pinned, dh = (
-        buf if m == ws.n else buf[:m]
-        for buf in (ws.alpha, ws.beta, ws.aw1, ws.aw2, ws.tmp_a, ws.tmp_b,
-                    ws.dh_dlnu, ws.dh_dlocal, ws.world_grad, ws.pinned, ws.dh)
-    )
-    for out, num, den in ((alpha, term_xy, ln_f), (beta, term_z, ln_f),
-                          (aw1, w1, ln_s), (aw2, w2, ln_s)):
-        np.subtract(num, den, out=out)
-        np.exp(out, out=out)
+    # alpha, beta, aw1, aw2 in place of term_xy, term_z, w1, w2
+    for num, den in ((term_xy, ln_f), (term_z, ln_f), (w1, ln_s), (w2, ln_s)):
+        np.subtract(num, den, out=num)
+        np.exp(num, out=num)
+    alpha, beta, aw1, aw2 = term_xy, term_z, w1, w2
 
     # dh_dlnu = [2h alpha aw1, 2h alpha aw2, 2h beta]
     np.multiply(2.0, h, out=tmp_a)
-    np.multiply(tmp_a, alpha, out=dh_dlnu[:, 0])
-    np.multiply(dh_dlnu[:, 0], aw1, out=dh_dlnu[:, 0])
-    np.multiply(tmp_a, alpha, out=dh_dlnu[:, 1])
-    np.multiply(dh_dlnu[:, 1], aw2, out=dh_dlnu[:, 1])
-    np.multiply(tmp_a, beta, out=dh_dlnu[:, 2])
+    np.multiply(tmp_a, alpha, out=dh_dlnu[0])
+    np.multiply(dh_dlnu[0], aw1, out=dh_dlnu[0])
+    np.multiply(tmp_a, alpha, out=dh_dlnu[1])
+    np.multiply(dh_dlnu[1], aw2, out=dh_dlnu[1])
+    np.multiply(tmp_a, beta, out=dh_dlnu[2])
 
     # dh_dsize = -dh_dlnu / a
-    dh_dsize = dh[:, 0:3]
+    dh_dsize = dh_t[0:3]
     np.negative(dh_dlnu, out=dh_dsize)
     np.divide(dh_dsize, a, out=dh_dsize)
 
     # dh_de1 = h ln_f - (h / e1) (alpha e2 ln_s + 2 beta ln_u_z)
-    dh_de1 = dh[:, 3]
+    dh_de1 = dh_t[3]
     np.multiply(h, ln_f, out=dh_de1)
     np.multiply(alpha, e2, out=tmp_a)
     np.multiply(tmp_a, ln_s, out=tmp_a)
     np.multiply(2.0, beta, out=tmp_b)
-    np.multiply(tmp_b, ln_u[:, 2], out=tmp_b)
+    np.multiply(tmp_b, ln_u[2], out=tmp_b)
     np.add(tmp_a, tmp_b, out=tmp_a)
     np.divide(h, e1, out=tmp_b)
     np.multiply(tmp_b, tmp_a, out=tmp_b)
     np.subtract(dh_de1, tmp_b, out=dh_de1)
 
     # dh_de2 = h alpha (ln_s - (2 / e2) (aw1 ln_u_x + aw2 ln_u_y))
-    dh_de2 = dh[:, 4]
+    dh_de2 = dh_t[4]
     np.multiply(h, alpha, out=dh_de2)
-    np.multiply(aw1, ln_u[:, 0], out=tmp_a)
-    np.multiply(aw2, ln_u[:, 1], out=tmp_b)
+    np.multiply(aw1, ln_u[0], out=tmp_a)
+    np.multiply(aw2, ln_u[1], out=tmp_b)
     np.add(tmp_a, tmp_b, out=tmp_a)
-    np.multiply(2.0 / e2, tmp_a, out=tmp_a)
+    np.multiply(c2e2, tmp_a, out=tmp_a)
     np.subtract(ln_s, tmp_a, out=tmp_a)
     np.multiply(dh_de2, tmp_a, out=dh_de2)
 
-    # dh_dlocal = dh_dlnu * where(|local| > clamp, sign(local) / abs_local, 0);
-    # |local| > clamp exactly where abs_local > clamp.
+    # dh_dlocal = dh_dlnu * where(|local| > clamp, sign(local) / abs_local, 0),
+    # in place of ln_u; |local| > clamp exactly where abs_local > clamp.
+    dh_dlocal = ln_u
+    pinned = ws.pinned[:3 * m].reshape(3, m)
     np.sign(local, out=dh_dlocal)
     np.divide(dh_dlocal, abs_local, out=dh_dlocal)
     np.greater(abs_local, COORD_CLAMP, out=pinned)
     np.logical_not(pinned, out=pinned)
     np.copyto(dh_dlocal, 0.0, where=pinned)
     np.multiply(dh_dlnu, dh_dlocal, out=dh_dlocal)
-    # world_grad = dh_dlocal @ rot.T, one column at a time so that no row
-    # depends on how many rows there are
+    # world_grad = rot dh_dlocal, in place of abs_local, term by term in
+    # the order of the row-major sum
+    world_grad = abs_local
     for i in range(3):
-        np.multiply(dh_dlocal[:, 0], rot[i, 0], out=world_grad[:, i])
+        np.multiply(dh_dlocal[0], rot[3 * i], out=world_grad[i])
         for j in (1, 2):
-            np.multiply(dh_dlocal[:, j], rot[i, j], out=tmp_a)
-            np.add(world_grad[:, i], tmp_a, out=world_grad[:, i])
+            np.multiply(dh_dlocal[j], rot[3 * i + j], out=tmp_a)
+            np.add(world_grad[i], tmp_a, out=world_grad[i])
 
     # dh_dt = -world_grad
-    np.negative(world_grad, out=dh[:, 5:8])
+    np.negative(world_grad, out=dh_t[5:8])
     # dh_du = world_grad x offset, in np.cross's order of operations
-    g0, g1, g2 = world_grad[:, 0], world_grad[:, 1], world_grad[:, 2]
-    o0, o1, o2 = offset[:, 0], offset[:, 1], offset[:, 2]
+    g0, g1, g2 = world_grad
+    o0, o1, o2 = offset
     for k, (p, q, r, s) in enumerate(((g1, o2, g2, o1), (g2, o0, g0, o2), (g0, o1, g1, o0))):
-        np.multiply(p, q, out=dh[:, 8 + k])
+        np.multiply(p, q, out=dh_t[8 + k])
         np.multiply(r, s, out=tmp_a)
-        np.subtract(dh[:, 8 + k], tmp_a, out=dh[:, 8 + k])
+        np.subtract(dh_t[8 + k], tmp_a, out=dh_t[8 + k])
+    # Row-major into the block's first 11 rows, whose parameters, offset
+    # and local coordinates are no longer needed.
+    dh = ws.block[:11 * m].reshape(m, 11)
+    np.copyto(dh, dh_t.T)
     return dh
 
 
@@ -352,7 +383,7 @@ def inside_outside(sq: Superquadric, x) -> np.ndarray:
     :func:`inside_outside_stable` for anything quantitative.
     """
     pts, single = _as_points(x)
-    _, ln_f, _, _ = _log_field(sq, pts)
+    _, ln_f, _ = _log_field(sq, FieldWorkspace(pts))
     with np.errstate(over="ignore"):
         f = np.exp(ln_f)
     return f[0] if single else f
@@ -361,7 +392,7 @@ def inside_outside(sq: Superquadric, x) -> np.ndarray:
 def inside_outside_stable(sq: Superquadric, x) -> np.ndarray:
     """F^e1: same level sets and same side of 1 as F, but bounded growth."""
     pts, single = _as_points(x)
-    h, _, _, _ = _log_field(sq, pts)
+    h, _, _ = _log_field(sq, FieldWorkspace(pts))
     return h[0] if single else h
 
 
@@ -383,15 +414,15 @@ def radial_distance(sq: Superquadric, x) -> np.ndarray:
     this cannot happen.
     """
     pts, single = _as_points(x)
-    _, d = _field_and_radial(sq, pts)
+    _, d = _field_and_radial(sq, FieldWorkspace(pts))
     return d[0] if single else d
 
 
-def _field_and_radial(sq: Superquadric, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F^e1 and :func:`radial_distance` at points (n, 3), from one
-    :func:`_log_field` pass."""
-    h, ln_f, local, _ = _log_field(sq, pts)
-    r = np.linalg.norm(local, axis=1)
+def _field_and_radial(sq: Superquadric, ws: FieldWorkspace, k: int = 0):
+    """F^e1 and :func:`radial_distance` at the workspace's points, from one
+    :func:`_log_field` pass into slot ``k``."""
+    h, ln_f, local = _log_field(sq, ws, k)
+    r = np.linalg.norm(local, axis=0)
     d = r * np.abs(1.0 - np.exp(-0.5 * sq.exponents[0] * ln_f))
     return h, np.where(r < 1e-12, np.min(sq.size), d)
 
@@ -406,7 +437,9 @@ def occupancy_gradient(
     for a single point or (n, 11) for a batch.
     """
     pts, single = _as_points(x)
-    h, _, _, dh = _log_field(sq, pts, grad=True)
+    ws = FieldWorkspace(pts, grad=True)
+    h, _, _ = _log_field(sq, ws)
+    dh = _field_gradient(ws, np.arange(len(pts)))
     g = expit(cfg.sharpness * (1.0 - h))
     dg_dh = -cfg.sharpness * g * (1.0 - g)
     grad = dg_dh[:, None] * dh

@@ -5,7 +5,7 @@ from scipy.special import expit
 
 from sqdecomp import OccupancyConfig, Superquadric, occupancy
 from sqdecomp import quaternions as quat
-from sqdecomp.fitter import LOG_CLAMP, MOMENTUM, FitConfig, _pair_loss_and_grad, init_node
+from sqdecomp.fitter import ACTIVE_RESIDUAL, LOG_CLAMP, MOMENTUM, FitConfig, init_node
 from sqdecomp.geometry import (
     _BARY_EPS,
     _DIRECTIONS,
@@ -13,7 +13,7 @@ from sqdecomp.geometry import (
     _PARALLEL_EPS,
     RayDegeneracyError,
 )
-from sqdecomp.superquadric import FieldWorkspace, _log_field
+from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _log_field
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -149,21 +149,56 @@ def point_in_mesh_reference(mesh, points) -> np.ndarray:
     return labels
 
 
-def pair_loss_and_grad_reference(sq_a, sq_b, points, y, sharpness, ws_a=None, ws_b=None):
+def field_and_gradient(sq, points):
+    """h at every point and its (n, 11) gradient at every row, computed
+    alone: a one-slot workspace and one full-row gradient call."""
+    ws = FieldWorkspace(points, grad=True)
+    h = _log_field(sq, ws)[0].copy()
+    return h, _field_gradient(ws, np.arange(len(points))).copy()
+
+
+def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None):
+    """Loss plus its (11,) gradients for both SQs of one pair.
+
+    The one-pair reference for ``fitter._PairBatch.evaluate``, which runs
+    the pairs of all restarts together: the same arithmetic written for one
+    pair, as the fitter ran it before its restarts were batched (a value
+    pass per SQ, the loss over 1-D arrays, and one gradient call and one
+    matrix-vector product per SQ over its own active rows). ``ws`` is an
+    optional two-slot gradient workspace at ``points``.
+    """
+    n = len(points)
+    ws = FieldWorkspace(points, 2, grad=True) if ws is None else ws
+    ha = _log_field(sq_a, ws, 0)[0]
+    hb = _log_field(sq_b, ws, 1)[0]
+    a_wins = ha <= hb
+    g = expit(sharpness * (1.0 - np.minimum(ha, hb)))
+    credited = np.where(y == 1.0, g, 1.0 - g)
+    loss = -np.log(np.maximum(credited, LOG_CLAMP)).mean()
+    residual = np.where(credited < LOG_CLAMP, 0.0, g - y)
+    active = np.abs(residual) >= ACTIVE_RESIDUAL
+    grads = []
+    for k, wins in ((0, a_wins), (1, ~a_wins)):
+        rows = np.flatnonzero(active & wins)
+        dh = _field_gradient(ws, k * n + rows)
+        grads.append(-sharpness * ((residual[rows] / n) @ dh))
+    return loss, grads[0], grads[1]
+
+
+def pair_loss_and_grad_reference(sq_a, sq_b, points, y, sharpness):
     """Loss plus its (11,) gradients for both SQs.
 
-    The dense reference for ``fitter._pair_loss_and_grad``, which computes
+    The dense reference for ``fitter._PairBatch.evaluate``, which computes
     gradient rows only for each point's winning side where the residual is
     not negligible. This one differentiates both SQs at every point.
 
     The max over the pair differentiates through the achieving branch (ties
     to a). Points where the BCE log clamp is active contribute zero gradient,
     which keeps the analytic gradient equal to the derivative of the clamped
-    loss actually being reported. ``ws_a`` and ``ws_b`` are optional field
-    workspaces for the two SQs (see :class:`FieldWorkspace`).
+    loss actually being reported.
     """
-    ha, _, _, grad_a_h = _log_field(sq_a, points, grad=True, ws=ws_a)
-    hb, _, _, grad_b_h = _log_field(sq_b, points, grad=True, ws=ws_b)
+    ha, grad_a_h = field_and_gradient(sq_a, points)
+    hb, grad_b_h = field_and_gradient(sq_b, points)
     ga = expit(sharpness * (1.0 - ha))
     gb = expit(sharpness * (1.0 - hb))
     a_wins = ga >= gb
@@ -193,7 +228,7 @@ def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig):
     iteration in order (the post-loop evaluation of the last iterate not
     included).
     """
-    ws_a, ws_b = FieldWorkspace(len(points)), FieldWorkspace(len(points))
+    ws = FieldWorkspace(points, 2, grad=True)
     pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
     pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
     qa, qb = sq_a.rotation, sq_b.rotation
@@ -207,7 +242,7 @@ def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig):
     best = (sq_a, sq_b)
     losses = []
     for t in range(cfg.iterations):
-        loss, ga, gb = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
+        loss, ga, gb = pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws)
         losses.append(loss)
         if loss < best_loss:
             best_loss, best = loss, (cur_a, cur_b)
@@ -221,7 +256,7 @@ def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig):
         qa = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[8:11]), qa))
         qb = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[19:22]), qb))
         cur_a, cur_b = build(pa, qa), build(pb, qb)
-    loss, _, _ = _pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws_a, ws_b)
+    loss, _, _ = pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws)
     if loss < best_loss:
         best_loss, best = loss, (cur_a, cur_b)
     return best[0], best[1], float(best_loss), losses

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     fit_node_reference,
+    pair_loss_and_grad,
     pair_loss_and_grad_reference,
     perturbed,
     random_superquadric,
@@ -25,7 +26,8 @@ from sqdecomp import (
     occupancy,
     recompute_labels,
 )
-from sqdecomp.fitter import _pair_loss_and_grad, _race, init_node
+from sqdecomp import fitter
+from sqdecomp.fitter import _PairBatch, _race, init_node
 
 
 class TestNodeLoss:
@@ -55,6 +57,22 @@ class TestNodeLoss:
         sq = Superquadric(np.ones(3), np.ones(2))
         with pytest.raises(ValueError):
             node_loss(sq, sq, np.zeros((0, 3)), np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        """A NaN or infinite point used to make the loss NaN."""
+        sq = Superquadric(np.ones(3), np.ones(2))
+        pts = np.random.default_rng(69).uniform(-0.5, 0.5, (200, 3))
+        pts[11, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            node_loss(sq, sq, pts, np.ones(200))
+
+    @pytest.mark.parametrize("columns", [2, 4])
+    def test_points_not_n_by_3_rejected(self, columns):
+        sq = Superquadric(np.ones(3), np.ones(2))
+        pts = np.random.default_rng(69).uniform(-0.5, 0.5, (200, columns))
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            node_loss(sq, sq, pts, np.ones(200))
 
     def test_label_length_mismatch_rejected(self):
         sq = Superquadric(np.ones(3), np.ones(2))
@@ -182,6 +200,12 @@ class TestInitNode:
             init_node(np.zeros((5, 3)), np.zeros(5, dtype=np.uint8), FitConfig())
 
 
+def batch_loss_and_grad(sq_a, sq_b, pts, y, sharpness):
+    """``_PairBatch.evaluate`` of one pair: (loss, grad_a, grad_b)."""
+    (loss,), grads = _PairBatch(pts, y, sharpness, 1).evaluate([(sq_a, sq_b)])
+    return loss, grads[0], grads[1]
+
+
 class TestPairGradient:
     def test_matches_finite_differences_in_situ(self):
         """The 22-parameter loss gradient agrees with central differences on
@@ -211,7 +235,7 @@ class TestPairGradient:
             if ok.sum() < 20:
                 continue
             pts, y = pts[ok], y[ok]
-            _, grad_a, grad_b = _pair_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
+            _, grad_a, grad_b = batch_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
             analytic = np.concatenate([grad_a, grad_b])
             step = 1e-6
             numeric = np.empty(22)
@@ -262,7 +286,7 @@ class TestPairGradient:
             )
             if case % 3 == 0:
                 sq_b = sq_a
-            loss, grad_a, grad_b = _pair_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
+            loss, grad_a, grad_b = batch_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
             ref_loss, ref_a, ref_b = pair_loss_and_grad_reference(sq_a, sq_b, pts, y, sharpness)
             assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
             ref = np.concatenate([ref_a, ref_b])
@@ -270,6 +294,27 @@ class TestPairGradient:
             assert err <= 1e-8 * np.linalg.norm(ref)
             if sq_b is sq_a:
                 assert not grad_b.any()
+
+    @pytest.mark.parametrize("sharpness", [10.0, 50.0])
+    def test_batch_is_each_pair_alone_bitwise(self, sharpness):
+        """Up to five pairs evaluated together, their active rows spread
+        over several gradient blocks, give each pair bitwise the loss and
+        gradients of the one-pair reference; so does a value-only call."""
+        rng = np.random.default_rng(76)
+        pts = rng.uniform(-0.6, 0.6, (500, 3))
+        gt = random_superquadric(rng)
+        y = (inside_outside_stable(gt, pts) < 1.0).astype(np.float64)
+        pairs = [(random_superquadric(rng), random_superquadric(rng)) for _ in range(4)]
+        pairs.append((pairs[0][0], pairs[0][0]))  # coincident: every point a tie
+        batch = _PairBatch(pts, y, sharpness, 5)
+        for live in (5, 3, 1):
+            losses, grads = batch.evaluate(pairs[-live:])
+            values, _ = batch.evaluate(pairs[-live:], grad=False)
+            for j, (sq_a, sq_b) in enumerate(pairs[-live:]):
+                loss, grad_a, grad_b = pair_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
+                assert losses[j] == loss and values[j] == loss
+                assert np.array_equal(grads[2 * j], grad_a)
+                assert np.array_equal(grads[2 * j + 1], grad_b)
 
 
 class TestFitNode:
@@ -342,18 +387,38 @@ class TestFitNode:
         with pytest.raises(ValueError, match="0 or 1"):
             fit_node(pts, np.full(50, 2, dtype=np.uint8), FitConfig(iterations=2, restarts=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        """A NaN or infinite point used to make fit_node return the start
+        pair with an infinite loss."""
+        pts = np.random.default_rng(69).uniform(-0.5, 0.5, (200, 3))
+        pts[11, 1] = bad
+        labels = (np.linalg.norm(pts, axis=1) < 0.3).astype(np.uint8)
+        with pytest.raises(ValueError, match="finite"):
+            fit_node(pts, labels, FitConfig(iterations=2, restarts=1))
+
+    @pytest.mark.parametrize("columns", [2, 4])
+    def test_points_not_n_by_3_rejected(self, columns):
+        pts = np.random.default_rng(69).uniform(-0.5, 0.5, (200, columns))
+        labels = (np.linalg.norm(pts, axis=1) < 0.3).astype(np.uint8)
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            fit_node(pts, labels, FitConfig(iterations=2, restarts=1))
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux minor-fault counts")
     def test_iterations_reuse_field_buffers(self):
-        """The pair kernel writes into per-node workspaces, so iterations
+        """The pair kernel writes into one per-node workspace, so iterations
         do not fault fresh pages in: 50 iterations at 8k points stay far
-        below the ~46k minor faults of allocating per call."""
+        below the ~46k minor faults of allocating per call, whether one
+        restart runs or four run in lock step."""
         rng = np.random.default_rng(68)
         pts = rng.uniform(-0.6, 0.6, (8000, 3))
         labels = (np.linalg.norm(pts, axis=1) < 0.4).astype(np.uint8)
-        cfg = FitConfig(iterations=50, restarts=1)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fit_node(pts, labels, cfg)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 10_000
+        for restarts in (4, 1):
+            cfg = FitConfig(iterations=50, restarts=restarts)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            fit_node(pts, labels, cfg)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert faults < 10_000, f"{faults} minor faults at {restarts} restarts"
 
 
 def race_problem(seed: int, n: int):
@@ -426,6 +491,26 @@ class TestRace:
         cfg = FitConfig(iterations=40, restarts=4, seed=5)
         (_, _, ref_loss), _ = fit_node_reference(pts, labels, cfg)
         assert fit_node(pts, labels, cfg).loss > ref_loss
+
+    def test_gradient_blocks_cut_between_restarts(self, monkeypatch):
+        """Four restarts carry more active rows than one block of n holds,
+        so iterations split their gradient rows over two blocks; the fit
+        is still the reference's over the survivors, bitwise."""
+        pts, labels = race_problem(81, 300)
+        cfg = FitConfig(iterations=40, restarts=4, seed=5)
+        blocks = []
+
+        def counted(ws, idx):
+            blocks.append(len(idx))
+            return field_gradient(ws, idx)
+
+        field_gradient = fitter._field_gradient
+        with monkeypatch.context() as patch:
+            patch.setattr(fitter, "_field_gradient", counted)
+            fit_node(pts, labels, cfg)
+        assert max(blocks) <= len(pts)
+        assert len(blocks) > cfg.iterations
+        check_race_against_reference(pts, labels, cfg)
 
     @settings(max_examples=30, deadline=None)
     @given(

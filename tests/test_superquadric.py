@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from helpers import gradient_corpus, occupancy_fd, random_superquadric
+from helpers import field_and_gradient, gradient_corpus, occupancy_fd, random_superquadric
 from sqdecomp import (
     OccupancyConfig,
     Superquadric,
@@ -160,64 +160,89 @@ class TestFieldKernel:
     )
     def test_value_only_and_gradient_calls_give_identical_h(self, exponents):
         """Every field evaluator and the fitter read h from one kernel, so
-        asking for the gradient must not change a single bit of h, and
-        neither must reusing one workspace across different SQs."""
+        a gradient workspace must not change a single bit of h, and neither
+        must the slot, or reusing one workspace across different SQs."""
         rng = np.random.default_rng(90)
         pts = rng.uniform(-1.2, 1.2, (3000, 3))
-        ws = FieldWorkspace(len(pts))
-        for _ in range(5):
+        shared = FieldWorkspace(pts, k=3, grad=True)
+        for trial in range(5):
             sq = random_superquadric(rng)
             if exponents is not None:
                 sq = Superquadric(sq.size, exponents, sq.translation, sq.rotation)
-            h, ln_f, local, dh = _log_field(sq, pts)
-            h_g, ln_f_g, local_g, dh_g = _log_field(sq, pts, grad=True)
-            assert dh is None
-            assert dh_g.shape == (len(pts), 11)
+            h, ln_f, local = (a.copy() for a in _log_field(sq, FieldWorkspace(pts)))
+            assert local.shape == (3, len(pts))
+            assert np.array_equal(local, world_to_local(sq, pts).T)
+            assert np.array_equal(h, inside_outside_stable(sq, pts))
+            ws = FieldWorkspace(pts, grad=True)
+            h_g, ln_f_g, local_g = _log_field(sq, ws)
             assert np.array_equal(h, h_g)
             assert np.array_equal(ln_f, ln_f_g)
             assert np.array_equal(local, local_g)
-            assert np.array_equal(h, inside_outside_stable(sq, pts))
-            h_w, _, _, dh_w = _log_field(sq, pts, grad=True, ws=ws)
-            assert h_w is ws.h and dh_w is ws.dh
-            assert np.array_equal(h_w, h_g)
-            assert np.array_equal(dh_w, dh_g)
+            dh = _field_gradient(ws, np.arange(len(pts))).copy()
+            assert dh.shape == (len(pts), 11)
+            k = trial % 3
+            h_w, _, _ = _log_field(sq, shared, k)
+            assert np.shares_memory(h_w, shared.h)
+            assert np.array_equal(h_w, h)
+            assert np.array_equal(_field_gradient(shared, k * len(pts) + np.arange(len(pts))), dh)
 
     def test_workspace_must_fit_the_call(self):
         pts = np.zeros((4, 3))
         with pytest.raises(ValueError):
-            _log_field(unit_sphere(), pts, ws=FieldWorkspace(5))
+            _log_field(unit_sphere(), FieldWorkspace(pts, k=2), k=2)
         with pytest.raises(ValueError):
-            _log_field(unit_sphere(), pts, grad=True, ws=FieldWorkspace(4, grad=False))
-
+            _field_gradient(FieldWorkspace(pts), np.arange(4))
+        ws = FieldWorkspace(pts, k=2, grad=True)
+        _log_field(unit_sphere(), ws, 0)
+        _log_field(unit_sphere(), ws, 1)
+        with pytest.raises(ValueError, match="block"):
+            _field_gradient(ws, np.arange(5))
+        with pytest.raises(ValueError, match="shape"):
+            FieldWorkspace(np.zeros((4, 2)))
 
     @pytest.mark.parametrize("exponents", [None, (0.1, 0.1), (1.9, 0.1)])
     def test_row_subset_gradient_is_bitwise_the_full_rows(self, exponents):
-        """The fitter differentiates only some rows; each of them must equal
-        its row of a full-row call bit for bit, whatever the subset."""
+        """The fitter differentiates only some rows of some slots, the rows
+        of up to eight SQs in one call; each row must equal its row of the
+        SQ's own full-row call bit for bit, whatever the subset, whichever
+        SQs share the call and wherever in the call the row lands."""
         rng = np.random.default_rng(91)
         for _ in range(4):
-            sq = random_superquadric(rng)
+            sqs = [random_superquadric(rng) for _ in range(rng.integers(1, 9))]
             if exponents is not None:
-                sq = Superquadric(sq.size, exponents, sq.translation, sq.rotation)
-            axes = sq.rotation_matrix().T  # rows: the local axes in world space
-            pts = np.vstack([
-                rng.uniform(-1.2, 1.2, (2000, 3)),
-                sq.translation,  # every coordinate pinned by the clamp
-                sq.translation + 0.3 * axes,  # two coordinates pinned
-            ])
-            full = _log_field(sq, pts, grad=True)[3].copy()
-            ws = FieldWorkspace(len(pts))
-            _log_field(sq, pts, ws=ws)
+                sqs = [Superquadric(sq.size, exponents, sq.translation, sq.rotation)
+                       for sq in sqs]
+            pts = [rng.uniform(-1.2, 1.2, (2000, 3))]
+            for sq in sqs[:3]:
+                axes = sq.rotation_matrix().T  # rows: the local axes in world space
+                pts.append(sq.translation[None, :])  # every coordinate pinned by the clamp
+                pts.append(sq.translation + 0.3 * axes)  # two coordinates pinned
+            pts = np.vstack(pts)
+            n = len(pts)
+            full = [field_and_gradient(sq, pts)[1] for sq in sqs]
+            ws = FieldWorkspace(pts, k=len(sqs), grad=True)
+            for k, sq in enumerate(sqs):
+                _log_field(sq, ws, k)
             for rows in (
                 np.zeros(0, dtype=np.intp),
-                np.array([len(pts) - 1]),
-                np.arange(len(pts)),
-                np.flatnonzero(rng.random(len(pts)) < 0.3),
-                rng.permutation(len(pts))[:700],
+                np.array([n - 1]),
+                np.arange(n),
+                np.flatnonzero(rng.random(n) < 0.3),
+                rng.permutation(n)[:700],
             ):
-                dh = _field_gradient(sq, ws, rows)
+                dh = _field_gradient(ws, (len(sqs) - 1) * n + rows)
                 assert dh.shape == (len(rows), 11)
-                assert np.array_equal(dh, full[rows])
+                assert np.array_equal(dh, full[-1][rows])
+            # Rows of every slot in one call, in blocks of at most n rows cut
+            # anywhere, slots in random order.
+            idx = np.flatnonzero(rng.random(len(sqs) * n) < 0.4)
+            idx = idx[rng.permutation(len(idx))]
+            cuts = np.sort(rng.choice(np.arange(1, len(idx)), 2 * len(sqs), replace=False))
+            for block in np.split(idx, np.union1d(cuts, np.arange(n, len(idx), n))):
+                dh = _field_gradient(ws, block)
+                slot, point = np.divmod(block, n)
+                for k in np.unique(slot):
+                    assert np.array_equal(dh[slot == k], full[k][point[slot == k]])
 
     def test_logaddexp_matches_numpy(self):
         """Within 4e-16 max(1, |x|, |y|) of np.logaddexp, on equal arguments,
