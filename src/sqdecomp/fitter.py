@@ -32,13 +32,20 @@ running every restart to the end; at four restarts the cut saves a quarter
 of the iterations. The best iterate ever seen by the surviving restarts is
 returned, so the final loss never exceeds any restart's initial one.
 
-The live restarts of a node advance in lock step. Each iteration makes one
-value pass per SQ into the node's one field workspace, computes every
-restart's loss at once over (restarts, points) arrays, and differentiates
-the active rows of all the SQs in one gradient call (two when they fill
-more than one block of n rows, cut between SQs); then each restart takes
-its own momentum step and builds, and so validates, its new pair. Every
-value a restart gets is bitwise the one it gets run alone.
+The live restarts of a node advance in lock step, held as arrays: per
+restart its pair's parameters (2, 8) and quaternions (2, 4), its velocity
+(22,), its iteration count, its running best loss and the pair that
+reached it. Each iteration makes one value pass over the slots of all live
+SQs in the node's one field workspace, computes every restart's loss at
+once over (restarts, points) arrays, and differentiates the active rows of
+all the SQs in one gradient call (two when they fill more than one block
+of n rows, cut between SQs). Then one momentum step moves every live
+restart: the velocity and parameter updates and both clips as array
+operations, and one retraction of all the rotations. The new parameters
+pass the checks of a Superquadric (``check_parameters``) every iteration;
+a step that fails them names the node, the restart, the iteration and the
+step size. Superquadric objects are built only for the returned pair.
+Every value a restart gets is bitwise the one it gets run alone.
 
 Nodes without a single inside-labeled point get a degenerate sentinel pair
 (two minimum-size SQs at the point centroid) and are not optimized; their
@@ -66,7 +73,8 @@ from .superquadric import (
     OccupancyConfig,
     Superquadric,
     _field_gradient,
-    _log_field,
+    _value_pass,
+    check_parameters,
 )
 
 MOMENTUM = 0.9
@@ -222,8 +230,16 @@ def node_loss(
     """
     pts, y = _points_and_labels(points, labels)
     batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, 1, grad=False)
-    losses, _ = batch.evaluate([(sq_a, sq_b)], grad=False)
+    losses, _ = batch.evaluate(*_pair_arrays([(sq_a, sq_b)]), grad=False)
     return float(losses[0])
+
+
+def _pair_arrays(pairs):
+    """(L, 2, 8) parameters and (L, 2, 4) rotations of L superquadric pairs,
+    the layout of :meth:`_PairBatch.evaluate`: per SQ its size, exponents
+    and translation, then its quaternion."""
+    p = np.array([[sq.params() for sq in pair] for pair in pairs])
+    return p[..., :8], p[..., 8:]
 
 
 def _points_and_labels(points, labels):
@@ -266,11 +282,14 @@ class _PairBatch:
             self.sides = np.empty((pairs, 2, n), dtype=bool)
             self.at, self.weight = np.empty(n, dtype=np.intp), np.empty(n)
 
-    def evaluate(self, pairs, grad: bool = True):
+    def evaluate(self, params, rotation, grad: bool = True):
         """Losses (L,) of L pairs and, with ``grad``, their (2L, 11)
         gradients: row 2j for pair j's sq_a, row 2j + 1 for its sq_b.
 
-        A value pass for each SQ gives h_a, h_b; a pair's occupancy is one
+        Pair j is given by ``params[j]`` (2, 8), each SQ's size, exponents
+        and translation, and ``rotation[j]`` (2, 4), as from
+        :func:`_pair_arrays`. One value pass over all 2L slots gives h_a,
+        h_b; a pair's occupancy is one
         ``g = expit(s (1 - min(h_a, h_b)))``, which equals max(g_a, g_b)
         because expit is monotone. Each point's max differentiates through
         its winning side, the smaller h (ties to a). Points where the BCE
@@ -288,10 +307,8 @@ class _PairBatch:
         summed by their own (m, 11) matrix-vector product; every value a
         pair gets is bitwise the one it gets evaluated alone.
         """
-        ws, n, live = self.field, self.field.n, len(pairs)
-        for j, (sq_a, sq_b) in enumerate(pairs):
-            _log_field(sq_a, ws, 2 * j)
-            _log_field(sq_b, ws, 2 * j + 1)
+        ws, n, live = self.field, self.field.n, len(params)
+        _value_pass(ws, params.reshape(2 * live, 8), rotation.reshape(2 * live, 4))
         ha, hb = ws.h[0:2 * live:2], ws.h[1:2 * live:2]
         g, credited = self.g[:live], self.credited[:live]
         # g = expit(s (1 - min(h_a, h_b)))
@@ -326,8 +343,9 @@ class _PairBatch:
         np.logical_and(flag, a_wins, out=sides[:, 1])
         # Rows per slot (2j + side), then blocks of whole slots, at most n
         # rows each.
+        counts = np.count_nonzero(sides, axis=2).ravel()
         bounds = np.zeros(2 * live + 1, dtype=np.intp)
-        np.cumsum(np.count_nonzero(sides, axis=2).ravel(), out=bounds[1:])
+        np.cumsum(counts, out=bounds[1:])
         flat = sides.reshape(-1)
 
         # dz/dparams = -sharpness * dh/dparams on the winning side only.
@@ -351,7 +369,7 @@ class _PairBatch:
             np.subtract(idx, at, out=at)
             np.take(residual, at, out=weight, mode="clip")
             np.divide(weight, n, out=weight)
-            dh = _field_gradient(ws, idx)
+            dh = _field_gradient(ws, idx, range(first, last), counts[first:last])
             lo = bounds[first]
             for k in range(first, last):
                 rows = slice(bounds[k] - lo, bounds[k + 1] - lo)
@@ -435,84 +453,103 @@ def init_node(
     return pair[0], pair[1]
 
 
-class _Restart:
-    """One restart's momentum descent, resumable at any iteration.
+class _Restarts:
+    """Every restart of one node's momentum descent, as arrays, resumable
+    at any iteration.
 
-    Holds the parameters, the velocity, the next iteration ``t``, the
-    current pair, the running best loss and the pair that reached it, and
-    the node's :class:`_PairBatch`, which all restarts of a node share;
-    fit_tree's threads never do. :func:`_advance` steps restarts in lock
-    step, :func:`_finish` runs the post-loop evaluation of the last iterate.
+    Restart r's current pair is ``params[r]`` (2, 8), each SQ's size,
+    exponents and translation, and ``rotation[r]`` (2, 4); ``vel[r]`` (22,)
+    is its velocity in the gradient layout of both SQs, ``t[r]`` the
+    iterations it has run, ``best_loss[r]`` its running best loss and
+    ``best_params[r]``, ``best_rotation[r]`` the pair that reached it.
+    ``live`` lists the restarts still running, in restart order; they
+    stand at the same iteration. ``batch`` is the node's :class:`_PairBatch`;
+    fit_tree's threads never share one. Superquadrics are built only for
+    the pair :func:`fit_node` returns.
     """
 
-    def __init__(self, sq_a, sq_b, cfg: FitConfig, batch: _PairBatch):
-        self.cfg, self.batch = cfg, batch
-        self.pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
-        self.pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
-        self.qa, self.qb = sq_a.rotation, sq_b.rotation
-        self.vel = np.zeros(22)
-        self.t = 0
-        self.cur = (sq_a, sq_b)
-        self.best_loss = np.inf
-        self.best = (sq_a, sq_b)
+    def __init__(self, starts, cfg: FitConfig, node: tuple[int, int], batch: _PairBatch):
+        self.cfg, self.node, self.batch = cfg, node, batch
+        self.params, self.rotation = (a.copy() for a in _pair_arrays(starts))
+        restarts = len(starts)
+        self.vel = np.zeros((restarts, 22))
+        self.t = np.zeros(restarts, dtype=np.intp)
+        self.best_loss = np.full(restarts, np.inf)
+        self.best_params, self.best_rotation = self.params.copy(), self.rotation.copy()
+        self.live = np.arange(restarts)
 
-    def record(self, loss) -> None:
-        """Keep the current pair if its loss beats the running best."""
-        if loss < self.best_loss:
-            self.best_loss, self.best = loss, self.cur
+    def record(self, losses) -> None:
+        """Keep each live restart's current pair where its loss beats the
+        restart's running best."""
+        better = losses < self.best_loss[self.live]
+        won = self.live[better]
+        self.best_loss[won] = losses[better]
+        self.best_params[won] = self.params[won]
+        self.best_rotation[won] = self.rotation[won]
 
-    def step(self, ga, gb) -> None:
-        """One momentum step of iteration ``t`` along the gradients."""
-        cfg = self.cfg
-        lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * self.t / cfg.iterations))
-        self.vel = MOMENTUM * self.vel - lr * np.concatenate([ga, gb])
-        self.pa = self.pa + self.vel[0:8]
-        self.pb = self.pb + self.vel[11:19]
-        for p in (self.pa, self.pb):
-            p[0:3] = np.clip(p[0:3], cfg.a_min, cfg.a_max)
-            p[3:5] = np.clip(p[3:5], cfg.e_min, cfg.e_max)
-        self.qa = quat.normalize(
-            quat.multiply(quat.from_rotation_vector(self.vel[8:11]), self.qa)
-        )
-        self.qb = quat.normalize(
-            quat.multiply(quat.from_rotation_vector(self.vel[19:22]), self.qb)
-        )
-        self.cur = (
-            Superquadric(self.pa[:3], self.pa[3:5], self.pa[5:8], self.qa),
-            Superquadric(self.pb[:3], self.pb[3:5], self.pb[5:8], self.qb),
-        )
-        self.t += 1
+    def step(self, t: int, grads) -> None:
+        """One momentum step of iteration ``t`` for every live restart along
+        its (2, 11) rows of ``grads``; the new pairs must pass the checks
+        of :class:`Superquadric`."""
+        cfg, live = self.cfg, self.live
+        lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
+        vel = MOMENTUM * self.vel[live] - lr * grads.reshape(len(live), 22)
+        self.vel[live] = vel
+        vel = vel.reshape(len(live), 2, 11)
+        params = self.params[live] + vel[:, :, 0:8]
+        params[:, :, 0:3] = np.clip(params[:, :, 0:3], cfg.a_min, cfg.a_max)
+        params[:, :, 3:5] = np.clip(params[:, :, 3:5], cfg.e_min, cfg.e_max)
+        turned = quat.multiply(quat.from_rotation_vector(vel[:, :, 8:11]), self.rotation[live])
+        try:
+            rotation = quat.normalize(turned)
+            check_parameters(params[..., 0:3], params[..., 3:5], params[..., 5:8], rotation)
+        except ValueError as exc:
+            raise self._divergence(t, params, turned) from exc
+        self.params[live], self.rotation[live] = params, rotation
+        self.t[live] += 1
 
-
-def _advance(runs, stop: int) -> None:
-    """Run restarts that stand at the same iteration up to ``stop``
-    (exclusive), in lock step: each iteration evaluates every current pair
-    in one :meth:`_PairBatch.evaluate`, then steps each restart."""
-    if not runs:
-        return
-    batch = runs[0].batch
-    for _ in range(runs[0].t, stop):
-        losses, grads = batch.evaluate([run.cur for run in runs])
-        for j, run in enumerate(runs):
-            run.record(losses[j])
-            run.step(grads[2 * j], grads[2 * j + 1])
-
-
-def _finish(runs):
-    """Score each restart's last iterate too; each one's best pair and loss."""
-    losses, _ = runs[0].batch.evaluate([run.cur for run in runs], grad=False)
-    for run, loss in zip(runs, losses):
-        run.record(loss)
-    return [(run.best[0], run.best[1], float(run.best_loss)) for run in runs]
+    def _divergence(self, t: int, params, turned) -> ValueError:
+        """The error of the first live restart whose new pair fails a check,
+        checked as that restart alone would be: both rotations normalized,
+        then each SQ's parameters."""
+        for j, r in enumerate(self.live):
+            try:
+                rotation = quat.normalize(turned[j])
+                for p, q in zip(params[j], rotation):
+                    check_parameters(p[0:3], p[3:5], p[5:8], q)
+            except ValueError as exc:
+                return ValueError(
+                    f"node {self.node}, restart {r} diverged at iteration {t} with "
+                    f"step_size {self.cfg.step_size}: {exc}"
+                )
+        return ValueError(f"node {self.node} diverged at iteration {t}")
 
 
-def _race(pts, y, cfg: FitConfig, node: tuple[int, int]):
+def _advance(runs: _Restarts, stop: int) -> None:
+    """Run the live restarts up to iteration ``stop`` (exclusive) in lock
+    step: each iteration evaluates every live pair in one
+    :meth:`_PairBatch.evaluate`, then steps them all at once."""
+    for t in range(int(runs.t[runs.live[0]]), stop):
+        losses, grads = runs.batch.evaluate(runs.params[runs.live], runs.rotation[runs.live])
+        runs.record(losses)
+        runs.step(t, grads)
+
+
+def _finish(runs: _Restarts) -> None:
+    """Score the live restarts' last iterates too."""
+    losses, _ = runs.batch.evaluate(
+        runs.params[runs.live], runs.rotation[runs.live], grad=False
+    )
+    runs.record(losses)
+
+
+def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> _Restarts:
     """Every restart of one node, raced with one cut at mid-schedule.
 
     All restarts run to ``c = iterations // _CUT_DIVISOR``; the ceil(R/2)
     with the lowest running-best loss (ties to the lower restart index) run
     on to the end, the rest stop at c. With c == 0 every restart runs to
-    the end. Returns all restarts and the survivors, each in restart order.
+    the end. Returns the restarts, with the survivors ``live``.
     """
     starts = []
     for r in range(cfg.restarts):
@@ -521,15 +558,14 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int]):
         )
         starts.append(init_node(pts, y, cfg, restart=r, rng=rng))
     batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, cfg.restarts)
-    runs = [_Restart(a, b, cfg, batch) for a, b in starts]
+    runs = _Restarts(starts, cfg, node, batch)
     cut = cfg.iterations // _CUT_DIVISOR
-    survivors = runs
     if cut > 0:
         _advance(runs, cut)
-        ranked = sorted(range(len(runs)), key=lambda r: (runs[r].best_loss, r))
-        survivors = [runs[r] for r in sorted(ranked[: (len(runs) + 1) // 2])]
-    _advance(survivors, cfg.iterations)
-    return runs, survivors
+        ranked = sorted(range(cfg.restarts), key=lambda r: (runs.best_loss[r], r))
+        runs.live = np.sort(ranked[: (cfg.restarts + 1) // 2])
+    _advance(runs, cfg.iterations)
+    return runs
 
 
 def fit_node(
@@ -562,17 +598,21 @@ def fit_node(
             iterations=0,
         )
 
-    runs, survivors = _race(pts, y, cfg, node)
-    best: tuple[Superquadric, Superquadric, float] | None = None
-    for result in _finish(survivors):
-        if best is None or result[2] < best[2]:
-            best = result
+    runs = _race(pts, y, cfg, node)
+    _finish(runs)
+    # min keeps the first of equal losses: a later restart wins only when
+    # strictly lower.
+    best = min(runs.live, key=lambda r: runs.best_loss[r])
+    sq_a, sq_b = (
+        Superquadric(p[0:3], p[3:5], p[5:8], q)
+        for p, q in zip(runs.best_params[best], runs.best_rotation[best])
+    )
     return NodeFit(
-        sq_a=best[0],
-        sq_b=best[1],
-        loss=best[2],
+        sq_a=sq_a,
+        sq_b=sq_b,
+        loss=float(runs.best_loss[best]),
         degenerate=False,
-        iterations=sum(run.t for run in runs),
+        iterations=int(runs.t.sum()),
     )
 
 

@@ -154,7 +154,7 @@ def field_and_gradient(sq, points):
     alone: a one-slot workspace and one full-row gradient call."""
     ws = FieldWorkspace(points, grad=True)
     h = _log_field(sq, ws)[0].copy()
-    return h, _field_gradient(ws, np.arange(len(points))).copy()
+    return h, _field_gradient(ws, np.arange(len(points)), [0], [len(points)]).copy()
 
 
 def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None):
@@ -180,7 +180,7 @@ def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None):
     grads = []
     for k, wins in ((0, a_wins), (1, ~a_wins)):
         rows = np.flatnonzero(active & wins)
-        dh = _field_gradient(ws, k * n + rows)
+        dh = _field_gradient(ws, k * n + rows, [k], [len(rows)])
         grads.append(-sharpness * ((residual[rows] / n) @ dh))
     return loss, grads[0], grads[1]
 

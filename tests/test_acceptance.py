@@ -199,7 +199,7 @@ class TestAcceptance:
         tree, _ = fit_tree(LabeledPointSet(pts, labels), cfg)
         obj_path = tmp_path / "level_3.obj"
         export_level_obj(tree, 3, obj_path, resolution=6)
-        groups = open(obj_path).read().count("g sq_")
+        groups = obj_path.read_text().count("g sq_")
         ok = (
             len(tree.nodes) == 7
             and len(tree.superquadrics_at_level(3)) == 8

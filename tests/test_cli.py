@@ -176,6 +176,29 @@ class TestFitCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_step_size_exits_2_naming_it(self, capsys, mesh_dir, tmp_path):
+        """A step size that makes the fit diverge used to exit 2 with the
+        quaternion normalizer's message alone; the error now names the
+        node, restart, iteration and step size."""
+        code, _, err = run(
+            capsys,
+            [
+                "fit", str(mesh_dir / "dumbbell.obj"),
+                "--step-size", "1e300",
+                "--iterations", "5",
+                "--max-depth", "1",
+                "--samples-uniform", "300",
+                "--samples-surface", "0",
+                "--out-dir", str(tmp_path),
+            ],
+        )
+        assert code == 2
+        assert err.strip().endswith(
+            "error: node (1, 1), restart 0 diverged at iteration 0 with step_size 1e+300: "
+            "cannot normalize a zero or non-finite quaternion"
+        )
+
     def test_bad_config_file_exits_2(self, capsys, mesh_dir, tmp_path):
         cfg = tmp_path / "fit.cfg"
         cfg.write_text("warp_factor = 9\n")
@@ -279,7 +302,7 @@ class TestExportCommand:
         path = fitted_dir / "level_2.obj"
         assert path.exists()
         assert str(path) in out
-        assert open(path).read().count("g sq_") == 4
+        assert path.read_text().count("g sq_") == 4
 
     def test_export_level_one(self, capsys, fitted_dir):
         code, _, _ = run(
@@ -289,7 +312,7 @@ class TestExportCommand:
         )
         assert code == 0
         obj = fitted_dir / "level_1.obj"
-        assert open(obj).read().count("g sq_") == 2
+        assert obj.read_text().count("g sq_") == 2
         mesh = load_mesh(obj)
         assert len(mesh.triangles) > 0
 

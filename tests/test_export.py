@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ def obj_groups(path) -> dict:
     all_vertices = []
     groups: dict = {}
     current = None
-    for line in open(path, encoding="utf-8"):
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         parts = line.split()
         if not parts:
             continue
@@ -283,10 +284,10 @@ class TestSplitCsv:
             "split_d.csv",
             "split_selector.csv",
         ]
-        headers = [open(p).readline().strip() for p in paths]
+        headers = [Path(p).read_text().splitlines()[0] for p in paths]
         assert headers == ["x,y,Fa,Fb", "x,y,da,db", "x,y,selector"]
         for p in paths:
-            assert len(open(p).read().splitlines()) == 8 * 8 + 1
+            assert len(Path(p).read_text().splitlines()) == 8 * 8 + 1
 
     def test_demo_selector_agrees_with_combined_export(self, tmp_path):
         sq_a, sq_b = self.make_pair(seed=34)
@@ -294,7 +295,7 @@ class TestSplitCsv:
         combined = tmp_path / "combined.csv"
         export_split_csv(sq_a, sq_b, spec, combined)
         paths = export_split_demo_csvs(sq_a, sq_b, spec, tmp_path)
-        sel_rows = open(paths[2]).read().splitlines()[1:]
+        sel_rows = Path(paths[2]).read_text().splitlines()[1:]
         combined_rows = combined.read_text().splitlines()[1:]
         for sel_row, comb_row in zip(sel_rows, combined_rows, strict=True):
             assert sel_row.rsplit(",", 1)[1] == comb_row.rsplit(",", 1)[1]

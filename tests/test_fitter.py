@@ -1,5 +1,7 @@
-import resource
+import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from sqdecomp import (
     recompute_labels,
 )
 from sqdecomp import fitter
-from sqdecomp.fitter import _PairBatch, _race, init_node
+from sqdecomp.fitter import _PairBatch, _pair_arrays, _race, init_node
 
 
 class TestNodeLoss:
@@ -202,7 +204,7 @@ class TestInitNode:
 
 def batch_loss_and_grad(sq_a, sq_b, pts, y, sharpness):
     """``_PairBatch.evaluate`` of one pair: (loss, grad_a, grad_b)."""
-    (loss,), grads = _PairBatch(pts, y, sharpness, 1).evaluate([(sq_a, sq_b)])
+    (loss,), grads = _PairBatch(pts, y, sharpness, 1).evaluate(*_pair_arrays([(sq_a, sq_b)]))
     return loss, grads[0], grads[1]
 
 
@@ -308,8 +310,8 @@ class TestPairGradient:
         pairs.append((pairs[0][0], pairs[0][0]))  # coincident: every point a tie
         batch = _PairBatch(pts, y, sharpness, 5)
         for live in (5, 3, 1):
-            losses, grads = batch.evaluate(pairs[-live:])
-            values, _ = batch.evaluate(pairs[-live:], grad=False)
+            losses, grads = batch.evaluate(*_pair_arrays(pairs[-live:]))
+            values, _ = batch.evaluate(*_pair_arrays(pairs[-live:]), grad=False)
             for j, (sq_a, sq_b) in enumerate(pairs[-live:]):
                 loss, grad_a, grad_b = pair_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
                 assert losses[j] == loss and values[j] == loss
@@ -407,18 +409,64 @@ class TestFitNode:
     @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux minor-fault counts")
     def test_iterations_reuse_field_buffers(self):
         """The pair kernel writes into one per-node workspace, so iterations
-        do not fault fresh pages in: 50 iterations at 8k points stay far
-        below the ~46k minor faults of allocating per call, whether one
-        restart runs or four run in lock step."""
-        rng = np.random.default_rng(68)
-        pts = rng.uniform(-0.6, 0.6, (8000, 3))
-        labels = (np.linalg.norm(pts, axis=1) < 0.4).astype(np.uint8)
-        for restarts in (4, 1):
-            cfg = FitConfig(iterations=50, restarts=restarts)
+        do not fault fresh pages in: four restarts in lock step over 200
+        iterations at 8k points stay far below the ~46k minor faults that
+        allocating per call costs in 50. The fit is the first of a fresh
+        interpreter: glibc raises its mmap threshold after the first large
+        free, so only a process's first large fit shows a per-iteration
+        allocation cycle, and earlier tests would hide it here."""
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from sqdecomp import FitConfig, fit_node
+            rng = np.random.default_rng(68)
+            pts = rng.uniform(-0.6, 0.6, (8000, 3))
+            labels = (np.linalg.norm(pts, axis=1) < 0.4).astype(np.uint8)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            fit_node(pts, labels, cfg)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-            assert faults < 10_000, f"{faults} minor faults at {restarts} restarts"
+            fit_node(pts, labels, FitConfig(iterations=200, restarts=4))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = os.path.dirname(os.path.dirname(fitter.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        faults = int(done.stdout)
+        assert faults < 10_000, f"{faults} minor faults in a fresh interpreter's first fit"
+
+    def test_diverging_fit_names_node_restart_iteration_and_step_size(self):
+        """A step size that makes every restart diverge used to fail with the
+        quaternion normalizer's message alone; the error now says where the
+        fit diverged and at what step size, and keeps the check's message."""
+        pts, labels = race_problem(80, 300)
+        cfg = FitConfig(iterations=5, restarts=2, step_size=1e300)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+            fit_node(pts, labels, cfg, node=(2, 1))
+        assert str(info.value) == (
+            "node (2, 1), restart 0 diverged at iteration 0 with step_size 1e+300: "
+            "cannot normalize a zero or non-finite quaternion"
+        )
+
+    def test_divergence_names_the_first_failing_live_restart(self):
+        """When only restart 2's new translation is not finite, the error
+        names restart 2 (the second live one) and the iteration, with the
+        message Superquadric gives for its parameters."""
+        pts, labels = race_problem(80, 300)
+        cfg = FitConfig(iterations=10, restarts=3)
+        starts = [init_node(pts, labels, cfg, restart=r) for r in range(3)]
+        batch = _PairBatch(pts, labels.astype(np.float64), cfg.sharpness, 3)
+        runs = fitter._Restarts(starts, cfg, (3, 2), batch)
+        runs.live = np.array([0, 2])
+        grads = np.zeros((4, 11))
+        grads[3, 6] = np.inf  # restart 2, sq_b, t2
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+            runs.step(4, grads)
+        assert str(info.value) == (
+            "node (3, 2), restart 2 diverged at iteration 4 with step_size 0.01: "
+            "superquadric parameters must be finite"
+        )
 
 
 def race_problem(seed: int, n: int):
@@ -455,11 +503,11 @@ def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
     assert fit.loss == ref_loss
     assert fit.iterations == restarts * cut + len(survivors) * (total - cut)
 
-    runs, raced_survivors = _race(pts, labels, cfg, (1, 1))
-    assert raced_survivors == [runs[r] for r in survivors]
-    for r, run in enumerate(runs):
-        assert run.t == (total if r in survivors else cut)
-        assert run.best_loss == min(losses[r][: run.t])
+    runs = _race(pts, labels, cfg, (1, 1))
+    assert list(runs.live) == survivors
+    for r in range(restarts):
+        assert runs.t[r] == (total if r in survivors else cut)
+        assert runs.best_loss[r] == min(losses[r][: runs.t[r]])
 
 
 class TestRace:
@@ -500,9 +548,9 @@ class TestRace:
         cfg = FitConfig(iterations=40, restarts=4, seed=5)
         blocks = []
 
-        def counted(ws, idx):
+        def counted(ws, idx, slots, counts):
             blocks.append(len(idx))
-            return field_gradient(ws, idx)
+            return field_gradient(ws, idx, slots, counts)
 
         field_gradient = fitter._field_gradient
         with monkeypatch.context() as patch:

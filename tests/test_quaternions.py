@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqdecomp import quaternions as quat
 
@@ -81,3 +83,51 @@ class TestExponentialMap:
     def test_quarter_turn_about_z_rotates_x_to_y(self):
         R = quat.to_matrix(quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2))
         np.testing.assert_allclose(R @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
+
+
+class TestBatches:
+    """Every operation takes a batch of rows, and row j of a batched result
+    is bit for bit the call on row j alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        log_angle=st.floats(-20.0, 1.0),
+    )
+    def test_batched_calls_equal_row_calls_bitwise(self, seed, shape, log_angle):
+        rng = np.random.default_rng(seed)
+        shape = tuple(shape)
+        # Quaternions with a strided last axis, as a transposed view.
+        q1 = np.moveaxis(rng.normal(size=(4, *shape)) * 10.0 ** rng.uniform(-3, 3), 0, -1)
+        q2 = rng.normal(size=(*shape, 4))
+        # Rotation vectors as a view of wider rows, like the fitter's
+        # velocity, at angles on both sides of the 1e-12 series cut.
+        u = rng.normal(size=(*shape, 11))[..., 8:11]
+        u *= 10.0 ** (log_angle + rng.uniform(-2.0, 2.0, (*shape, 1)))
+        tiny = rng.random(shape) < 0.3
+        u[tiny] *= 1e-14
+        batched = {
+            "norm": quat.norm(q1),
+            "normalize": quat.normalize(q1),
+            "multiply": quat.multiply(q1, q2),
+            "to_matrix": quat.to_matrix(q1),
+            "from_rotation_vector": quat.from_rotation_vector(u),
+        }
+        for idx in np.ndindex(*shape):
+            rows = {
+                "norm": np.linalg.norm(q1[idx]),
+                "normalize": quat.normalize(q1[idx]),
+                "multiply": quat.multiply(q1[idx], q2[idx]),
+                "to_matrix": quat.to_matrix(q1[idx]),
+                "from_rotation_vector": quat.from_rotation_vector(u[idx]),
+            }
+            for name, row in rows.items():
+                assert np.array_equal(batched[name][idx], row), (name, idx)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_normalize_rejects_a_batch_with_one_bad_row(self, bad):
+        q = np.random.default_rng(7).normal(size=(5, 4))
+        q[3] = 0.0 if bad == 0.0 else [1.0, bad, 0.0, 0.0]
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            quat.normalize(q)

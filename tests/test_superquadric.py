@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from helpers import field_and_gradient, gradient_corpus, occupancy_fd, random_superquadric
@@ -15,7 +17,15 @@ from sqdecomp import (
     world_to_local,
 )
 from sqdecomp import quaternions as quat
-from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _log_field, _logaddexp
+from sqdecomp.superquadric import (
+    QUATERNION_NORM_TOL,
+    FieldWorkspace,
+    _field_gradient,
+    _log_field,
+    _logaddexp,
+    _value_pass,
+    check_parameters,
+)
 
 
 def unit_sphere() -> Superquadric:
@@ -41,6 +51,66 @@ class TestConstruction:
     def test_quaternion_must_be_unit(self):
         with pytest.raises(ValueError):
             Superquadric(np.ones(3) * 0.5, np.ones(2), np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        defects=st.lists(
+            st.sampled_from(["nan", "inf", "-inf", "zero size", "negative size",
+                             "zero exponent", "negative exponent", "non-unit"]),
+            max_size=2,
+        ),
+    )
+    def test_batch_check_rejects_what_superquadric_rejects(self, seed, rows, defects):
+        """The shared check over a batch raises the message that building
+        the first failing row's superquadric gives, under the written-out
+        predicates; a batch without defects passes."""
+        rng = np.random.default_rng(seed)
+        size = rng.uniform(0.01, 1.0, (rows, 3))
+        exponents = rng.uniform(0.1, 1.9, (rows, 2))
+        translation = rng.uniform(-1.0, 1.0, (rows, 3))
+        rotation = quat.normalize(rng.normal(size=(rows, 4)))
+        for defect in defects:
+            r, c = rng.integers(rows), rng.integers(3)
+            if defect in ("nan", "inf", "-inf"):
+                values = [size, exponents, translation, rotation][rng.integers(4)]
+                values[r, c % values.shape[1]] = float(defect)
+            elif defect.endswith("size"):
+                size[r, c] = 0.0 if defect.startswith("zero") else -rng.uniform(0.0, 1.0)
+            elif defect.endswith("exponent"):
+                exponents[r, c % 2] = 0.0 if defect.startswith("zero") else -rng.uniform(0.0, 1.0)
+            else:
+                rotation[r] *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.5, -1.0)
+
+        def written_out(size, exponents, translation, rotation):
+            """(rank of the first failing check, its message), or None."""
+            if not all(np.all(np.isfinite(v)) for v in (size, exponents, translation, rotation)):
+                return 0, "superquadric parameters must be finite"
+            if np.any(size <= 0):
+                return 1, f"size components must be positive, got {size}"
+            if np.any(exponents <= 0):
+                return 2, f"exponents must be positive, got {exponents}"
+            if abs(np.linalg.norm(rotation) - 1.0) > QUATERNION_NORM_TOL:
+                return 3, f"rotation must be a unit quaternion, |q| = {np.linalg.norm(rotation)!r}"
+            return None
+
+        failures = []
+        for r in range(rows):
+            failure = written_out(size[r], exponents[r], translation[r], rotation[r])
+            if failure is None:
+                Superquadric(size[r], exponents[r], translation[r], rotation[r])
+                continue
+            with pytest.raises(ValueError) as info:
+                Superquadric(size[r], exponents[r], translation[r], rotation[r])
+            assert str(info.value) == failure[1]
+            failures.append((failure[0], r, failure[1]))
+        if not failures:
+            check_parameters(size, exponents, translation, rotation)
+            return
+        with pytest.raises(ValueError) as info:
+            check_parameters(size, exponents, translation, rotation)
+        assert str(info.value) == min(failures)[2]
 
     def test_params_round_trip(self):
         rng = np.random.default_rng(0)
@@ -178,25 +248,59 @@ class TestFieldKernel:
             assert np.array_equal(h, h_g)
             assert np.array_equal(ln_f, ln_f_g)
             assert np.array_equal(local, local_g)
-            dh = _field_gradient(ws, np.arange(len(pts))).copy()
+            dh = _field_gradient(ws, np.arange(len(pts)), [0], [len(pts)]).copy()
             assert dh.shape == (len(pts), 11)
             k = trial % 3
             h_w, _, _ = _log_field(sq, shared, k)
             assert np.shares_memory(h_w, shared.h)
             assert np.array_equal(h_w, h)
-            assert np.array_equal(_field_gradient(shared, k * len(pts) + np.arange(len(pts))), dh)
+            rows = k * len(pts) + np.arange(len(pts))
+            assert np.array_equal(_field_gradient(shared, rows, [k], [len(pts)]), dh)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        slots=st.integers(1, 9),
+        n=st.sampled_from([1, 37, 3000, 4500, 20_000]),
+        grad=st.booleans(),
+    )
+    def test_grouped_value_pass_is_one_slot_log_field_bitwise(self, seed, slots, n, grad):
+        """One value pass over up to nine slots, in groups that depend on n
+        (several slots at once below the threshold, one at a time above
+        it, and one at a time without gradient buffers), writes each slot
+        bit for bit what a one-slot ``_log_field`` call writes, and the
+        gradient rows that follow are bitwise the one-slot ones too."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.2, 1.2, (n, 3))
+        sqs = [random_superquadric(rng) for _ in range(slots)]
+        ws = FieldWorkspace(pts, slots + 1, grad=grad)
+        assert (ws.group > 1) == (grad and n < 20_000)
+        p = np.array([sq.params() for sq in sqs])
+        _value_pass(ws, p[:, :8], p[:, 8:], 1)
+        for k, sq in enumerate(sqs, start=1):
+            alone = FieldWorkspace(pts, grad=grad)
+            h, ln_f, local = _log_field(sq, alone)
+            assert np.array_equal(ws.h[k], h)
+            assert np.array_equal(ws.ln_f[k], ln_f)
+            assert np.array_equal(ws.ln_s[k], alone.ln_s[0])
+            assert np.array_equal(ws.local[:, k], local)
+            assert np.array_equal(ws.params[:, k], alone.params[:, 0])
+            if grad:
+                rows = np.flatnonzero(rng.random(n) < 0.5)
+                dh = _field_gradient(ws, k * n + rows, [k], [len(rows)])
+                assert np.array_equal(dh, _field_gradient(alone, rows, [0], [len(rows)]))
 
     def test_workspace_must_fit_the_call(self):
         pts = np.zeros((4, 3))
         with pytest.raises(ValueError):
             _log_field(unit_sphere(), FieldWorkspace(pts, k=2), k=2)
         with pytest.raises(ValueError):
-            _field_gradient(FieldWorkspace(pts), np.arange(4))
+            _field_gradient(FieldWorkspace(pts), np.arange(4), [0], [4])
         ws = FieldWorkspace(pts, k=2, grad=True)
         _log_field(unit_sphere(), ws, 0)
         _log_field(unit_sphere(), ws, 1)
         with pytest.raises(ValueError, match="block"):
-            _field_gradient(ws, np.arange(5))
+            _field_gradient(ws, np.arange(5), [0, 1], [4, 1])
         with pytest.raises(ValueError, match="shape"):
             FieldWorkspace(np.zeros((4, 2)))
 
@@ -230,17 +334,21 @@ class TestFieldKernel:
                 np.flatnonzero(rng.random(n) < 0.3),
                 rng.permutation(n)[:700],
             ):
-                dh = _field_gradient(ws, (len(sqs) - 1) * n + rows)
+                dh = _field_gradient(ws, (len(sqs) - 1) * n + rows, [len(sqs) - 1], [len(rows)])
                 assert dh.shape == (len(rows), 11)
                 assert np.array_equal(dh, full[-1][rows])
             # Rows of every slot in one call, in blocks of at most n rows cut
-            # anywhere, slots in random order.
-            idx = np.flatnonzero(rng.random(len(sqs) * n) < 0.4)
-            idx = idx[rng.permutation(len(idx))]
+            # anywhere: one segment per slot, slots and rows in random order.
+            order = rng.permutation(len(sqs))
+            idx = np.concatenate(
+                [k * n + rng.permutation(np.flatnonzero(rng.random(n) < 0.4)) for k in order]
+            )
             cuts = np.sort(rng.choice(np.arange(1, len(idx)), 2 * len(sqs), replace=False))
             for block in np.split(idx, np.union1d(cuts, np.arange(n, len(idx), n))):
-                dh = _field_gradient(ws, block)
                 slot, point = np.divmod(block, n)
+                starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+                counts = np.diff(np.r_[starts, len(block)])
+                dh = _field_gradient(ws, block, slot[starts], counts)
                 for k in np.unique(slot):
                     assert np.array_equal(dh[slot == k], full[k][point[slot == k]])
 
