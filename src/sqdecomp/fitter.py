@@ -280,7 +280,7 @@ class _PairBatch:
             self.residual = np.empty((pairs, n))
             self.a_wins, self.flag = (np.empty((pairs, n), dtype=bool) for _ in range(2))
             self.sides = np.empty((pairs, 2, n), dtype=bool)
-            self.at, self.weight = np.empty(n, dtype=np.intp), np.empty(n)
+            self.weight = np.empty(n)
 
     def evaluate(self, params, rotation, grad: bool = True):
         """Losses (L,) of L pairs and, with ``grad``, their (2L, 11)
@@ -358,21 +358,15 @@ class _PairBatch:
             # Flat indices k n + i (slot k, point i) of the block's rows.
             idx = np.flatnonzero(flat[first * n:last * n])
             idx += first * n
-            m = len(idx)
-            # Each row's residual / n; pair k // 2's residual at point i is
-            # at (k // 2) n + i = idx - ((k + 1) // 2) n.
-            at, weight = self.at[:m], self.weight[:m]
-            np.floor_divide(idx, n, out=at)
-            np.add(at, 1, out=at)
-            np.right_shift(at, 1, out=at)
-            np.multiply(at, n, out=at)
-            np.subtract(idx, at, out=at)
-            np.take(residual, at, out=weight, mode="clip")
+            # Each row's residual / n: slot k's rows are pair k // 2's
+            # residuals where its side is active, in point order.
+            weight, lo = self.weight[:len(idx)], bounds[first]
+            segments = [slice(bounds[k] - lo, bounds[k + 1] - lo) for k in range(first, last)]
+            for k, rows in zip(range(first, last), segments):
+                np.compress(flat[k * n:(k + 1) * n], residual[k // 2], out=weight[rows])
             np.divide(weight, n, out=weight)
             dh = _field_gradient(ws, idx, range(first, last), counts[first:last])
-            lo = bounds[first]
-            for k in range(first, last):
-                rows = slice(bounds[k] - lo, bounds[k + 1] - lo)
+            for k, rows in zip(range(first, last), segments):
                 grads[k] = -self.sharpness * (weight[rows] @ dh[rows])
             first = last
         return losses, grads

@@ -169,9 +169,9 @@ def world_to_local(sq: Superquadric, x) -> np.ndarray:
 
 
 # FieldWorkspace.params holds one column per slot: what the gradient needs
-# of the slot's superquadric, with the value pass's own coefficients:
-# translation (3), size (3), 2/e2, e2/e1, 2/e1, e1, e2, rotation matrix
-# (9, row-major).
+# of the slot's superquadric, with the value pass's own coefficients: the
+# parameter row as given, size (3), e1, e2 and translation (3), then 2/e2,
+# e2/e1, 2/e1 and the rotation matrix (9, row-major).
 _N_PARAMS = 20
 # One gradient block as rows of m values: the parameters, offset (3), the
 # kept local (3), ln_s, ln_f and h, abs_local (3), ln_u (3), w1, w2,
@@ -185,12 +185,6 @@ _BLOCK_SLICES = tuple(
 # A value pass keeps six scratch values per point and slot (vec (3), w1,
 # w2, gap) and writes six (local (3), ln_s, ln_f, h).
 _VALUE_SCRATCH = 6
-# Slots share one value pass while their scratch and outputs, 12 values per
-# point and slot, stay within this many bytes: on a Xeon core with 2 MiB of
-# L2, passes over 2,000 to 10,000 points ran fastest near this size (8 slots
-# at once cost 15% less per point than one at a time at 5,000 points, and 6%
-# more at 10,000).
-_GROUP_BYTES = 3 << 20
 
 
 class FieldWorkspace:
@@ -205,11 +199,10 @@ class FieldWorkspace:
     ``ln_f``, ``h`` (K, n), which is all a gradient keeps per point, plus
     that superquadric's parameters. The value pass's other intermediates
     (offset, abs_local, ln_u, w1, w2, term_xy, term_z) live in scratch and
-    are recomputed, bitwise the same, at gradient rows. With ``grad`` set
-    the workspace also holds one gradient block of up to n rows, which is
-    also the value pass's scratch, so a pass covers ``group`` slots at once
-    (as many as fit both the block and L2); without it the scratch holds
-    one slot. A workspace must not be shared between threads.
+    are recomputed, bitwise the same, at gradient rows, and in a scratch
+    that holds all K slots. With ``grad`` set the workspace also holds one
+    gradient block of up to n rows, which is also the value pass's scratch.
+    A workspace must not be shared between threads.
     """
 
     def __init__(self, points, k: int = 1, grad: bool = False):
@@ -221,18 +214,14 @@ class FieldWorkspace:
         self.kept = kept.reshape(6, k * n)
         self.local, self.ln_s, self.ln_f, self.h = kept[0:3], kept[3], kept[4], kept[5]
         self.params = np.empty((_N_PARAMS, k))
+        # A value pass never overlaps a gradient call, so its scratch is
+        # the gradient block.
+        rows = max(_BLOCK_ROWS, _VALUE_SCRATCH * k) if grad else _VALUE_SCRATCH * k
+        self.scratch = np.empty(rows * n)
         if grad:
-            self.block = np.empty(_BLOCK_ROWS * n)
+            self.block = self.scratch
             self.point = np.empty(n, dtype=np.intp)
             self.pinned = np.empty(3 * n, dtype=bool)
-            # A value pass never overlaps a gradient call, so its scratch
-            # is the gradient block.
-            self.scratch = self.block
-        else:
-            self.scratch = np.empty(_VALUE_SCRATCH * n)
-        # Slots per value pass: as many as the scratch holds and L2 fits.
-        self.group = max(1, min(len(self.scratch) // (_VALUE_SCRATCH * n),
-                                _GROUP_BYTES // (2 * _VALUE_SCRATCH * 8 * n)))
 
 
 def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, gap: np.ndarray) -> None:
@@ -260,58 +249,51 @@ def _value_pass(ws: FieldWorkspace, params: np.ndarray, rotation: np.ndarray, fi
     receives h = F^e1, ln F and the local coordinates, and the parameters
     its gradient needs. The operations and their order are those of the
     plain expressions in the comments, with each slot's scalars broadcast
-    as (slots, 1) columns. Every one but the rotation is elementwise, and
-    the rotation is one 3x3 matrix product per slot, so a point's values do
-    not depend on the other points, the slot, the workspace or which slots
-    share a pass. Slots go through in groups of ``ws.group``.
+    as (K, 1) columns. Every one but the rotation is elementwise, and the
+    rotation is one 3x3 matrix product per slot, so a point's values do not
+    depend on the other points, the slot, the workspace or which slots
+    share the pass.
     """
     count = len(params)
     if not 0 <= first <= first + count <= ws.k:
         raise ValueError(
             f"slots {first} to {first + count - 1} out of range for a workspace of {ws.k}"
         )
+    slots = slice(first, first + count)
     # The slots' parameter columns, which the coefficients below are read
-    # from: translation, size, 2/e2, e2/e1, 2/e1, e1, e2, rotation matrix.
-    prm = ws.params[:, first:first + count]
-    e1, e2 = params[:, 3], params[:, 4]
-    prm[0:3], prm[3:6] = params[:, 5:8].T, params[:, 0:3].T
-    np.divide(2.0, e2, out=prm[6])
-    np.divide(e2, e1, out=prm[7])
-    np.divide(2.0, e1, out=prm[8])
-    prm[9], prm[10] = e1, e2
+    # from: size, e1, e2, translation, 2/e2, e2/e1, 2/e1, rotation matrix.
+    prm = ws.params[:, slots]
+    prm[0:8] = params.T
+    np.divide(2.0, prm[4], out=prm[8])
+    np.divide(prm[4], prm[3], out=prm[9])
+    np.divide(2.0, prm[3], out=prm[10])
     rot = quat.to_matrix(rotation)
     prm[11:20] = rot.reshape(count, 9).T
-    n = ws.n
-    for lo in range(0, count, ws.group):
-        hi = min(count, lo + ws.group)
-        size = (hi - lo) * n
-        vec = ws.scratch[:3 * size].reshape(3, hi - lo, n)
-        w1, w2, gap = ws.scratch[3 * size:6 * size].reshape(3, hi - lo, n)
-        slots = slice(first + lo, first + hi)
-        local, ln_s, ln_f, h = ws.local[:, slots], ws.ln_s[slots], ws.ln_f[slots], ws.h[slots]
-        t, a = prm[0:3, lo:hi, None], prm[3:6, lo:hi, None]
-        c2e2, ce2e1, c2e1, e1, e2 = prm[6:11, lo:hi, None]
+    cols = prm[:, :, None]
+    a, (e1, e2), t, (c2e2, ce2e1, c2e1) = cols[0:3], cols[3:5], cols[5:8], cols[8:11]
+    scratch = ws.scratch[:_VALUE_SCRATCH * count * ws.n].reshape(_VALUE_SCRATCH, count, ws.n)
+    vec, (w1, w2, gap) = scratch[0:3], scratch[3:6]
+    local, ln_s, ln_f, h = ws.local[:, slots], ws.ln_s[slots], ws.ln_f[slots], ws.h[slots]
 
-        # local = R^T (x - t)
-        np.subtract(ws.points[:, None, :], t, out=vec)
-        np.matmul(rot[lo:hi].transpose(0, 2, 1), vec.transpose(1, 0, 2),
-                  out=local.transpose(1, 0, 2))
-        # vec = ln_u = log(max(|local|, COORD_CLAMP) / a)
-        np.abs(local, out=vec)
-        np.maximum(vec, COORD_CLAMP, out=vec)
-        np.divide(vec, a, out=vec)
-        np.log(vec, out=vec)
-        # ln_s = logaddexp(w1, w2), w = (2 / e2) ln_u_xy
-        np.multiply(c2e2, vec[0], out=w1)
-        np.multiply(c2e2, vec[1], out=w2)
-        _logaddexp(w1, w2, ln_s, gap)
-        # ln_f = logaddexp(term_xy, term_z), term_xy = (e2 / e1) ln_s, term_z = (2 / e1) ln_u_z
-        np.multiply(ce2e1, ln_s, out=w1)
-        np.multiply(c2e1, vec[2], out=w2)
-        _logaddexp(w1, w2, ln_f, gap)
-        # h = exp(e1 ln_f)
-        np.multiply(e1, ln_f, out=h)
-        np.exp(h, out=h)
+    # local = R^T (x - t)
+    np.subtract(ws.points[:, None, :], t, out=vec)
+    np.matmul(rot.transpose(0, 2, 1), vec.transpose(1, 0, 2), out=local.transpose(1, 0, 2))
+    # vec = ln_u = log(max(|local|, COORD_CLAMP) / a)
+    np.abs(local, out=vec)
+    np.maximum(vec, COORD_CLAMP, out=vec)
+    np.divide(vec, a, out=vec)
+    np.log(vec, out=vec)
+    # ln_s = logaddexp(w1, w2), w = (2 / e2) ln_u_xy
+    np.multiply(c2e2, vec[0], out=w1)
+    np.multiply(c2e2, vec[1], out=w2)
+    _logaddexp(w1, w2, ln_s, gap)
+    # ln_f = logaddexp(term_xy, term_z), term_xy = (e2 / e1) ln_s, term_z = (2 / e1) ln_u_z
+    np.multiply(ce2e1, ln_s, out=w1)
+    np.multiply(c2e1, vec[2], out=w2)
+    _logaddexp(w1, w2, ln_f, gap)
+    # h = exp(e1 ln_f)
+    np.multiply(e1, ln_f, out=h)
+    np.exp(h, out=h)
 
 
 def _log_field(sq: Superquadric, ws: FieldWorkspace, k: int = 0):
@@ -321,8 +303,8 @@ def _log_field(sq: Superquadric, ws: FieldWorkspace, k: int = 0):
     coordinates (3, n), as views of slot k that the next pass into that
     slot overwrites. A pass also overwrites the last gradient block.
     """
-    p = sq.params()[None, :]
-    _value_pass(ws, p[:, :8], p[:, 8:], k)
+    p = sq.params()
+    _value_pass(ws, p[None, :8], p[None, 8:], k)
     return ws.h[k], ws.ln_f[k], ws.local[:, k]
 
 
@@ -365,8 +347,9 @@ def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, slots, counts) -> np.nd
     # through a temporary.
     np.take(ws.points, point, axis=1, out=offset, mode="clip")
     np.take(ws.kept, idx, axis=1, out=kept, mode="clip")
-    t, a, rot = prm[0:3], prm[3:6], prm[11:20]
-    c2e2, ce2e1, c2e1, e1, e2 = prm[6:11]
+    a, (e1, e2), t, (c2e2, ce2e1, c2e1), rot = (
+        prm[0:3], prm[3:5], prm[5:8], prm[8:11], prm[11:20]
+    )
     local, (ln_s, ln_f, h) = kept[0:3], kept[3:6]
     w1, w2, term_xy, term_z, tmp_a, tmp_b = scalars
 

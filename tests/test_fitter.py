@@ -409,32 +409,38 @@ class TestFitNode:
     @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux minor-fault counts")
     def test_iterations_reuse_field_buffers(self):
         """The pair kernel writes into one per-node workspace, so iterations
-        do not fault fresh pages in: four restarts in lock step over 200
-        iterations at 8k points stay far below the ~46k minor faults that
-        allocating per call costs in 50. The fit is the first of a fresh
-        interpreter: glibc raises its mmap threshold after the first large
-        free, so only a process's first large fit shows a per-iteration
-        allocation cycle, and earlier tests would hide it here."""
+        do not fault fresh pages in: 200 iterations at 8k points stay far
+        below the ~46k minor faults that allocating per call costs in 50,
+        whether four restarts run in lock step or one runs alone. Each fit
+        is the first of a fresh interpreter: glibc raises its mmap threshold
+        after the first large free, so only a process's first large fit
+        shows a per-iteration allocation cycle, and earlier tests would hide
+        it here."""
         script = textwrap.dedent("""
-            import resource
+            import resource, sys
             import numpy as np
             from sqdecomp import FitConfig, fit_node
             rng = np.random.default_rng(68)
             pts = rng.uniform(-0.6, 0.6, (8000, 3))
             labels = (np.linalg.norm(pts, axis=1) < 0.4).astype(np.uint8)
+            cfg = FitConfig(iterations=200, restarts=int(sys.argv[1]))
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            fit_node(pts, labels, FitConfig(iterations=200, restarts=4))
+            fit_node(pts, labels, cfg)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
         src = os.path.dirname(os.path.dirname(fitter.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         ))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        )
-        faults = int(done.stdout)
-        assert faults < 10_000, f"{faults} minor faults in a fresh interpreter's first fit"
+        for restarts in (4, 1):
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(restarts)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            faults = int(done.stdout)
+            assert faults < 10_000, (
+                f"{faults} minor faults in a fresh interpreter's first fit at {restarts} restarts"
+            )
 
     def test_diverging_fit_names_node_restart_iteration_and_step_size(self):
         """A step size that makes every restart diverge used to fail with the

@@ -264,17 +264,16 @@ class TestFieldKernel:
         n=st.sampled_from([1, 37, 3000, 4500, 20_000]),
         grad=st.booleans(),
     )
-    def test_grouped_value_pass_is_one_slot_log_field_bitwise(self, seed, slots, n, grad):
-        """One value pass over up to nine slots, in groups that depend on n
-        (several slots at once below the threshold, one at a time above
-        it, and one at a time without gradient buffers), writes each slot
-        bit for bit what a one-slot ``_log_field`` call writes, and the
-        gradient rows that follow are bitwise the one-slot ones too."""
+    def test_value_pass_over_slots_is_one_slot_log_field_bitwise(self, seed, slots, n, grad):
+        """One value pass over up to nine slots (of a workspace of up to
+        ten, whose scratch outgrows the gradient block from ten slots on)
+        writes each slot bit for bit what a one-slot ``_log_field`` call
+        writes, and the gradient rows that follow are bitwise the one-slot
+        ones too."""
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1.2, 1.2, (n, 3))
         sqs = [random_superquadric(rng) for _ in range(slots)]
         ws = FieldWorkspace(pts, slots + 1, grad=grad)
-        assert (ws.group > 1) == (grad and n < 20_000)
         p = np.array([sq.params() for sq in sqs])
         _value_pass(ws, p[:, :8], p[:, 8:], 1)
         for k, sq in enumerate(sqs, start=1):
