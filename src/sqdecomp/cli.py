@@ -54,7 +54,6 @@ def _resolve_config(args) -> FitConfig:
     }
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
     return cfg
 
 

@@ -97,7 +97,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything a fit depends on besides the data itself."""
+    """Everything a fit depends on besides the data itself. An invalid
+    value raises ConfigError when the config is built."""
 
     max_depth: int = 2
     iterations: int = 2000
@@ -110,7 +111,7 @@ class FitConfig:
     e_min: float = EXPONENT_BOUNDS[0]
     e_max: float = EXPONENT_BOUNDS[1]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.iterations < 1:
@@ -170,9 +171,7 @@ class FitConfig:
                     overrides[key] = casters[key](value)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        cfg = cls(**overrides)
-        cfg.validate()
-        return cfg
+        return cls(**overrides)
 
 
 @dataclass(eq=False)
@@ -228,8 +227,8 @@ def node_loss(
     The occupancy is ``expit(s (1 - min(h_a, h_b)))``, which is
     max(g_a, g_b); the value is the loss of :meth:`_PairBatch.evaluate`.
     """
-    pts, y = _points_and_labels(points, labels)
-    batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, 1, grad=False)
+    ps = LabeledPointSet(points, labels)
+    batch = _PairBatch(ps.points, ps.labels.astype(np.float64), cfg.sharpness, 1, grad=False)
     losses, _ = batch.evaluate(*_pair_arrays([(sq_a, sq_b)]), grad=False)
     return float(losses[0])
 
@@ -240,23 +239,6 @@ def _pair_arrays(pairs):
     and translation, then its quaternion."""
     p = np.array([[sq.params() for sq in pair] for pair in pairs])
     return p[..., :8], p[..., 8:]
-
-
-def _points_and_labels(points, labels):
-    """(n, 3) finite float points and (n,) labels, each label 0 or 1."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(labels))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
-    if len(pts) == 0:
-        raise ValueError("need at least one point")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    if y.shape != (len(pts),):
-        raise ValueError(f"labels shape {y.shape} does not match {len(pts)} points")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return pts, y
 
 
 class _PairBatch:
@@ -487,25 +469,28 @@ class _Restarts:
         of :class:`Superquadric`."""
         cfg, live = self.cfg, self.live
         lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
-        vel = MOMENTUM * self.vel[live] - lr * grads.reshape(len(live), 22)
-        self.vel[live] = vel
-        vel = vel.reshape(len(live), 2, 11)
-        params = self.params[live] + vel[:, :, 0:8]
-        params[:, :, 0:3] = np.clip(params[:, :, 0:3], cfg.a_min, cfg.a_max)
-        params[:, :, 3:5] = np.clip(params[:, :, 3:5], cfg.e_min, cfg.e_max)
-        turned = quat.multiply(quat.from_rotation_vector(vel[:, :, 8:11]), self.rotation[live])
-        try:
-            rotation = quat.normalize(turned)
-            check_parameters(params[..., 0:3], params[..., 3:5], params[..., 5:8], rotation)
-        except ValueError as exc:
-            raise self._divergence(t, params, turned) from exc
+        # A diverging step overflows; the checks refuse every non-finite
+        # value it leaves, so numpy need not warn as well.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vel = MOMENTUM * self.vel[live] - lr * grads.reshape(len(live), 22)
+            self.vel[live] = vel
+            vel = vel.reshape(len(live), 2, 11)
+            params = self.params[live] + vel[:, :, 0:8]
+            params[:, :, 0:3] = np.clip(params[:, :, 0:3], cfg.a_min, cfg.a_max)
+            params[:, :, 3:5] = np.clip(params[:, :, 3:5], cfg.e_min, cfg.e_max)
+            turned = quat.multiply(quat.from_rotation_vector(vel[:, :, 8:11]), self.rotation[live])
+            try:
+                rotation = quat.normalize(turned)
+                check_parameters(params[..., 0:3], params[..., 3:5], params[..., 5:8], rotation)
+            except ValueError as exc:
+                raise self._divergence(t, params, turned) from exc
         self.params[live], self.rotation[live] = params, rotation
         self.t[live] += 1
 
     def _divergence(self, t: int, params, turned) -> ValueError:
         """The error of the first live restart whose new pair fails a check,
         checked as that restart alone would be: both rotations normalized,
-        then each SQ's parameters."""
+        then each SQ's parameters. Runs under :meth:`step`'s errstate."""
         for j, r in enumerate(self.live):
             try:
                 rotation = quat.normalize(turned[j])
@@ -578,7 +563,8 @@ def fit_node(
     node with no inside-labeled points returns the degenerate sentinel
     without optimizing.
     """
-    pts, y = _points_and_labels(points, labels)
+    ps = LabeledPointSet(points, labels)
+    pts, y = ps.points, ps.labels
     occ = cfg.occupancy()
 
     if int(y.sum()) == 0:
@@ -622,7 +608,6 @@ def fit_tree(
     fitting the nodes of one level in parallel (0 means one per CPU);
     results are identical for any thread count.
     """
-    cfg.validate()
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     t0 = time.perf_counter()

@@ -77,24 +77,46 @@ class Mesh:
         return self.vertices[self.triangles]
 
 
+def as_points(x) -> tuple[np.ndarray, bool]:
+    """One point (3,) or a batch (n, 3) as (n, 3) float64 points, and
+    whether ``x`` was one point. Every coordinate must be finite. The one
+    check of a point input, behind the field evaluators, the inside tests,
+    the split, the fit and the tree."""
+    pts = np.asarray(x, dtype=np.float64)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
+        raise ValueError(f"points must have shape (n, 3) or (3,), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return (pts[None, :], True) if pts.ndim == 1 else (pts, False)
+
+
+def as_labels(labels, n: int | None = None) -> np.ndarray:
+    """Inside labels (n,) as a new uint8 array; any length when ``n`` is None.
+
+    Every value must equal 0 or 1. The check runs before the cast, so 0.5,
+    NaN or 256 is refused, not truncated or wrapped to 0 or 1.
+    """
+    y = np.asarray(labels)
+    if y.ndim != 1 or (n is not None and len(y) != n):
+        raise ValueError(f"labels must have shape ({'n' if n is None else n},), got {y.shape}")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return y.astype(np.uint8)
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledPointSet:
-    """Sample points (n, 3) with uint8 inside labels (n,)."""
+    """Sample points (n, 3) with uint8 inside labels (n,): the one check of
+    a (points, labels) pair, by :func:`as_points` and :func:`as_labels`."""
 
     points: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        points = np.array(self.points, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.uint8)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"points must have shape (n, 3), got {points.shape}")
-        if labels.shape != (len(points),):
-            raise ValueError("labels must be one uint8 per point")
+        points = np.array(as_points(self.points)[0])
         if len(points) == 0:
             raise ValueError("point set must not be empty")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("labels must be 0 or 1")
+        labels = as_labels(self.labels, len(points))
         points.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -426,14 +448,10 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     :func:`_classify_along`), so the cost grows with points times triangles
     per grid cell, not points times triangles.
     """
+    pts, single = as_points(points)
     if len(mesh.triangles) == 0:
         raise DegenerateMeshError("mesh has no triangles; inside test undefined")
     _require_closed_manifold(mesh.triangles)
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
 
     # A zero-area triangle is parallel to every ray, so it never counts a
     # crossing; left in, its zero normal would mark every point coplanar.

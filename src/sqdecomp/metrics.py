@@ -24,7 +24,7 @@ def predicted_label(sqs, points) -> np.ndarray:
     sqs = list(sqs)
     if not sqs:
         raise ValueError("need at least one superquadric")
-    ws = FieldWorkspace(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+    ws = FieldWorkspace(points)
     out = np.zeros(ws.n, dtype=bool)
     for sq in sqs:
         out |= _log_field(sq, ws)[0] < 1.0

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import as_labels
 from .superquadric import FieldWorkspace, Superquadric, _field_and_radial
 
 
@@ -76,12 +77,7 @@ def child_labels(parent_labels, assignment: SplitAssignment, side: str) -> np.nd
     The two children's label sets partition the parent's inside points: their
     union is exactly the parent labels and their intersection is empty.
     """
-    labels = np.asarray(parent_labels)
-    if labels.shape != (len(assignment),):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match assignment length {len(assignment)}"
-        )
-    return ((labels == 1) & assignment.side_mask(side)).astype(np.uint8)
+    return as_labels(parent_labels, len(assignment)) & assignment.side_mask(side)
 
 
 @dataclass(frozen=True)

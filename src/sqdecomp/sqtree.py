@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .geometry import as_labels, as_points
 from .splitter import child_labels, split_pair
 from .superquadric import Superquadric
 
@@ -58,10 +59,7 @@ class SqPairNode:
     def __post_init__(self) -> None:
         _check_key(self.depth, self.index)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.uint8)
-            if labels.ndim != 1:
-                raise ValueError("labels must be a 1D array")
-            self.labels = labels
+            self.labels = as_labels(self.labels)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -84,10 +82,7 @@ class SqTree:
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.points is not None:
-            points = np.asarray(self.points, dtype=np.float64)
-            if points.ndim != 2 or points.shape[1] != 3:
-                raise ValueError(f"points must have shape (n, 3), got {points.shape}")
-            self.points = points
+            self.points = as_points(self.points)[0]
 
     def add_node(self, node: SqPairNode) -> None:
         if node.depth > self.max_depth:

@@ -24,21 +24,21 @@ The u block is a world-frame rotation tangent: moving along u means replacing
 the rotation q by ``exp(u) * q``. Finite-difference checks must use the same
 retraction.
 
-Field evaluators accept a single point of shape (3,) or a batch (n, 3) and
-return a scalar or an (n,) array to match. Underneath, the one field kernel
-(:func:`_value_pass` and :func:`_field_gradient`) works on a
-structure-of-arrays layout, so that every ufunc runs over n contiguous
-values: points as (3, n) and, in a :class:`FieldWorkspace` of K superquadric
-slots, vector intermediates as (3, K, n) and scalar ones as (K, n). A value
-pass covers a range of slots from parameter arrays, each slot's scalars
-broadcast as (slots, 1) columns; :func:`_log_field` is its one-slot call.
-A gradient call takes its rows as per-slot segments and fills each
-segment's parameters by broadcast. Each evaluator transposes its points
-once per call and uses one slot per superquadric; the fitter puts all the
-superquadrics of a node's restarts in the slots of one workspace and
-passes their parameters as arrays, never as Superquadric objects.
-:func:`check_parameters` is the one validity check, for one superquadric
-or a batch of parameter rows.
+Field evaluators accept a single point of shape (3,) or a batch (n, 3) of
+finite coordinates (:func:`geometry.as_points`) and return a scalar or an
+(n,) array to match. Underneath, the one field kernel (:func:`_value_pass`
+and :func:`_field_gradient`) works on a structure-of-arrays layout, so that
+every ufunc runs over n contiguous values: points as (3, n) and, in a
+:class:`FieldWorkspace` of K superquadric slots, vector intermediates as
+(3, K, n) and scalar ones as (K, n). A value pass covers a range of slots
+from parameter arrays, each slot's scalars broadcast as (slots, 1) columns;
+:func:`_log_field` is its one-slot call. A gradient call takes its rows as
+per-slot segments and fills each segment's parameters by broadcast. Each
+evaluator transposes its points once per call and uses one slot per
+superquadric; the fitter puts all the superquadrics of a node's restarts in
+the slots of one workspace and passes their parameters as arrays, never as
+Superquadric objects. :func:`check_parameters` is the one validity check,
+for one superquadric or a batch of parameter rows.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import quaternions as quat
+from .geometry import as_points
 
 COORD_CLAMP = 1e-9
 
@@ -150,20 +151,9 @@ class OccupancyConfig:
             raise ValueError(f"sharpness must be positive and finite, got {self.sharpness}")
 
 
-def _as_points(x) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=np.float64)
-    if pts.ndim == 1:
-        if pts.shape != (3,):
-            raise ValueError(f"a single point must have shape (3,), got {pts.shape}")
-        return pts[None, :], True
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
-    return pts, False
-
-
 def world_to_local(sq: Superquadric, x) -> np.ndarray:
     """Map world points into the superquadric's local frame: R^T (x - t)."""
-    pts, single = _as_points(x)
+    pts, single = as_points(x)
     local = (pts - sq.translation) @ sq.rotation_matrix()
     return local[0] if single else local
 
@@ -194,19 +184,20 @@ class FieldWorkspace:
     fitter, every iteration) builds one workspace and passes it to every
     call, so the kernel writes into the same memory each time instead of
     allocating short-lived arrays that the allocator returns to the OS and
-    faults back in. The points are stored once as (3, n). Slot k holds the
-    last value pass of some superquadric: ``local`` (3, K, n) and ``ln_s``,
-    ``ln_f``, ``h`` (K, n), which is all a gradient keeps per point, plus
-    that superquadric's parameters. The value pass's other intermediates
-    (offset, abs_local, ln_u, w1, w2, term_xy, term_z) live in scratch and
-    are recomputed, bitwise the same, at gradient rows, and in a scratch
-    that holds all K slots. With ``grad`` set the workspace also holds one
-    gradient block of up to n rows, which is also the value pass's scratch.
-    A workspace must not be shared between threads.
+    faults back in. The points, checked by :func:`geometry.as_points`, are
+    stored once as (3, n); ``single`` says they were given as one point
+    (3,). Slot k holds the last value pass of some superquadric: ``local``
+    (3, K, n) and ``ln_s``, ``ln_f``, ``h`` (K, n), which is all a gradient
+    keeps per point, plus that superquadric's parameters. The value pass's
+    other intermediates (offset, abs_local, ln_u, w1, w2, term_xy, term_z)
+    live in scratch and are recomputed, bitwise the same, at gradient rows,
+    and in a scratch that holds all K slots. With ``grad`` set the scratch
+    also holds one gradient block of up to n rows. A workspace must not be
+    shared between threads.
     """
 
     def __init__(self, points, k: int = 1, grad: bool = False):
-        pts, _ = _as_points(points)
+        pts, self.single = as_points(points)
         n = len(pts)
         self.n, self.k, self.grad = n, k, grad
         self.points = np.ascontiguousarray(pts.T)
@@ -219,7 +210,6 @@ class FieldWorkspace:
         rows = max(_BLOCK_ROWS, _VALUE_SCRATCH * k) if grad else _VALUE_SCRATCH * k
         self.scratch = np.empty(rows * n)
         if grad:
-            self.block = self.scratch
             self.point = np.empty(n, dtype=np.intp)
             self.pinned = np.empty(3 * n, dtype=bool)
 
@@ -332,7 +322,7 @@ def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, slots, counts) -> np.nd
     n, m = ws.n, len(idx)
     if m > n:
         raise ValueError(f"{m} gradient rows exceed the block size {n}")
-    blk = ws.block[:_BLOCK_ROWS * m].reshape(_BLOCK_ROWS, m)
+    blk = ws.scratch[:_BLOCK_ROWS * m].reshape(_BLOCK_ROWS, m)
     prm, offset, kept, abs_local, ln_u, scalars, dh_dlnu, dh_t = (blk[s] for s in _BLOCK_SLICES)
     point = ws.point[:m]
     end = 0
@@ -435,7 +425,7 @@ def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, slots, counts) -> np.nd
         np.subtract(dh_t[8 + k], tmp_a, out=dh_t[8 + k])
     # Row-major into the block's first 11 rows, whose parameters, offset
     # and local coordinates are no longer needed.
-    dh = ws.block[:11 * m].reshape(m, 11)
+    dh = ws.scratch[:11 * m].reshape(m, 11)
     np.copyto(dh, dh_t.T)
     return dh
 
@@ -447,18 +437,18 @@ def inside_outside(sq: Superquadric, x) -> np.ndarray:
     superquadric; the sign of F - 1 is still meaningful there. Use
     :func:`inside_outside_stable` for anything quantitative.
     """
-    pts, single = _as_points(x)
-    _, ln_f, _ = _log_field(sq, FieldWorkspace(pts))
+    ws = FieldWorkspace(x)
+    _, ln_f, _ = _log_field(sq, ws)
     with np.errstate(over="ignore"):
         f = np.exp(ln_f)
-    return f[0] if single else f
+    return f[0] if ws.single else f
 
 
 def inside_outside_stable(sq: Superquadric, x) -> np.ndarray:
     """F^e1: same level sets and same side of 1 as F, but bounded growth."""
-    pts, single = _as_points(x)
-    h, _, _ = _log_field(sq, FieldWorkspace(pts))
-    return h[0] if single else h
+    ws = FieldWorkspace(x)
+    h, _, _ = _log_field(sq, ws)
+    return h[0] if ws.single else h
 
 
 def occupancy(sq: Superquadric, x, cfg: OccupancyConfig = OccupancyConfig()) -> np.ndarray:
@@ -478,9 +468,9 @@ def radial_distance(sq: Superquadric, x) -> np.ndarray:
     coordinate clamp; callers only consult d(x) outside the surface, where
     this cannot happen.
     """
-    pts, single = _as_points(x)
-    _, d = _field_and_radial(sq, FieldWorkspace(pts))
-    return d[0] if single else d
+    ws = FieldWorkspace(x)
+    _, d = _field_and_radial(sq, ws)
+    return d[0] if ws.single else d
 
 
 def _field_and_radial(sq: Superquadric, ws: FieldWorkspace, k: int = 0):
@@ -501,10 +491,9 @@ def occupancy_gradient(
     world-frame rotation tangent (see the module docstring). Returns (11,)
     for a single point or (n, 11) for a batch.
     """
-    pts, single = _as_points(x)
-    ws = FieldWorkspace(pts, grad=True)
+    ws = FieldWorkspace(x, grad=True)
     h, _, _ = _log_field(sq, ws)
-    dh = _field_gradient(ws, np.arange(len(pts)), [0], [len(pts)])
+    dh = _field_gradient(ws, np.arange(ws.n), [0], [ws.n])
     g = expit(cfg.sharpness * (1.0 - h))
     dg_dh = -cfg.sharpness * g * (1.0 - g)
     grad = dg_dh[:, None] * dh
@@ -513,7 +502,7 @@ def occupancy_gradient(
             "occupancy gradient has non-finite components; parameters or points "
             "are outside the numerically supported range"
         )
-    return grad[0] if single else grad
+    return grad[0] if ws.single else grad
 
 
 def surface_points(sq: Superquadric, n_eta: int, n_omega: int) -> np.ndarray:

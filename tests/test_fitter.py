@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -92,7 +93,7 @@ class TestNodeLoss:
 
 class TestFitConfig:
     def test_defaults_are_valid(self):
-        FitConfig().validate()
+        FitConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -110,8 +111,22 @@ class TestFitConfig:
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
+        """A config checks itself when it is built, so an invalid one never
+        reaches a fit."""
         with pytest.raises(ConfigError):
-            FitConfig(**kwargs).validate()
+            FitConfig(**kwargs)
+
+    def test_replace_rechecks(self):
+        with pytest.raises(ConfigError, match="restarts"):
+            dataclasses.replace(FitConfig(), restarts=0)
+
+    def test_fit_node_with_no_restarts_is_a_config_error(self):
+        """fit_node used to take restarts=0 and fail with an IndexError in
+        the race; the config now refuses it before any fit starts."""
+        pts = np.random.default_rng(69).uniform(-0.5, 0.5, (50, 3))
+        labels = (np.linalg.norm(pts, axis=1) < 0.3).astype(np.uint8)
+        with pytest.raises(ConfigError, match="restarts"):
+            fit_node(pts, labels, FitConfig(restarts=0))
 
     def test_from_file_parses_keys_and_comments(self, tmp_path):
         p = tmp_path / "fit.cfg"
@@ -448,7 +463,7 @@ class TestFitNode:
         fit diverged and at what step size, and keeps the check's message."""
         pts, labels = race_problem(80, 300)
         cfg = FitConfig(iterations=5, restarts=2, step_size=1e300)
-        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError) as info:
             fit_node(pts, labels, cfg, node=(2, 1))
         assert str(info.value) == (
             "node (2, 1), restart 0 diverged at iteration 0 with step_size 1e+300: "
@@ -467,7 +482,7 @@ class TestFitNode:
         runs.live = np.array([0, 2])
         grads = np.zeros((4, 11))
         grads[3, 6] = np.inf  # restart 2, sq_b, t2
-        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError) as info:
             runs.step(4, grads)
         assert str(info.value) == (
             "node (3, 2), restart 2 diverged at iteration 4 with step_size 0.01: "
