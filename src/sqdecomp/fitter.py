@@ -30,7 +30,23 @@ A restart that survives does exactly the arithmetic of an uncut one, so
 wherever the overall winner survives the result is bit for bit that of
 running every restart to the end; at four restarts the cut saves a quarter
 of the iterations. The best iterate ever seen by the surviving restarts is
-returned, so the final loss never exceeds any restart's initial one.
+returned, so its objective on the node's support (below) never exceeds
+any restart's initial one.
+
+Each node is fitted on its support: the points inside the axis-aligned box
+of its inside-labeled points, each half-extent scaled by
+``_SUPPORT_SCALE`` and widened by ``_SUPPORT_MARGIN``. Outside that box
+every label is 0, and the pair starts from the inside points, so those
+points are left out of every iteration: at the dumbbell's root the support
+holds about 40% of the samples, at its children about 20%. A pair that
+grows out of the box meets no negatives there. The restarts' starts depend
+only on the inside points, which the support always holds. The objective
+still divides by the node's full point count, so it is the full-set loss
+less the terms of the points left out, and the step size, gradient scale
+and momentum schedule mean what they mean uncropped. The loss a fit
+reports is the full-set loss of the returned pair, from one gradient-free
+pass over every point; where the support is every point, the fit is
+bitwise the uncropped one.
 
 The live restarts of a node advance in lock step, held as arrays: per
 restart its pair's parameters (2, 8) and quaternions (2, 4), its velocity
@@ -84,6 +100,11 @@ ACTIVE_RESIDUAL = 1e-9
 
 # The restarts race to iterations // _CUT_DIVISOR, then half of them stop.
 _CUT_DIVISOR = 2
+
+# A node's support is the box of its inside points, each half-extent times
+# _SUPPORT_SCALE plus _SUPPORT_MARGIN.
+_SUPPORT_SCALE = 1.5
+_SUPPORT_MARGIN = 0.02
 
 _JITTER_TRANSLATION = 0.05
 _JITTER_ROTATION = 0.3
@@ -249,13 +270,19 @@ class _PairBatch:
     :class:`FieldWorkspace`; the loss arrays are (pairs, n) buffers of
     which a call uses the first L rows. Every array an iteration needs
     lives here, so a node's iterations allocate nothing that the allocator
-    maps and unmaps.
+    maps and unmaps. The loss and gradient are sums over the n points
+    divided by ``denominator``, n by default: a node fitted on its support
+    passes its full point count.
     """
 
-    def __init__(self, points, y, sharpness: float, pairs: int, grad: bool = True):
+    def __init__(
+        self, points, y, sharpness: float, pairs: int, grad: bool = True,
+        denominator: int | None = None,
+    ):
         n = len(points)
         self.field = FieldWorkspace(points, 2 * pairs, grad)
         self.y, self.sharpness = y, sharpness
+        self.denominator = n if denominator is None else denominator
         self.inside = y == 1.0
         self.g, self.credited = np.empty((pairs, n)), np.empty((pairs, n))
         if grad:
@@ -281,8 +308,8 @@ class _PairBatch:
         active set: each point's winning side, where the residual g - y is
         at least ``ACTIVE_RESIDUAL`` in size (about a third of the points
         in a typical fit). The rows left out are saturated points, each of
-        which would change the mean-loss gradient by less than
-        ``s * ACTIVE_RESIDUAL / n`` times its field derivative.
+        which would change the gradient by less than
+        ``s * ACTIVE_RESIDUAL / denominator`` times its field derivative.
 
         The rows of all 2L SQs go through :func:`_field_gradient` together,
         in blocks of at most n rows cut between SQs, and each SQ's rows are
@@ -307,11 +334,12 @@ class _PairBatch:
             np.less(credited, LOG_CLAMP, out=flag)
             np.subtract(g, self.y, out=residual)
             np.copyto(residual, 0.0, where=flag)
-        # loss = mean(-log(max(credited, LOG_CLAMP)))
+        # loss = sum(-log(max(credited, LOG_CLAMP))) / denominator, which
+        # at denominator n is bitwise the mean
         np.maximum(credited, LOG_CLAMP, out=credited)
         np.log(credited, out=credited)
         np.negative(credited, out=credited)
-        losses = credited.mean(axis=1)
+        losses = credited.sum(axis=1) / self.denominator
         if not grad:
             return losses, None
 
@@ -340,13 +368,13 @@ class _PairBatch:
             # Flat indices k n + i (slot k, point i) of the block's rows.
             idx = np.flatnonzero(flat[first * n:last * n])
             idx += first * n
-            # Each row's residual / n: slot k's rows are pair k // 2's
-            # residuals where its side is active, in point order.
+            # Each row's residual / denominator: slot k's rows are pair
+            # k // 2's residuals where its side is active, in point order.
             weight, lo = self.weight[:len(idx)], bounds[first]
             segments = [slice(bounds[k] - lo, bounds[k + 1] - lo) for k in range(first, last)]
             for k, rows in zip(range(first, last), segments):
                 np.compress(flat[k * n:(k + 1) * n], residual[k // 2], out=weight[rows])
-            np.divide(weight, n, out=weight)
+            np.divide(weight, self.denominator, out=weight)
             dh = _field_gradient(ws, idx, range(first, last), counts[first:last])
             for k, rows in zip(range(first, last), segments):
                 grads[k] = -self.sharpness * (weight[rows] @ dh[rows])
@@ -396,9 +424,11 @@ def init_node(
       seeded translation/rotation jitter from ``rng``.
 
     The loss comparison across restarts then selects the right regime for the
-    shape at hand.
+    shape at hand. ``points`` and ``labels`` pass the checks of
+    :class:`LabeledPointSet`.
     """
-    inside = points[np.asarray(labels) == 1]
+    ps = LabeledPointSet(points, labels)
+    inside = ps.points[ps.labels == 1]
     if len(inside) == 0:
         raise ValueError("init_node needs at least one inside-labeled point")
     mu, dirs, stds, extent = _principal_frame(inside)
@@ -522,21 +552,35 @@ def _finish(runs: _Restarts) -> None:
     runs.record(losses)
 
 
+def _support(points: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Mask of the points in the axis-aligned box of the ``inside`` points,
+    its half-extents scaled by ``_SUPPORT_SCALE`` and widened by
+    ``_SUPPORT_MARGIN``; it holds every inside point."""
+    lo, hi = points[inside].min(axis=0), points[inside].max(axis=0)
+    half = _SUPPORT_SCALE * 0.5 * (hi - lo) + _SUPPORT_MARGIN
+    return (np.abs(points - 0.5 * (lo + hi)) <= half).all(axis=1)
+
+
 def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> _Restarts:
-    """Every restart of one node, raced with one cut at mid-schedule.
+    """Every restart of one node, raced with one cut at mid-schedule, on
+    the node's support with the objective divided by its full point count.
 
     All restarts run to ``c = iterations // _CUT_DIVISOR``; the ceil(R/2)
-    with the lowest running-best loss (ties to the lower restart index) run
-    on to the end, the rest stop at c. With c == 0 every restart runs to
-    the end. Returns the restarts, with the survivors ``live``.
+    with the lowest running-best objective (ties to the lower restart
+    index) run on to the end, the rest stop at c. With c == 0 every restart
+    runs to the end. Returns the restarts, with the survivors ``live``.
     """
+    keep = _support(pts, y == 1)
+    sub, sub_y = pts[keep], y[keep]
     starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
         )
-        starts.append(init_node(pts, y, cfg, restart=r, rng=rng))
-    batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, cfg.restarts)
+        starts.append(init_node(sub, sub_y, cfg, restart=r, rng=rng))
+    batch = _PairBatch(
+        sub, sub_y.astype(np.float64), cfg.sharpness, cfg.restarts, denominator=len(pts)
+    )
     runs = _Restarts(starts, cfg, node, batch)
     cut = cfg.iterations // _CUT_DIVISOR
     if cut > 0:
@@ -558,7 +602,9 @@ def fit_node(
     Restart r of node (d, i) draws its jitter from
     SeedSequence(cfg.seed, spawn_key=(d, i, r)), so results do not depend on
     scheduling order. The restarts that finish the schedule are compared in
-    restart order, a later one winning only with a strictly lower loss.
+    restart order, a later one winning only with a strictly lower objective
+    on the node's support; the returned ``loss`` is the pair's loss over
+    every point, ``node_loss(fit.sq_a, fit.sq_b, points, labels)``.
     ``iterations`` counts the iterations actually run over all restarts. A
     node with no inside-labeled points returns the degenerate sentinel
     without optimizing.
@@ -587,12 +633,15 @@ def fit_node(
         Superquadric(p[0:3], p[3:5], p[5:8], q)
         for p, q in zip(runs.best_params[best], runs.best_rotation[best])
     )
+    iterations = int(runs.t.sum())
+    # Free the support's buffers before the full-set pass allocates its own.
+    del runs
     return NodeFit(
         sq_a=sq_a,
         sq_b=sq_b,
-        loss=float(runs.best_loss[best]),
+        loss=node_loss(sq_a, sq_b, pts, y, occ),
         degenerate=False,
-        iterations=int(runs.t.sum()),
+        iterations=iterations,
     )
 
 

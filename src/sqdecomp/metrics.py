@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SAMPLING_DOMAIN, LabeledPointSet, Mesh, point_in_mesh
+from .geometry import SAMPLING_DOMAIN, LabeledPointSet, Mesh, as_labels, point_in_mesh
 from .sqtree import SqTree
 from .superquadric import FieldWorkspace, _log_field
 
@@ -32,11 +32,11 @@ def predicted_label(sqs, points) -> np.ndarray:
 
 
 def label_iou(predicted, truth) -> float:
-    """Intersection over union of two binary label vectors (symmetric)."""
-    p = np.asarray(predicted).astype(bool)
-    t = np.asarray(truth).astype(bool)
-    if p.shape != t.shape:
-        raise ValueError(f"label shapes differ: {p.shape} vs {t.shape}")
+    """Intersection over union of two binary label vectors (symmetric).
+
+    Both pass :func:`geometry.as_labels`, at one length."""
+    p = as_labels(predicted)
+    t = as_labels(truth, len(p))
     union = int(np.logical_or(p, t).sum())
     if union == 0:
         raise EmptyUnionError("both label sets are empty; IoU undefined")

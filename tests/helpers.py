@@ -157,7 +157,7 @@ def field_and_gradient(sq, points):
     return h, _field_gradient(ws, np.arange(len(points)), [0], [len(points)]).copy()
 
 
-def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None):
+def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None, denominator=None):
     """Loss plus its (11,) gradients for both SQs of one pair.
 
     The one-pair reference for ``fitter._PairBatch.evaluate``, which runs
@@ -165,23 +165,26 @@ def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None):
     pair, as the fitter ran it before its restarts were batched (a value
     pass per SQ, the loss over 1-D arrays, and one gradient call and one
     matrix-vector product per SQ over its own active rows). ``ws`` is an
-    optional two-slot gradient workspace at ``points``.
+    optional two-slot gradient workspace at ``points``. The loss and the
+    gradient sum over the points and divide by ``denominator``, by default
+    their count, which makes the loss their mean.
     """
     n = len(points)
+    denominator = n if denominator is None else denominator
     ws = FieldWorkspace(points, 2, grad=True) if ws is None else ws
     ha = _log_field(sq_a, ws, 0)[0]
     hb = _log_field(sq_b, ws, 1)[0]
     a_wins = ha <= hb
     g = expit(sharpness * (1.0 - np.minimum(ha, hb)))
     credited = np.where(y == 1.0, g, 1.0 - g)
-    loss = -np.log(np.maximum(credited, LOG_CLAMP)).mean()
+    loss = -np.log(np.maximum(credited, LOG_CLAMP)).sum() / denominator
     residual = np.where(credited < LOG_CLAMP, 0.0, g - y)
     active = np.abs(residual) >= ACTIVE_RESIDUAL
     grads = []
     for k, wins in ((0, a_wins), (1, ~a_wins)):
         rows = np.flatnonzero(active & wins)
         dh = _field_gradient(ws, k * n + rows, [k], [len(rows)])
-        grads.append(-sharpness * ((residual[rows] / n) @ dh))
+        grads.append(-sharpness * ((residual[rows] / denominator) @ dh))
     return loss, grads[0], grads[1]
 
 
@@ -220,10 +223,11 @@ def pair_loss_and_grad_reference(sq_a, sq_b, points, y, sharpness):
     return loss, grad_a, grad_b
 
 
-def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig):
+def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig, denominator=None):
     """Momentum descent from one start, every iteration to the end.
 
-    The loop ``fitter.fit_node`` ran per restart before its restarts raced.
+    The loop ``fitter.fit_node`` ran per restart before its restarts raced,
+    on the loss of :func:`pair_loss_and_grad` with ``denominator``.
     Returns the best iterate seen, its loss, and the loss of every
     iteration in order (the post-loop evaluation of the last iterate not
     included).
@@ -242,7 +246,7 @@ def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig):
     best = (sq_a, sq_b)
     losses = []
     for t in range(cfg.iterations):
-        loss, ga, gb = pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws)
+        loss, ga, gb = pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws, denominator)
         losses.append(loss)
         if loss < best_loss:
             best_loss, best = loss, (cur_a, cur_b)
@@ -256,22 +260,27 @@ def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig):
         qa = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[8:11]), qa))
         qb = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[19:22]), qb))
         cur_a, cur_b = build(pa, qa), build(pb, qb)
-    loss, _, _ = pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws)
+    loss, _, _ = pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws, denominator)
     if loss < best_loss:
         best_loss, best = loss, (cur_a, cur_b)
     return best[0], best[1], float(best_loss), losses
 
 
-def fit_node_reference(points, labels, cfg: FitConfig, node=(1, 1), restarts=None):
+def fit_node_reference(points, labels, cfg: FitConfig, node=(1, 1), restarts=None, support=None):
     """The sequential restart loop of ``fitter.fit_node`` before the race.
 
     Runs each restart in ``restarts`` (default: all of ``cfg.restarts``) to
-    the end, in order, and keeps the best by strict ``<``. Returns that
-    (sq_a, sq_b, loss) and a dict of each run restart's per-iteration
-    losses. The labels must hold at least one inside point.
+    the end, in order, on the points selected by the mask ``support``
+    (default: every point) with the loss divided by the count of all the
+    points, and keeps the best by strict ``<``. Returns that (sq_a, sq_b,
+    objective) and a dict of each run restart's per-iteration objectives.
+    The labels must hold at least one inside point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.asarray(labels)
+    denominator = len(pts)
+    if support is not None:
+        pts, y = pts[support], y[support]
     yf = y.astype(np.float64)
     best = None
     losses = {}
@@ -280,7 +289,7 @@ def fit_node_reference(points, labels, cfg: FitConfig, node=(1, 1), restarts=Non
             np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
         )
         start_a, start_b = init_node(pts, y, cfg, restart=r, rng=rng)
-        *result, losses[r] = optimize_pair_reference(start_a, start_b, pts, yf, cfg)
+        *result, losses[r] = optimize_pair_reference(start_a, start_b, pts, yf, cfg, denominator)
         if best is None or result[2] < best[2]:
             best = result
     return best, losses

@@ -30,7 +30,7 @@ from sqdecomp import (
     recompute_labels,
 )
 from sqdecomp import fitter
-from sqdecomp.fitter import _PairBatch, _pair_arrays, _race, init_node
+from sqdecomp.fitter import _PairBatch, _finish, _pair_arrays, _race, _support, init_node
 
 
 class TestNodeLoss:
@@ -507,21 +507,26 @@ def race_problem(seed: int, n: int):
 
 def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
     """The raced fit_node equals the sequential reference over the
-    survivors, bitwise; each restart's running best equals the reference's
-    minimum over the iterations it ran; the iteration count is exact."""
-    _, losses = fit_node_reference(pts, labels, cfg)
+    survivors, run on the node's support with the loss divided by the count
+    of all the points, bitwise, and reports that pair's loss over every
+    point; each restart's running best equals the reference's minimum over
+    the iterations it ran; the iteration count is exact."""
+    support = _support(pts, labels == 1)
+    _, losses = fit_node_reference(pts, labels, cfg, support=support)
     restarts, total, cut = cfg.restarts, cfg.iterations, cfg.iterations // 2
     if restarts > 1 and cut > 0:
         ranked = sorted(range(restarts), key=lambda r: (min(losses[r][:cut]), r))
         survivors = sorted(ranked[: (restarts + 1) // 2])
     else:
         survivors, cut = list(range(restarts)), total
-    (ref_a, ref_b, ref_loss), _ = fit_node_reference(pts, labels, cfg, restarts=survivors)
+    (ref_a, ref_b, _), _ = fit_node_reference(
+        pts, labels, cfg, restarts=survivors, support=support
+    )
 
     fit = fit_node(pts, labels, cfg)
     np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
     np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
-    assert fit.loss == ref_loss
+    assert fit.loss == node_loss(ref_a, ref_b, pts, labels, cfg.occupancy())
     assert fit.iterations == restarts * cut + len(survivors) * (total - cut)
 
     runs = _race(pts, labels, cfg, (1, 1))
@@ -536,11 +541,12 @@ class TestRace:
     def test_one_restart_is_the_reference_bitwise(self, iterations):
         pts, labels = race_problem(80, 300)
         cfg = FitConfig(iterations=iterations, restarts=1, seed=2)
-        (ref_a, ref_b, ref_loss), _ = fit_node_reference(pts, labels, cfg)
+        support = _support(pts, labels == 1)
+        (ref_a, ref_b, _), _ = fit_node_reference(pts, labels, cfg, support=support)
         fit = fit_node(pts, labels, cfg)
         np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
         np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
-        assert fit.loss == ref_loss
+        assert fit.loss == node_loss(ref_a, ref_b, pts, labels, cfg.occupancy())
         assert fit.iterations == iterations
 
     @pytest.mark.parametrize("iterations", [1, 2, 7, 40])
@@ -558,8 +564,12 @@ class TestRace:
         hold trivially if no cut ever mattered."""
         pts, labels = race_problem(80, 300)
         cfg = FitConfig(iterations=40, restarts=4, seed=5)
-        (_, _, ref_loss), _ = fit_node_reference(pts, labels, cfg)
-        assert fit_node(pts, labels, cfg).loss > ref_loss
+        (_, _, ref_objective), _ = fit_node_reference(
+            pts, labels, cfg, support=_support(pts, labels == 1)
+        )
+        runs = _race(pts, labels, cfg, (1, 1))
+        _finish(runs)
+        assert runs.best_loss[runs.live].min() > ref_objective
 
     def test_gradient_blocks_cut_between_restarts(self, monkeypatch):
         """Four restarts carry more active rows than one block of n holds,
@@ -597,6 +607,87 @@ class TestRace:
             iterations=iterations, restarts=restarts, sharpness=sharpness, seed=seed
         )
         check_race_against_reference(pts, labels, cfg)
+
+
+class TestSupport:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 60),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_support_holds_every_inside_point_and_only_its_box(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        pts = scale * rng.normal(size=(n, 3))
+        inside = rng.random(n) < 0.3
+        inside[rng.integers(n)] = True
+        support = _support(pts, inside)
+        assert support[inside].all()
+        lo, hi = pts[inside].min(axis=0), pts[inside].max(axis=0)
+        half = 1.5 * (hi - lo) / 2 + 0.02
+        offset = np.abs(pts - (lo + hi) / 2)
+        tol = 1e-12 * (1.0 + scale)
+        assert (offset[support] <= half + tol).all()
+        assert (offset[~support] > half - tol).any(axis=1).all()
+
+    def test_single_inside_point_gets_the_margin_box(self):
+        centre = np.array([0.1, -0.2, 0.3])
+        steps = np.array([
+            [0.0, 0.0, 0.0],
+            [0.0199, 0.0, 0.0],
+            [0.0, -0.0199, 0.0],
+            [0.0199, 0.0199, -0.0199],  # a corner of the box, not of a ball
+            [0.0201, 0.0, 0.0],
+            [0.0, 0.0, -0.0201],
+            [0.5, 0.5, 0.5],
+        ])
+        inside = np.zeros(len(steps), dtype=bool)
+        inside[0] = True
+        support = _support(centre + steps, inside)
+        assert support.tolist() == [True] * 4 + [False] * 3
+
+    @pytest.mark.parametrize("iterations", [1, 7, 25])
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5])
+    def test_fit_is_the_reference_on_the_support_over_every_point(self, restarts, iterations):
+        """A strict support: fit_node is bitwise the reference run on
+        points[support] with the loss divided by all n points, and not the
+        one divided by the support's own count."""
+        pts, labels = race_problem(81, 300)
+        support = _support(pts, labels == 1)
+        assert 0 < support.sum() < len(pts) // 2
+        cfg = FitConfig(iterations=iterations, restarts=restarts, seed=3)
+        check_race_against_reference(pts, labels, cfg)
+        (own_a, _, _), _ = fit_node_reference(pts[support], labels[support], cfg)
+        assert not np.array_equal(fit_node(pts, labels, cfg).sq_a.params(), own_a.params())
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(50, 250),
+        restarts=st.integers(1, 4),
+        iterations=st.integers(1, 20),
+        sharpness=st.sampled_from([10.0, 50.0]),
+    )
+    def test_loss_is_the_full_set_loss(self, seed, n, restarts, iterations, sharpness):
+        pts, labels = race_problem(seed, n)
+        cfg = FitConfig(
+            iterations=iterations, restarts=restarts, sharpness=sharpness, seed=seed
+        )
+        fit = fit_node(pts, labels, cfg)
+        assert fit.loss == node_loss(fit.sq_a, fit.sq_b, pts, labels, cfg.occupancy())
+
+    @pytest.mark.parametrize("iterations", [1, 30])
+    def test_support_of_every_point_is_the_uncropped_reference(self, iterations):
+        rng = np.random.default_rng(82)
+        pts = rng.uniform(-0.5, 0.5, (400, 3))
+        labels = (np.linalg.norm(pts / [0.45, 0.4, 0.4], axis=1) < 1).astype(np.uint8)
+        assert _support(pts, labels == 1).all()
+        cfg = FitConfig(iterations=iterations, restarts=1, seed=1)
+        (ref_a, ref_b, ref_loss), _ = fit_node_reference(pts, labels, cfg)
+        fit = fit_node(pts, labels, cfg)
+        np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
+        np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
+        assert fit.loss == ref_loss
 
 
 class TestFitTree:

@@ -21,11 +21,13 @@ from sqdecomp import (
     child_labels,
     fit_node,
     inside_outside_stable,
+    label_iou,
     node_loss,
     point_in_mesh,
     predicted_label,
     split_pair,
 )
+from sqdecomp.fitter import init_node
 from sqdecomp.geometry import as_labels, as_points
 
 POINTS = np.array([
@@ -43,6 +45,7 @@ SQ_B = Superquadric(np.full(3, 0.2), np.array([0.5, 1.5]), np.array([0.2, 0.0, 0
 POINT_ENTRIES = {
     "LabeledPointSet": lambda p: LabeledPointSet(p, LABELS),
     "fit_node": lambda p: fit_node(p, LABELS, FitConfig(iterations=2, restarts=1)),
+    "init_node": lambda p: init_node(p, LABELS, FitConfig()),
     "node_loss": lambda p: node_loss(SQ_A, SQ_B, p, LABELS),
     "point_in_mesh": lambda p: point_in_mesh(box(), p),
     "predicted_label": lambda p: predicted_label([SQ_A, SQ_B], p),
@@ -53,6 +56,9 @@ POINT_ENTRIES = {
 LABEL_ENTRIES = {
     "LabeledPointSet": lambda y: LabeledPointSet(POINTS, y),
     "fit_node": lambda y: fit_node(POINTS, y, FitConfig(iterations=2, restarts=1)),
+    "init_node": lambda y: init_node(POINTS, y, FitConfig()),
+    "label_iou predicted": lambda y: label_iou(y, LABELS),
+    "label_iou truth": lambda y: label_iou(LABELS, y),
     "node_loss": lambda y: node_loss(SQ_A, SQ_B, POINTS, y),
     "SqPairNode": lambda y: SqPairNode(1, 1, SQ_A, SQ_B, labels=y),
     "child_labels": lambda y: child_labels(y, split_pair(SQ_A, SQ_B, POINTS), "a"),
