@@ -39,8 +39,12 @@ of its inside-labeled points, each half-extent scaled by
 every label is 0, and the pair starts from the inside points, so those
 points are left out of every iteration: at the dumbbell's root the support
 holds about 40% of the samples, at its children about 20%. A pair that
-grows out of the box meets no negatives there. The restarts' starts depend
-only on the inside points, which the support always holds. The objective
+grows out of the box would meet no negatives there, so at the race's cut
+one gradient-free value pass checks the surviving pairs against the points
+left out: if any pair reaches one of them, with min(h_a, h_b) < 1 +
+``_ESCAPE_MARGIN`` / s (an occupancy above 1/11), the node is fitted again
+on every point from the same starts. The restarts' starts depend only on
+the inside points, which the support always holds. The objective
 still divides by the node's full point count, so it is the full-set loss
 less the terms of the points left out, and the step size, gradient scale
 and momentum schedule mean what they mean uncropped. The loss a fit
@@ -54,8 +58,10 @@ restart its pair's parameters (2, 8) and quaternions (2, 4), its velocity
 reached it. Each iteration makes one value pass over the slots of all live
 SQs in the node's one field workspace, computes every restart's loss at
 once over (restarts, points) arrays, and differentiates the active rows of
-all the SQs in one gradient call (two when they fill more than one block
-of n rows, cut between SQs). Then one momentum step moves every live
+all the SQs in gradient calls of at most n rows each, cut between SQs.
+Active rows often fill most of a block, so in practice an iteration makes
+about one call per live pair (fit-dumbbell: 4 per iteration before the
+cut, 2 after). Then one momentum step moves every live
 restart: the velocity and parameter updates and both clips as array
 operations, and one retraction of all the rotations. The new parameters
 pass the checks of a Superquadric (``check_parameters``) every iteration;
@@ -105,6 +111,10 @@ _CUT_DIVISOR = 2
 # _SUPPORT_SCALE plus _SUPPORT_MARGIN.
 _SUPPORT_SCALE = 1.5
 _SUPPORT_MARGIN = 0.02
+# A pair reaches a point outside the support where min(h_a, h_b) < 1 +
+# _ESCAPE_MARGIN / s: there its occupancy is above 1/11, a residual of
+# about 0.1 against the point's label 0.
+_ESCAPE_MARGIN = float(np.log(10.0))
 
 _JITTER_TRANSLATION = 0.05
 _JITTER_ROTATION = 0.3
@@ -561,14 +571,40 @@ def _support(points: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return (np.abs(points - 0.5 * (lo + hi)) <= half).all(axis=1)
 
 
+def _escapes(runs: _Restarts, outside: np.ndarray) -> int:
+    """How many of the ``outside`` points, all labeled 0, the current pair
+    of some live restart reaches: min(h_a, h_b) < 1 + _ESCAPE_MARGIN / s.
+    One gradient-free value pass over those points."""
+    live = runs.live
+    ws = FieldWorkspace(outside, 2 * len(live))
+    _value_pass(ws, runs.params[live].reshape(-1, 8), runs.rotation[live].reshape(-1, 4))
+    reached = ws.h < 1.0 + _ESCAPE_MARGIN / runs.cfg.sharpness
+    return int(np.count_nonzero(reached.any(axis=0)))
+
+
+def _to_cut(runs: _Restarts, cut: int) -> None:
+    """Run every restart to iteration ``cut``, then keep live the ceil(R/2)
+    with the lowest running-best objective (ties to the lower restart
+    index). With ``cut`` 0 every restart stays live."""
+    restarts = len(runs.live)
+    if cut > 0:
+        _advance(runs, cut)
+        ranked = sorted(range(restarts), key=lambda r: (runs.best_loss[r], r))
+        runs.live = np.sort(ranked[: (restarts + 1) // 2])
+
+
 def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> _Restarts:
     """Every restart of one node, raced with one cut at mid-schedule, on
     the node's support with the objective divided by its full point count.
 
-    All restarts run to ``c = iterations // _CUT_DIVISOR``; the ceil(R/2)
-    with the lowest running-best objective (ties to the lower restart
-    index) run on to the end, the rest stop at c. With c == 0 every restart
-    runs to the end. Returns the restarts, with the survivors ``live``.
+    All restarts run to ``c = iterations // _CUT_DIVISOR`` (:func:`_to_cut`);
+    the survivors run on to the end, the rest stop at c. At the cut, one
+    value pass checks the survivors' current pairs against the points
+    outside the support (:func:`_escapes`). If any pair reaches one of
+    them, it could settle in a basin the support cannot see, so the node
+    is raced again from the same starts on every point, which is bitwise
+    its uncropped fit. With c == 0 there is no cut and no check. Returns
+    the restarts, with the survivors ``live``.
     """
     keep = _support(pts, y == 1)
     sub, sub_y = pts[keep], y[keep]
@@ -581,12 +617,14 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> _Restarts:
     batch = _PairBatch(
         sub, sub_y.astype(np.float64), cfg.sharpness, cfg.restarts, denominator=len(pts)
     )
-    runs = _Restarts(starts, cfg, node, batch)
     cut = cfg.iterations // _CUT_DIVISOR
-    if cut > 0:
-        _advance(runs, cut)
-        ranked = sorted(range(cfg.restarts), key=lambda r: (runs.best_loss[r], r))
-        runs.live = np.sort(ranked[: (cfg.restarts + 1) // 2])
+    runs = _Restarts(starts, cfg, node, batch)
+    _to_cut(runs, cut)
+    if cut > 0 and not keep.all() and _escapes(runs, pts[~keep]):
+        del runs, batch  # free the support's buffers before the full set's
+        batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, cfg.restarts)
+        runs = _Restarts(starts, cfg, node, batch)
+        _to_cut(runs, cut)
     _advance(runs, cfg.iterations)
     return runs
 

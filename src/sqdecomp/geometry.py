@@ -5,6 +5,13 @@ normalize the mesh so its bounding box is centered at the origin with longest
 side 1, draw points from the axis-aligned domain [-0.6, 0.6]^3 (uniform) and
 from the surface (with Gaussian offsets), and label each point by a ray-parity
 inside test. Points on the surface count as inside.
+
+Each stage works on whole arrays. The OBJ reader splits each line once and
+converts every coordinate and every face reference in one pass per kind;
+the writer formats each record kind in one string. The inside test labels
+every point outside the mesh's padded vertex box 0 without casting a ray,
+and pairs each remaining point only with the triangles a 2D grid across
+the ray direction puts near it.
 """
 
 from __future__ import annotations
@@ -133,59 +140,99 @@ def load_mesh(path) -> Mesh:
     first vertex. Texture/normal references (v/vt/vn forms) are accepted and
     ignored. Raises MeshFormatError for malformed records or out-of-range
     indices, OSError if the file cannot be read.
+
+    The file is read once and each line split once. The coordinate tokens
+    of every ``v`` record and the vertex references of every ``f`` record
+    are collected, then converted in one ``map(float, ...)`` and one
+    ``map(int, ...)``. If anything fails, :func:`_check_records` reads the
+    lines again, record by record, and raises the error of the first bad
+    record in file order.
     """
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        lines = fh.read().split("\n")
+    coords: list[str] = []
+    refs: list[str] = []
+    counts: list[int] = []
+    try:
+        for parts in map(str.split, lines):
+            # Blank lines, comments and all other record types (vn, vt, g,
+            # o, s, usemtl, ...) are ignored.
+            if not parts or parts[0] not in ("v", "f"):
                 continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise MeshFormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as exc:
-                    raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            elif tag == "f":
-                refs = parts[1:]
-                if len(refs) < 3:
-                    raise MeshFormatError(f"{path}:{lineno}: face needs at least 3 vertices")
-                idx = []
-                for ref in refs:
-                    token = ref.split("/")[0]
-                    try:
-                        k = int(token)
-                    except ValueError as exc:
-                        raise MeshFormatError(f"{path}:{lineno}: bad face index {ref!r}") from exc
-                    if k < 1:
-                        raise MeshFormatError(
-                            f"{path}:{lineno}: face indices must be positive, got {k}"
-                        )
-                    idx.append(k - 1)
-                for i in range(1, len(idx) - 1):
-                    faces.append([idx[0], idx[i], idx[i + 1]])
-            # all other record types (vn, vt, g, o, s, usemtl, ...) are ignored
-    if not vertices:
+            if len(parts) < 4:
+                raise ValueError("short record")
+            if parts[0] == "v":
+                coords += parts[1:4]
+            else:
+                counts.append(len(parts) - 1)
+                refs += parts[1:]
+        verts = np.array(list(map(float, coords))).reshape(-1, 3)
+        if "/" in "".join(refs):
+            refs = [ref.partition("/")[0] for ref in refs]
+        idx = list(map(int, refs))
+        if idx and min(idx) < 1:
+            raise ValueError("face index below 1")
+    except ValueError:
+        _check_records(path, lines)  # raises for every failure above
+        raise
+    if not len(verts):
         raise MeshFormatError(f"{path}: no vertices")
-    verts = np.array(vertices, dtype=np.float64)
-    tris = np.array(faces, dtype=np.intp) if faces else np.zeros((0, 3), dtype=np.intp)
+    tris = _fan_triangles(np.array(idx, dtype=np.intp) - 1, counts)
     if len(tris) and tris.max() >= len(verts):
         raise MeshFormatError(f"{path}: face index {tris.max() + 1} exceeds vertex count")
     return Mesh(verts, tris)
 
 
+def _check_records(path, lines) -> None:
+    """Raise the MeshFormatError of the first malformed ``v`` or ``f``
+    record in ``lines``, numbered from 1."""
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise MeshFormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            try:
+                for coord in parts[1:4]:
+                    float(coord)
+            except ValueError as exc:
+                raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
+        elif parts[0] == "f":
+            if len(parts) < 4:
+                raise MeshFormatError(f"{path}:{lineno}: face needs at least 3 vertices")
+            for ref in parts[1:]:
+                try:
+                    k = int(ref.split("/")[0])
+                except ValueError as exc:
+                    raise MeshFormatError(f"{path}:{lineno}: bad face index {ref!r}") from exc
+                if k < 1:
+                    raise MeshFormatError(
+                        f"{path}:{lineno}: face indices must be positive, got {k}"
+                    )
+
+
+def _fan_triangles(idx: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Triangles (t, 3) of faces given as consecutive runs of ``counts``
+    vertex indices in ``idx``, each fanned around its first vertex: face
+    (i0, i1, ..., ik) gives (i0, i1, i2), (i0, i2, i3), ..."""
+    sizes = np.array(counts, dtype=np.intp)
+    fans = sizes - 2
+    first = np.repeat(np.cumsum(sizes) - sizes, fans)
+    # Triangle j of a face starts at its corner j + 1.
+    corner = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(fans) - fans, fans)
+    return np.stack([idx[first], idx[corner], idx[corner + 1]], axis=1)
+
+
 def write_obj_records(fh, vertices, triangles, base: int = 0) -> None:
     """OBJ v records, then f records for 0-based ``triangles`` that follow
     ``base`` earlier vertices in ``fh``. Coordinates use float repr, so a
-    load is bit-exact."""
-    for v in vertices:
-        fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-    for t in triangles:
-        fh.write(f"f {base + t[0] + 1} {base + t[1] + 1} {base + t[2] + 1}\n")
+    load is bit-exact. Each record kind is formatted from ``tolist()`` rows
+    and written in one string."""
+    rows = np.asarray(vertices, dtype=np.float64).reshape(-1, 3).tolist()
+    fh.write("".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in rows]))
+    rows = (np.asarray(triangles).reshape(-1, 3) + (base + 1)).tolist()
+    fh.write("".join([f"f {a} {b} {c}\n" for a, b, c in rows]))
 
 
 def save_mesh(mesh: Mesh, path) -> None:
@@ -227,16 +274,25 @@ def _require_closed_manifold(triangles: np.ndarray) -> None:
 
     Ray parity counts surface crossings, which tells inside from outside
     only when every edge joins two distinct vertices and every undirected
-    edge is used by exactly two triangles with opposite orientation.
+    edge is used by exactly two triangles with opposite orientation. One
+    sort of the directed-edge keys finds both faults: a run of equal keys
+    is an edge repeated in one orientation, and a binary search finds each
+    edge's twin.
     """
     start = triangles.ravel()
     end = np.roll(triangles, -1, axis=1).ravel()
     if np.any(start == end):
         raise DegenerateMeshError("mesh has a triangle with a repeated vertex")
     n = int(triangles.max()) + 1
-    edges, uses = np.unique(start * n + end, return_counts=True)
-    repeated = int(np.count_nonzero(uses > 1))
-    unpaired = int(np.count_nonzero(~np.isin(edges, end * n + start)))
+    keys = np.sort(start * n + end)
+    # Sorted, a directed edge used k times is a run of k equal keys: count
+    # the runs that start a repeat.
+    same = keys[1:] == keys[:-1]
+    repeated = int(np.count_nonzero(same & ~np.r_[False, same[:-1]]))
+    edges = keys[np.r_[True, ~same]]
+    twins = (edges % n) * n + edges // n
+    found = np.minimum(np.searchsorted(keys, twins), len(keys) - 1)
+    unpaired = int(np.count_nonzero(keys[found] != twins))
     if repeated or unpaired:
         raise DegenerateMeshError(
             f"mesh is not closed and manifold: {unpaired} edges lack an oppositely "
@@ -443,10 +499,15 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     RayDegeneracyError if a point stays unresolved after all retries (does not
     happen for watertight meshes) and DegenerateMeshError for meshes with no
     triangles or that are not closed and manifold. Zero-area triangles are
-    left out of the parity test. Each point is tested only
-    against the triangles a uniform grid pairs it with (see
-    :func:`_classify_along`), so the cost grows with points times triangles
-    per grid cell, not points times triangles.
+    left out of the parity test.
+
+    After those checks, every point outside the mesh's vertex box, padded
+    by ``_BIN_MARGIN`` times the mesh extent, is labeled 0 without a ray:
+    on a closed mesh the ray test gives it 0 as well, so the labels are
+    the same. Each remaining point is tested only against the triangles a
+    uniform grid pairs it with (see :func:`_classify_along`), so the cost
+    grows with the points in the box times triangles per grid cell, not
+    points times triangles.
     """
     pts, single = as_points(points)
     if len(mesh.triangles) == 0:
@@ -457,7 +518,12 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     # crossing; left in, its zero normal would mark every point coplanar.
     corners = mesh.triangle_corners[triangle_areas(mesh) >= 0.5 * _PARALLEL_EPS]
     labels = np.zeros(len(pts), dtype=np.uint8)
-    unresolved = np.ones(len(pts), dtype=bool)
+    # Outside the vertex box, padded by _BIN_MARGIN times the mesh extent,
+    # a point is outside a closed mesh and too far from every triangle for
+    # any tolerance of the ray test: it keeps label 0 and casts no ray.
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pad = _BIN_MARGIN * float(np.max(hi - lo))
+    unresolved = ((pts >= lo - pad) & (pts <= hi + pad)).all(axis=1)
     for direction in _DIRECTIONS:
         idx = np.flatnonzero(unresolved)
         if len(idx) == 0:

@@ -149,6 +149,24 @@ def point_in_mesh_reference(mesh, points) -> np.ndarray:
     return labels
 
 
+def reaches(pairs, points, sharpness: float) -> bool:
+    """Whether any of the ``pairs`` has min(h_a, h_b) < 1 + ln(10) / s at
+    one of the ``points``, each SQ's field from its own one-slot pass:
+    the escape rule of ``fitter._race``."""
+    ws = FieldWorkspace(points)
+    limit = 1.0 + np.log(10.0) / sharpness
+    return any((_log_field(sq, ws)[0] < limit).any() for pair in pairs for sq in pair)
+
+
+def write_obj_records_reference(fh, vertices, triangles, base: int = 0) -> None:
+    """``geometry.write_obj_records`` one record per write, as it was
+    before it formatted whole arrays: the bytes it must keep."""
+    for v in vertices:
+        fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
+    for t in triangles:
+        fh.write(f"f {base + t[0] + 1} {base + t[1] + 1} {base + t[2] + 1}\n")
+
+
 def field_and_gradient(sq, points):
     """h at every point and its (n, 11) gradient at every row, computed
     alone: a one-slot workspace and one full-row gradient call."""
@@ -223,14 +241,16 @@ def pair_loss_and_grad_reference(sq_a, sq_b, points, y, sharpness):
     return loss, grad_a, grad_b
 
 
-def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig, denominator=None):
+def optimize_pair_reference(
+    sq_a, sq_b, points, y, cfg: FitConfig, denominator=None, iterates=None
+):
     """Momentum descent from one start, every iteration to the end.
 
     The loop ``fitter.fit_node`` ran per restart before its restarts raced,
     on the loss of :func:`pair_loss_and_grad` with ``denominator``.
     Returns the best iterate seen, its loss, and the loss of every
     iteration in order (the post-loop evaluation of the last iterate not
-    included).
+    included). A list ``iterates`` receives the pair of every iteration.
     """
     ws = FieldWorkspace(points, 2, grad=True)
     pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
@@ -246,6 +266,8 @@ def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig, denominator=N
     best = (sq_a, sq_b)
     losses = []
     for t in range(cfg.iterations):
+        if iterates is not None:
+            iterates.append((cur_a, cur_b))
         loss, ga, gb = pair_loss_and_grad(cur_a, cur_b, points, y, cfg.sharpness, ws, denominator)
         losses.append(loss)
         if loss < best_loss:
@@ -266,7 +288,9 @@ def optimize_pair_reference(sq_a, sq_b, points, y, cfg: FitConfig, denominator=N
     return best[0], best[1], float(best_loss), losses
 
 
-def fit_node_reference(points, labels, cfg: FitConfig, node=(1, 1), restarts=None, support=None):
+def fit_node_reference(
+    points, labels, cfg: FitConfig, node=(1, 1), restarts=None, support=None, iterates=None
+):
     """The sequential restart loop of ``fitter.fit_node`` before the race.
 
     Runs each restart in ``restarts`` (default: all of ``cfg.restarts``) to
@@ -274,7 +298,8 @@ def fit_node_reference(points, labels, cfg: FitConfig, node=(1, 1), restarts=Non
     (default: every point) with the loss divided by the count of all the
     points, and keeps the best by strict ``<``. Returns that (sq_a, sq_b,
     objective) and a dict of each run restart's per-iteration objectives.
-    The labels must hold at least one inside point.
+    A dict ``iterates`` receives each run restart's list of per-iteration
+    pairs. The labels must hold at least one inside point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.asarray(labels)
@@ -289,7 +314,10 @@ def fit_node_reference(points, labels, cfg: FitConfig, node=(1, 1), restarts=Non
             np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
         )
         start_a, start_b = init_node(pts, y, cfg, restart=r, rng=rng)
-        *result, losses[r] = optimize_pair_reference(start_a, start_b, pts, yf, cfg, denominator)
+        *result, losses[r] = optimize_pair_reference(
+            start_a, start_b, pts, yf, cfg, denominator,
+            None if iterates is None else iterates.setdefault(r, []),
+        )
         if best is None or result[2] < best[2]:
             best = result
     return best, losses

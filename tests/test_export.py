@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_pair, random_superquadric
+from helpers import random_pair, random_superquadric, write_obj_records_reference
 from sqdecomp import (
     SliceSpec,
     SqPairNode,
@@ -20,6 +20,7 @@ from sqdecomp import (
     save_tree,
     split_field_2d,
 )
+from sqdecomp import export
 
 
 def build_tree(depth: int, seed: int = 0) -> SqTree:
@@ -188,6 +189,13 @@ class TestLevelObjExport:
         names = [k for k in obj_groups(path) if not k.endswith("/faces")]
         assert len(names) == 8
         assert names[0] == "sq_3_1_a" and names[-1] == "sq_3_4_b"
+
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, monkeypatch):
+        tree = build_tree(2, seed=23)
+        export_level_obj(tree, 2, tmp_path / "arrays.obj")
+        monkeypatch.setattr(export, "write_obj_records", write_obj_records_reference)
+        export_level_obj(tree, 2, tmp_path / "rows.obj")
+        assert (tmp_path / "arrays.obj").read_bytes() == (tmp_path / "rows.obj").read_bytes()
 
     def test_output_loads_as_mesh(self, tmp_path):
         path = tmp_path / "level2.obj"

@@ -15,6 +15,7 @@ from helpers import (
     pair_loss_and_grad_reference,
     perturbed,
     random_superquadric,
+    reaches,
 )
 from sqdecomp import (
     ConfigError,
@@ -25,12 +26,24 @@ from sqdecomp import (
     fit_node,
     fit_tree,
     inside_outside_stable,
+    label_iou,
     node_loss,
     occupancy,
     recompute_labels,
+    surface_points,
 )
 from sqdecomp import fitter
-from sqdecomp.fitter import _PairBatch, _finish, _pair_arrays, _race, _support, init_node
+from sqdecomp import quaternions as quat
+from sqdecomp.fitter import (
+    _ESCAPE_MARGIN,
+    _PairBatch,
+    _escapes,
+    _finish,
+    _pair_arrays,
+    _race,
+    _support,
+    init_node,
+)
 
 
 class TestNodeLoss:
@@ -505,20 +518,44 @@ def race_problem(seed: int, n: int):
     return pts, labels
 
 
-def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
-    """The raced fit_node equals the sequential reference over the
-    survivors, run on the node's support with the loss divided by the count
-    of all the points, bitwise, and reports that pair's loss over every
-    point; each restart's running best equals the reference's minimum over
-    the iterations it ran; the iteration count is exact."""
-    support = _support(pts, labels == 1)
-    _, losses = fit_node_reference(pts, labels, cfg, support=support)
-    restarts, total, cut = cfg.restarts, cfg.iterations, cfg.iterations // 2
+def reference_survivors(losses, cfg: FitConfig):
+    """The restarts that run past the cut, by the reference's losses, and
+    the cut's iteration (the whole schedule when nothing is cut)."""
+    restarts, cut = cfg.restarts, cfg.iterations // 2
     if restarts > 1 and cut > 0:
         ranked = sorted(range(restarts), key=lambda r: (min(losses[r][:cut]), r))
-        survivors = sorted(ranked[: (restarts + 1) // 2])
-    else:
-        survivors, cut = list(range(restarts)), total
+        return sorted(ranked[: (restarts + 1) // 2]), cut
+    return list(range(restarts)), cfg.iterations
+
+
+def reference_support(pts, labels, cfg: FitConfig):
+    """The points the race runs on, the reference's per-restart losses
+    there, and whether the escape rule fired: the reference runs on the
+    support, and the survivors' pairs at the cut are checked against every
+    point left out; if one reaches past the support, it runs again on
+    every point."""
+    support = _support(pts, labels == 1)
+    pairs = {}
+    _, losses = fit_node_reference(pts, labels, cfg, support=support, iterates=pairs)
+    survivors, _ = reference_survivors(losses, cfg)
+    cut = cfg.iterations // 2
+    if cut and reaches([pairs[r][cut] for r in survivors], pts[~support], cfg.sharpness):
+        _, losses = fit_node_reference(pts, labels, cfg)
+        return np.ones(len(pts), dtype=bool), losses, True
+    return support, losses, False
+
+
+def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
+    """The raced fit_node equals the sequential reference over the
+    survivors, bitwise, and reports that pair's loss over every point; each
+    restart's running best equals the reference's minimum over the
+    iterations it ran; the iteration count is exact. The reference runs
+    on the node's support with the loss divided by the count of all the
+    points, or on every point where a survivor reaches past the support at
+    the cut."""
+    support, losses, _ = reference_support(pts, labels, cfg)
+    restarts, total = cfg.restarts, cfg.iterations
+    survivors, cut = reference_survivors(losses, cfg)
     (ref_a, ref_b, _), _ = fit_node_reference(
         pts, labels, cfg, restarts=survivors, support=support
     )
@@ -651,7 +688,9 @@ class TestSupport:
     def test_fit_is_the_reference_on_the_support_over_every_point(self, restarts, iterations):
         """A strict support: fit_node is bitwise the reference run on
         points[support] with the loss divided by all n points, and not the
-        one divided by the support's own count."""
+        one divided by the support's own count. (At one restart and 7 or 25
+        iterations the escape rule fires, and the reference runs on every
+        point.)"""
         pts, labels = race_problem(81, 300)
         support = _support(pts, labels == 1)
         assert 0 < support.sum() < len(pts) // 2
@@ -688,6 +727,104 @@ class TestSupport:
         np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
         np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
         assert fit.loss == ref_loss
+
+
+def escape_counts(monkeypatch) -> list:
+    """Record what every escape check of fitter._race finds."""
+    counts = []
+    check = fitter._escapes
+
+    def counted(runs, outside):
+        counts.append(check(runs, outside))
+        return counts[-1]
+
+    monkeypatch.setattr(fitter, "_escapes", counted)
+    return counts
+
+
+class TestEscapeRule:
+    @pytest.mark.parametrize("sharpness", [1.0, 10.0, 50.0])
+    def test_threshold(self, sharpness):
+        """Spheres of radius 0.2 at the origin: h = (r / 0.2)^2, so a point
+        is reached below r = 0.2 sqrt(1 + ln(10) / s); by either SQ of any
+        live restart, and only by live ones."""
+        sphere = Superquadric(np.full(3, 0.2), np.ones(2))
+        far = Superquadric(np.full(3, 0.2), np.ones(2), np.array([5.0, 0.0, 0.0]))
+        cfg = FitConfig(restarts=3, sharpness=sharpness)
+        limit = 0.2 * np.sqrt(1.0 + _ESCAPE_MARGIN / sharpness)
+        radii = limit * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0])
+        outside = (radii[:, None, None] * np.eye(3)).reshape(-1, 3)
+        batch = _PairBatch(outside, np.zeros(len(outside)), sharpness, 3, grad=False)
+        runs = fitter._Restarts([(far, far), (far, sphere), (sphere, far)], cfg, (1, 1), batch)
+        assert _escapes(runs, outside) == 6
+        runs.live = np.array([0, 2])
+        assert _escapes(runs, outside) == 6
+        runs.live = np.array([0])
+        assert _escapes(runs, outside) == 0
+
+    def test_reaching_pair_refits_on_every_point(self, monkeypatch):
+        """At s = 1 a pair that covers the inside points has an occupancy
+        above 1/11 out to about 1.8 times its size, past the support's 1.5
+        times: the rule fires, and the fit is bitwise the uncropped race,
+        not the cropped one."""
+        pts, labels = race_problem(81, 300)
+        cfg = FitConfig(iterations=20, restarts=3, sharpness=1.0, seed=4)
+        support, _, fired = reference_support(pts, labels, cfg)
+        assert fired and support.all()
+        counts = escape_counts(monkeypatch)
+        check_race_against_reference(pts, labels, cfg)
+        assert len(counts) == 2 and counts[0] > 0
+        cropped = _support(pts, labels == 1)
+        _, losses = fit_node_reference(pts, labels, cfg, support=cropped)
+        survivors, _ = reference_survivors(losses, cfg)
+        (crop_a, _, _), _ = fit_node_reference(
+            pts, labels, cfg, restarts=survivors, support=cropped
+        )
+        assert not np.array_equal(fit_node(pts, labels, cfg).sq_a.params(), crop_a.params())
+
+    @pytest.mark.parametrize("restarts", [1, 4])
+    def test_unreached_support_keeps_the_cropped_fit(self, monkeypatch, restarts):
+        pts, labels = race_problem(80, 300)
+        cfg = FitConfig(iterations=40, restarts=restarts, seed=5)
+        support, _, fired = reference_support(pts, labels, cfg)
+        assert not fired and not support.all()
+        counts = escape_counts(monkeypatch)
+        check_race_against_reference(pts, labels, cfg)
+        assert counts and not any(counts)
+
+    def test_one_iteration_has_no_check(self, monkeypatch):
+        pts, labels = race_problem(81, 300)
+        counts = escape_counts(monkeypatch)
+        fit_node(pts, labels, FitConfig(iterations=1, restarts=2, sharpness=1.0))
+        assert counts == []
+
+    def test_criterion_six_shape_ten_recovers(self, monkeypatch):
+        """Criterion 6's shape 10 (truth from seed 42, points from seed 110)
+        grows out of its support: cropped, it recovered at IoU 0.860; the
+        rule refits it on every point, which recovers it."""
+        gt_rng = np.random.default_rng(42)
+        for _ in range(11):
+            gt = Superquadric(
+                gt_rng.uniform(0.15, 0.45, 3),
+                gt_rng.uniform(0.4, 1.6, 2),
+                gt_rng.uniform(-0.1, 0.1, 3),
+                quat.normalize(gt_rng.normal(size=4)),
+            )
+        pt_rng = np.random.default_rng(110)
+        grid = surface_points(gt, 40, 40).reshape(-1, 3)
+        pts = pt_rng.uniform(-0.6, 0.6, (7000, 3))
+        idx = pt_rng.integers(0, len(grid), 3000)
+        pts = np.vstack([pts, grid[idx] + pt_rng.normal(0, 0.05, (3000, 3))])
+        labels = (inside_outside_stable(gt, pts) < 1.0).astype(np.uint8)
+        cfg = FitConfig(max_depth=1, iterations=400, restarts=4, sharpness=50.0, step_size=0.005)
+        counts = escape_counts(monkeypatch)
+        fit = fit_node(pts, labels, cfg)
+        assert counts[0] > 0
+        iou = max(
+            label_iou((inside_outside_stable(sq, pts) < 1.0).astype(np.uint8), labels)
+            for sq in (fit.sq_a, fit.sq_b)
+        )
+        assert iou >= 0.95
 
 
 class TestFitTree:

@@ -1,9 +1,12 @@
+import io
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _classify_chunk, point_in_mesh_reference
+from helpers import _classify_chunk, point_in_mesh_reference, write_obj_records_reference
 from sqdecomp import (
     DegenerateMeshError,
     Mesh,
@@ -20,11 +23,13 @@ from sqdecomp import (
 )
 from sqdecomp import quaternions as quat
 from sqdecomp.geometry import (
+    _BIN_MARGIN,
     _DIRECTIONS,
     _BoxGrid,
     _classify_along,
     _plane_basis,
     _TriangleTerms,
+    write_obj_records,
 )
 
 
@@ -94,6 +99,104 @@ class TestLoadMesh:
         back = load_mesh(tmp_path / "b.obj")
         np.testing.assert_array_equal(back.vertices, mesh.vertices)
         np.testing.assert_array_equal(back.triangles, mesh.triangles)
+
+
+# Malformed OBJ bodies and the exact message of each, after "<path>".
+MALFORMED_OBJ = [
+    ("v 0 0\n", ":1: vertex needs 3 coordinates"),
+    ("v 0 0 0\nv 0 0 0 1\nv 1 0\n", ":3: vertex needs 3 coordinates"),
+    ("v 0 0 x\n", ":1: bad vertex coordinate"),
+    ("v 0 0 0\nv 1 0 0\nf 1 2\n", ":3: face needs at least 3 vertices"),
+    ("v 0 0 0\n\nf 1 1 x\n", ":3: bad face index 'x'"),
+    ("v 0 0 0\nf 1/1 /2 1\n", ":2: bad face index '/2'"),
+    ("v 0 0 0\nf 1 0 1\n", ":2: face indices must be positive, got 0"),
+    # Relative (negative) references are not supported.
+    ("v 0 0 0\nf 1 -2 1\n", ":2: face indices must be positive, got -2"),
+    # Within a line, the first bad reference decides.
+    ("v 0 0 0\nf 1 0 x\n", ":2: face indices must be positive, got 0"),
+    ("v 0 0 0\nf 1 x 0\n", ":2: bad face index 'x'"),
+    ("", ": no vertices"),
+    ("# a comment\nvn 0 0 1\nf 1 2 3\n", ": no vertices"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", ": face index 4 exceeds vertex count"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 7 5\n", ": face index 7 exceeds vertex count"),
+    # The first bad record in file order wins, whatever its kind.
+    ("v 0 0 0\nf 1 1 x\nv 0 0 y\n", ":2: bad face index 'x'"),
+    ("v 0 0 y\nf 1 1 x\n", ":1: bad vertex coordinate"),
+    ("v 0 0 0\nf 1 1 1\nv 1\n", ":3: vertex needs 3 coordinates"),
+    ("v 0 0 0\nf 1 1 0\nf 1 1\n", ":2: face indices must be positive, got 0"),
+    # A trailing comment on a face record is read as a reference.
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 # a comment\n", ":4: bad face index '#'"),
+    # Lines are numbered after newline translation.
+    ("v 0 0 0\r\nv 1 0 0\rv 0 1\n", ":3: vertex needs 3 coordinates"),
+]
+
+
+class TestLoadMeshErrors:
+    @pytest.mark.parametrize("body, message", MALFORMED_OBJ)
+    def test_first_bad_record_names_its_line(self, tmp_path, body, message):
+        p = tmp_path / "bad.obj"
+        p.write_bytes(body.encode())
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(str(p) + message)}$"):
+            load_mesh(p)
+
+
+def random_obj_body(rng: np.random.Generator):
+    """An OBJ body of random v and f records, formatted every way the
+    reader accepts, and the vertices and fan triangles it holds."""
+    n = int(rng.integers(3, 30))
+    vertices = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    vertices[rng.random((n, 3)) < 0.1] = 0.0
+    faces = [rng.choice(n, int(rng.integers(3, 6)), replace=False) for _ in range(20)]
+    seps = [" ", "\t", "  ", " \t "]
+
+    def sep():
+        return seps[rng.integers(len(seps))]
+
+    def ref(k):
+        return [f"{k}", f"{k}/{k}", f"{k}//{k}", f"{k}/1/{k}"][rng.integers(4)]
+
+    lines = [f"v{sep()}" + sep().join(repr(float(c)) for c in v)
+             + (" 1.0" if rng.random() < 0.2 else "") for v in vertices]
+    lines += [f"f{sep()}" + sep().join(ref(k + 1) for k in face) + sep() for face in faces]
+    extra = ["", "# comment", "vt 0.5 0.5", "vn 0 0 1", "g part", "s off", "   "]
+    for _ in range(10):
+        lines.insert(int(rng.integers(len(lines) + 1)), extra[rng.integers(len(extra))])
+    triangles = [[f[0], f[i], f[i + 1]] for f in faces for i in range(1, len(f) - 1)]
+    return "\n".join(lines) + "\n", vertices, np.array(triangles)
+
+
+class TestObjRoundTrip:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_body_loads_bit_exact(self, tmp_path, seed):
+        body, vertices, triangles = random_obj_body(np.random.default_rng(seed))
+        p = write_obj(tmp_path / "r.obj", body)
+        mesh = load_mesh(p)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        np.testing.assert_array_equal(mesh.triangles, triangles)
+        save_mesh(mesh, tmp_path / "again.obj")
+        back = load_mesh(tmp_path / "again.obj")
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()
+        np.testing.assert_array_equal(back.triangles, mesh.triangles)
+
+    def test_vertices_without_faces(self, tmp_path):
+        mesh = load_mesh(write_obj(tmp_path / "v.obj", "v 0 0 0\nv 1 1 1\n"))
+        assert mesh.vertices.shape == (2, 3) and mesh.triangles.shape == (0, 3)
+
+    @pytest.mark.parametrize("base", [0, 1, 1000])
+    def test_writer_bytes_equal_the_per_row_writer(self, base):
+        rng = np.random.default_rng(base)
+        mesh = icosphere(subdivisions=2)
+        vertices = mesh.vertices * 10.0 ** rng.integers(-20, 20, mesh.vertices.shape)
+        got, want = io.StringIO(), io.StringIO()
+        write_obj_records(got, vertices, mesh.triangles, base)
+        write_obj_records_reference(want, vertices, mesh.triangles, base)
+        assert got.getvalue() == want.getvalue()
+
+    def test_writer_takes_lists(self):
+        got, want = io.StringIO(), io.StringIO()
+        write_obj_records(got, [[0, 1, 2.5]], [[0, 0, 0]], 3)
+        write_obj_records_reference(want, [[0, 1, 2.5]], [[0, 0, 0]], 3)
+        assert got.getvalue() == want.getvalue() == "v 0.0 1.0 2.5\nf 4 4 4\n"
 
 
 class TestMeshValidation:
@@ -285,6 +388,38 @@ class TestClosedManifoldCheck:
         with pytest.raises(DegenerateMeshError, match="repeated vertex"):
             point_in_mesh(Mesh(cube.vertices, tris), [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("case, unpaired, repeated", [
+        ("duplicated face", 0, 3),
+        # Three copies of a face repeat its three edges: repeats count
+        # distinct directed edges, not uses.
+        ("face used three times", 0, 3),
+        ("missing face", 3, 0),
+        # A fin on edge 0-1 of the box: that edge is used by three
+        # triangles, twice as 0 -> 1; the fin's other two edges are unpaired.
+        ("edge used three times", 2, 1),
+    ])
+    def test_message_counts(self, case, unpaired, repeated):
+        cube = box()
+        tris = {
+            "duplicated face": np.vstack([cube.triangles, cube.triangles[:1]]),
+            "face used three times": np.vstack([cube.triangles] + [cube.triangles[:1]] * 2),
+            "missing face": cube.triangles[1:],
+            "edge used three times": np.vstack([cube.triangles, [[0, 1, 8]]]),
+        }[case]
+        mesh = Mesh(np.vstack([cube.vertices, [[0.0, -1.0, -1.0]]]), tris)
+        message = (
+            f"mesh is not closed and manifold: {unpaired} edges lack an oppositely "
+            f"oriented twin and {repeated} are used more than once in the same orientation"
+        )
+        with pytest.raises(DegenerateMeshError, match=f"^{re.escape(message)}$"):
+            point_in_mesh(mesh, [0.0, 0.0, 0.0])
+
+    def test_open_mesh_rejected_with_every_point_outside_its_box(self):
+        cube = box()
+        far = np.array([[2.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 9.0]])
+        with pytest.raises(DegenerateMeshError, match="closed and manifold"):
+            point_in_mesh(Mesh(cube.vertices, cube.triangles[1:]), far)
+
     def test_zero_area_triangle_is_left_out(self):
         """Splitting face (0, 1, 5) at the midpoint M of edge 0-1 adds the
         collinear triangle (0, 1, M); the mesh stays closed and manifold and
@@ -301,6 +436,66 @@ class TestClosedManifoldCheck:
         np.testing.assert_array_equal(
             point_in_mesh(Mesh(vertices, tris), pts), point_in_mesh(cube, pts)
         )
+
+
+def far_points(mesh: Mesh, rng: np.random.Generator, n: int = 1000) -> np.ndarray:
+    """Uniform points over three times the mesh's vertex box, and points
+    just inside and just outside point_in_mesh's pad of that box, beside
+    every vertex that touches the box: moved out of the box across all or
+    some of the faces it touches."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    centre, size = 0.5 * (lo + hi), hi - lo
+    pad = _BIN_MARGIN * size.max()
+    touching = (mesh.vertices == lo) | (mesh.vertices == hi)
+    edge = mesh.vertices[touching.any(axis=1)]
+    outward = np.sign(edge - centre) * touching[touching.any(axis=1)]
+    some = outward * (rng.random(edge.shape) < 0.5)
+    return np.vstack([
+        rng.uniform(centre - 1.5 * size, centre + 1.5 * size, (n, 3)),
+        edge + 0.5 * pad * outward,
+        edge + 2.0 * pad * outward,
+        edge + 0.5 * pad * some,
+        edge + 2.0 * pad * some,
+    ])
+
+
+class TestBoxPrePass:
+    """Points outside the padded vertex box are labeled 0 without a ray;
+    every label must still be the brute-force test's."""
+
+    @pytest.mark.parametrize("name", ["box", "dumbbell", "table", "icosphere4"])
+    def test_labels_equal_reference_over_three_times_the_box(self, name):
+        mesh = {
+            "box": box,
+            "dumbbell": lambda: normalize(dumbbell()),
+            "table": table_mesh,
+            "icosphere4": lambda: normalize(icosphere(subdivisions=4)),
+        }[name]()
+        pts = far_points(mesh, np.random.default_rng(53))
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        outside = ((pts < lo) | (pts > hi)).any(axis=1)
+        assert 0.5 < outside.mean() < 1.0
+        np.testing.assert_array_equal(point_in_mesh(mesh, pts), point_in_mesh_reference(mesh, pts))
+
+    def test_cube_faces_and_corners_are_inside(self):
+        """Points exactly on the vertex box's faces, edges and corners lie
+        on the cube's surface: inside, as the brute-force test says."""
+        cube = box(center=(0.1, -0.2, 0.3), size=(0.4, 0.6, 0.8))
+        lo, hi = cube.vertices.min(axis=0), cube.vertices.max(axis=0)
+        rng = np.random.default_rng(54)
+        on_faces = rng.uniform(lo, hi, (300, 3))
+        axis = rng.integers(3, size=300)
+        side = np.where(rng.random((300, 1)) < 0.5, lo, hi)
+        on_faces[np.arange(300), axis] = side[np.arange(300), axis]
+        pts = np.vstack([cube.vertices, on_faces, 0.5 * (lo + hi)])
+        labels = point_in_mesh(cube, pts)
+        assert labels.all()
+        np.testing.assert_array_equal(labels, point_in_mesh_reference(cube, pts))
+
+    def test_every_point_outside_the_box(self):
+        pts = np.array([[2.0, 0.0, 0.0], [0.0, -0.5 - 1e-5, 0.0], [0.6, 0.6, 0.6]])
+        assert not point_in_mesh(box(), pts).any()
+        assert point_in_mesh(box(), pts[0]) == 0
 
 
 class TestBinnedMatchesBruteForce:
@@ -366,7 +561,8 @@ class TestBinnedMatchesBruteForce:
         mesh = box() if shape == "box" else icosphere(subdivisions=2)
         rot = quat.to_matrix(quat.normalize(np.array(rotation)))
         moved = Mesh(scale * mesh.vertices @ rot.T + np.array(shift), mesh.triangles)
-        pts = probe_points(moved, np.random.default_rng(seed), 200)
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([probe_points(moved, rng, 200), far_points(moved, rng, 200)])
         np.testing.assert_array_equal(
             point_in_mesh(moved, pts), point_in_mesh_reference(moved, pts)
         )
