@@ -28,7 +28,7 @@ from .metrics import (
     voxel_iou,
 )
 from .shapes import box, dumbbell, icosphere, merge
-from .splitter import SliceSpec, SplitAssignment, child_labels, split_field_2d, split_pair
+from .splitter import SliceSpec, split_field_2d, split_pair
 from .sqtree import Side, SqPairNode, SqTree, parent_node, recompute_labels, split_node
 from .superquadric import (
     NonFiniteGradientError,
@@ -68,13 +68,11 @@ __all__ = [
     "OccupancyConfig",
     "Side",
     "SliceSpec",
-    "SplitAssignment",
     "SqPairNode",
     "SqTree",
     "Superquadric",
     "TreeFormatError",
     "box",
-    "child_labels",
     "dumbbell",
     "export_level_obj",
     "export_split_csv",

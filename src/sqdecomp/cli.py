@@ -67,12 +67,14 @@ def _format_iou(value) -> str:
 
 
 def cmd_fit(args) -> int:
+    if args.threads != 1:
+        raise ConfigError(f"--threads must be 1, got {args.threads}")
     cfg = _resolve_config(args)
     mesh = normalize(load_mesh(args.mesh))
     pointset = sample_labeled_points(
         mesh, args.samples_surface, args.samples_uniform, seed=cfg.seed
     )
-    tree, report = fit_tree(pointset, cfg, threads=args.threads)
+    tree, report = fit_tree(pointset, cfg)
 
     out = _out_dir(args)
     tree_path = os.path.join(out, "tree.json")
@@ -143,7 +145,7 @@ _PRESET_PAIRS = {
             size=(0.28, 0.28, 0.20),
             exponents=(0.5, 0.5),
             translation=(0.18, 0.05, 0.0),
-            rotation=quat.from_axis_angle([0.0, 0.0, 1.0], np.pi / 6),
+            rotation=quat.from_rotation_vector(np.array([0.0, 0.0, np.pi / 6])),
         ),
     ),
 }
@@ -199,7 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_fit)
     p_fit.add_argument("--samples-uniform", type=int, default=6000)
     p_fit.add_argument("--samples-surface", type=int, default=2000)
-    p_fit.add_argument("--threads", type=int, default=1, help="0 = one per CPU")
+    p_fit.add_argument(
+        "--threads", type=int, default=1,
+        help="must be 1: nodes are fitted in order on one thread; the flag goes "
+        "with the next benchmark change (ROADMAP item 2)",
+    )
     p_fit.add_argument("--out-dir", default=".")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -20,10 +20,6 @@ class TreeFormatError(ValueError):
     """The tree JSON file is malformed or has an unsupported version."""
 
 
-def _sq_params_list(sq: Superquadric) -> list:
-    return [float(v) for v in sq.params()]
-
-
 def write_json(doc, path) -> None:
     """Write ``doc`` as JSON with sorted keys, two-space indent and a
     trailing newline, so equal documents give equal bytes."""
@@ -49,8 +45,8 @@ def save_tree(tree: SqTree, report: FitReport | None, path) -> None:
             {
                 "depth": node.depth,
                 "index": node.index,
-                "lambda_a": _sq_params_list(node.sq_a),
-                "lambda_b": _sq_params_list(node.sq_b),
+                "lambda_a": node.sq_a.params().tolist(),
+                "lambda_b": node.sq_b.params().tolist(),
                 "degenerate": bool(node.degenerate),
             }
         )

@@ -76,9 +76,7 @@ children inherit empty label sets and therefore the same treatment.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -161,9 +159,6 @@ class FitConfig:
         if not (0 < self.e_min <= self.e_max):
             raise ConfigError(f"exponent bounds must satisfy 0 < e_min <= e_max, got "
                               f"{self.e_min}, {self.e_max}")
-
-    def occupancy(self) -> OccupancyConfig:
-        return OccupancyConfig(sharpness=self.sharpness)
 
     @classmethod
     def field_casters(cls) -> dict:
@@ -479,9 +474,8 @@ class _Restarts:
     iterations it has run, ``best_loss[r]`` its running best loss and
     ``best_params[r]``, ``best_rotation[r]`` the pair that reached it.
     ``live`` lists the restarts still running, in restart order; they
-    stand at the same iteration. ``batch`` is the node's :class:`_PairBatch`;
-    fit_tree's threads never share one. Superquadrics are built only for
-    the pair :func:`fit_node` returns.
+    stand at the same iteration. ``batch`` is the node's :class:`_PairBatch`.
+    Superquadrics are built only for the pair :func:`fit_node` returns.
     """
 
     def __init__(self, starts, cfg: FitConfig, node: tuple[int, int], batch: _PairBatch):
@@ -638,18 +632,19 @@ def fit_node(
     """Fit one node's pair with raced restarts; deterministic for a fixed config.
 
     Restart r of node (d, i) draws its jitter from
-    SeedSequence(cfg.seed, spawn_key=(d, i, r)), so results do not depend on
-    scheduling order. The restarts that finish the schedule are compared in
-    restart order, a later one winning only with a strictly lower objective
-    on the node's support; the returned ``loss`` is the pair's loss over
-    every point, ``node_loss(fit.sq_a, fit.sq_b, points, labels)``.
+    SeedSequence(cfg.seed, spawn_key=(d, i, r)), so a node's fit does not
+    depend on which nodes were fitted before it. The restarts that finish
+    the schedule are compared in restart order, a later one winning only
+    with a strictly lower objective on the node's support; the returned
+    ``loss`` is the pair's loss over every point,
+    ``node_loss(fit.sq_a, fit.sq_b, points, labels)``.
     ``iterations`` counts the iterations actually run over all restarts. A
     node with no inside-labeled points returns the degenerate sentinel
     without optimizing.
     """
     ps = LabeledPointSet(points, labels)
     pts, y = ps.points, ps.labels
-    occ = cfg.occupancy()
+    occ = OccupancyConfig(cfg.sharpness)
 
     if int(y.sum()) == 0:
         centroid = pts.mean(axis=0)
@@ -683,26 +678,17 @@ def fit_node(
     )
 
 
-def fit_tree(
-    pointset: LabeledPointSet,
-    cfg: FitConfig,
-    threads: int = 1,
-) -> tuple[SqTree, FitReport]:
+def fit_tree(pointset: LabeledPointSet, cfg: FitConfig) -> tuple[SqTree, FitReport]:
     """Fit the whole pair tree, breadth-first, down to cfg.max_depth.
 
     Level d+1's training labels come from splitting each level-d node's
-    points between its two SQs. ``threads`` caps the worker count for
-    fitting the nodes of one level in parallel (0 means one per CPU);
-    results are identical for any thread count.
+    points between its two SQs (:func:`split_node`). A level's nodes are
+    fitted in index order, each added to the tree as soon as it is fitted.
     """
-    if threads < 0:
-        raise ConfigError(f"threads must be >= 0, got {threads}")
     t0 = time.perf_counter()
     points = pointset.points
     report = FitReport(config=cfg)
     tree = SqTree(max_depth=cfg.max_depth, points=points)
-
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
 
     tasks = [((1, 1), pointset.labels)]
     for depth in range(1, cfg.max_depth + 1):
@@ -712,14 +698,8 @@ def fit_tree(
                 for parent in tree.level_nodes(depth - 1)
                 for child in split_node(parent, points, parent.labels)
             ]
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fits = list(
-                    pool.map(lambda t: fit_node(points, t[1], cfg, node=t[0]), tasks)
-                )
-        else:
-            fits = [fit_node(points, labels, cfg, node=key) for key, labels in tasks]
-        for (key, labels), fit in zip(tasks, fits):
+        for key, labels in tasks:
+            fit = fit_node(points, labels, cfg, node=key)
             tree.add_node(SqPairNode(*key, fit.sq_a, fit.sq_b, labels, fit.degenerate))
             report.node_losses[key] = fit.loss
             report.iterations += fit.iterations

@@ -28,9 +28,15 @@ SURFACE_NOISE_SIGMA = 0.05
 _BASE_DIRECTION = np.array([0.57721566490153287, 0.30102999566398120, 0.78539816339744831])
 _MAX_RAY_RETRIES = 32
 
+# Ray-test tolerances, relative to the longest side L of the mesh's vertex
+# box: |det| and twice a triangle's area are compared with
+# _PARALLEL_EPS * L^2, the ray parameter with _ON_SURFACE_T * L and the
+# distance to a parallel triangle's plane with _COPLANAR_DIST * L, so a
+# mesh and its points scaled by a power of two keep every label.
 _PARALLEL_EPS = 1e-12
 _BARY_EPS = 1e-10
 _ON_SURFACE_T = 1e-12
+_COPLANAR_DIST = 1e-9
 
 # Padding of each triangle's projected bounding box, relative to the mesh
 # extent. bary_wide admits points up to _BARY_EPS (relative) outside a
@@ -302,8 +308,10 @@ def _require_closed_manifold(triangles: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _TriangleTerms:
-    """Per-triangle Möller–Trumbore quantities for one ray direction."""
+    """Per-triangle Möller–Trumbore quantities for one ray direction, with
+    the ``scale`` L of the mesh that the tolerances are relative to."""
 
+    scale: float
     a: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
@@ -314,16 +322,16 @@ class _TriangleTerms:
     norm_len: np.ndarray
 
     @classmethod
-    def of(cls, corners: np.ndarray, direction: np.ndarray) -> "_TriangleTerms":
+    def of(cls, corners: np.ndarray, direction: np.ndarray, scale: float) -> "_TriangleTerms":
         a = corners[:, 0]
         e1 = corners[:, 1] - a
         e2 = corners[:, 2] - a
         pvec = np.cross(direction, e2)
         det = np.einsum("tk,tk->t", e1, pvec)
-        parallel = np.abs(det) < _PARALLEL_EPS
+        parallel = np.abs(det) < _PARALLEL_EPS * scale * scale
         normal = np.cross(e1, e2)
         norm_len = np.linalg.norm(normal, axis=1)
-        return cls(a, e1, e2, pvec, parallel, np.where(parallel, 1.0, det), normal,
+        return cls(scale, a, e1, e2, pvec, parallel, np.where(parallel, 1.0, det), normal,
                    np.where(norm_len == 0, 1.0, norm_len))
 
 
@@ -352,11 +360,12 @@ def _classify_pairs(points, pair_point, pair_tri, terms: _TriangleTerms, directi
     bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
     bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
 
-    on_surface = (~parallel) & (np.abs(t_hit) <= _ON_SURFACE_T) & bary_wide
-    forward = (~parallel) & (t_hit > _ON_SURFACE_T)
+    on_surface_t = _ON_SURFACE_T * terms.scale
+    on_surface = (~parallel) & (np.abs(t_hit) <= on_surface_t) & bary_wide
+    forward = (~parallel) & (t_hit > on_surface_t)
     counted = forward & bary_strict
     grazing = forward & bary_wide & ~bary_strict
-    coplanar = parallel & (plane_dist < 1e-9)
+    coplanar = parallel & (plane_dist < _COPLANAR_DIST * terms.scale)
 
     def per_point(mask):
         return np.bincount(pair_point[mask], minlength=n)
@@ -452,8 +461,10 @@ def _chunks(weights: np.ndarray, budget: int):
         begin = end
 
 
-def _classify_along(points: np.ndarray, corners: np.ndarray, direction: np.ndarray):
-    """(resolved mask, inside labels) of points for rays along one direction.
+def _classify_along(points: np.ndarray, corners: np.ndarray, direction: np.ndarray,
+                    scale: float):
+    """(resolved mask, inside labels) of points for rays along one direction,
+    with the tolerances of a mesh whose vertex box's longest side is ``scale``.
 
     Equals testing every point against every triangle, but tests each point
     only against the triangles whose projection along the ray can contain
@@ -463,8 +474,8 @@ def _classify_along(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
     against every point, since their in-plane test has no barycentric
     bound. Work is chunked by candidate pairs, which bounds peak memory.
     """
-    terms = _TriangleTerms.of(corners, direction)
-    margin = _BIN_MARGIN * float(np.max(np.ptp(corners.reshape(-1, 3), axis=0)))
+    terms = _TriangleTerms.of(corners, direction, scale)
+    margin = _BIN_MARGIN * scale
     basis = _plane_basis(direction)
     projected = corners @ basis
     binned = np.flatnonzero(~terms.parallel)
@@ -498,8 +509,9 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     a fixed deterministic sequence, so results never depend on luck. Raises
     RayDegeneracyError if a point stays unresolved after all retries (does not
     happen for watertight meshes) and DegenerateMeshError for meshes with no
-    triangles or that are not closed and manifold. Zero-area triangles are
-    left out of the parity test.
+    triangles, that are not closed and manifold, or whose triangles all have
+    zero area. Zero-area triangles are left out of the parity test. Every
+    tolerance is relative to the longest side of the mesh's vertex box.
 
     After those checks, every point outside the mesh's vertex box, padded
     by ``_BIN_MARGIN`` times the mesh extent, is labeled 0 without a ray:
@@ -514,21 +526,26 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
         raise DegenerateMeshError("mesh has no triangles; inside test undefined")
     _require_closed_manifold(mesh.triangles)
 
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    scale = float(np.max(hi - lo))
     # A zero-area triangle is parallel to every ray, so it never counts a
     # crossing; left in, its zero normal would mark every point coplanar.
-    corners = mesh.triangle_corners[triangle_areas(mesh) >= 0.5 * _PARALLEL_EPS]
+    # (areas > 0 keeps it out where L, or L^2, is 0.)
+    areas = triangle_areas(mesh)
+    corners = mesh.triangle_corners[(areas > 0) & (areas >= 0.5 * _PARALLEL_EPS * scale * scale)]
+    if len(corners) == 0:
+        raise DegenerateMeshError("every triangle has zero area; inside test undefined")
     labels = np.zeros(len(pts), dtype=np.uint8)
     # Outside the vertex box, padded by _BIN_MARGIN times the mesh extent,
     # a point is outside a closed mesh and too far from every triangle for
     # any tolerance of the ray test: it keeps label 0 and casts no ray.
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    pad = _BIN_MARGIN * float(np.max(hi - lo))
+    pad = _BIN_MARGIN * scale
     unresolved = ((pts >= lo - pad) & (pts <= hi + pad)).all(axis=1)
     for direction in _DIRECTIONS:
         idx = np.flatnonzero(unresolved)
         if len(idx) == 0:
             break
-        resolved, lab = _classify_along(pts[idx], corners, direction)
+        resolved, lab = _classify_along(pts[idx], corners, direction, scale)
         done = idx[resolved]
         labels[done] = lab[resolved]
         unresolved[done] = False

@@ -158,10 +158,3 @@ def from_rotation_vector(u: np.ndarray) -> np.ndarray:
         q[small] = normalize(np.concatenate([np.ones((len(tiny), 1)), 0.5 * tiny], axis=1))
     return q
 
-
-def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Unit quaternion rotating by angle (radians) about axis."""
-    axis = normalize(np.asarray(axis, dtype=np.float64))
-    half = 0.5 * angle
-    s = np.sin(half)
-    return np.array([np.cos(half), s * axis[0], s * axis[1], s * axis[2]])

@@ -1,8 +1,10 @@
 """Implicit space separation for a fitted superquadric pair.
 
 Once a node's two superquadrics (a, b) are fitted, every sample point is
-assigned to exactly one side, which becomes the inside/outside ground truth
-for the node's children. The assignment needs no surface meshing:
+assigned to exactly one side, given as one boolean mask that is True on
+side a. :func:`sqtree.split_node` ANDs the node's inside labels with the
+mask for one child and with its complement for the other. The assignment
+needs no surface meshing:
 
 * a point inside exactly one SQ belongs to that SQ,
 * a point inside both belongs to the one with the larger F^e1 (the one whose
@@ -21,34 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_labels
 from .superquadric import FieldWorkspace, Superquadric, _field_and_radial
-
-
-@dataclass(frozen=True, eq=False)
-class SplitAssignment:
-    """Boolean partition of a point batch between the two sides of a pair."""
-
-    to_a: np.ndarray
-
-    def __post_init__(self) -> None:
-        to_a = np.array(self.to_a, dtype=bool)
-        to_a.setflags(write=False)
-        object.__setattr__(self, "to_a", to_a)
-
-    @property
-    def to_b(self) -> np.ndarray:
-        return ~self.to_a
-
-    def side_mask(self, side: str) -> np.ndarray:
-        if side == "a":
-            return self.to_a
-        if side == "b":
-            return self.to_b
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-
-    def __len__(self) -> int:
-        return len(self.to_a)
 
 
 def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, points):
@@ -66,18 +41,10 @@ def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, points):
     return h_a, h_b, d_a, d_b, to_a
 
 
-def split_pair(sq_a: Superquadric, sq_b: Superquadric, points) -> SplitAssignment:
-    """Assign every point to side a or side b of the pair."""
-    return SplitAssignment(_pair_fields(sq_a, sq_b, points)[4])
-
-
-def child_labels(parent_labels, assignment: SplitAssignment, side: str) -> np.ndarray:
-    """Inside labels for one child: parent label AND assigned-to-side.
-
-    The two children's label sets partition the parent's inside points: their
-    union is exactly the parent labels and their intersection is empty.
-    """
-    return as_labels(parent_labels, len(assignment)) & assignment.side_mask(side)
+def split_pair(sq_a: Superquadric, sq_b: Superquadric, points) -> np.ndarray:
+    """The side-a mask of the points (n, 3): True where a point goes to
+    side a, False where it goes to side b."""
+    return _pair_fields(sq_a, sq_b, points)[4]
 
 
 @dataclass(frozen=True)

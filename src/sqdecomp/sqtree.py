@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import as_labels, as_points
-from .splitter import child_labels, split_pair
+from .splitter import split_pair
 from .superquadric import Superquadric
 
 
@@ -129,14 +129,15 @@ class SqTree:
 def split_node(node: SqPairNode, points, labels) -> list[tuple[tuple[int, int], np.ndarray]]:
     """Keys and inside labels of the two children of ``node``, side a first.
 
-    Each child's labels are ``labels`` AND-ed with assignment to the side the
-    child grows from, under the split of ``points`` between the node's pair
-    (:func:`split_pair`), so the two label sets partition the inside points.
+    The one place child labels are made: ``labels`` AND the side-a mask of
+    :func:`split_pair` for the side-a child, ``labels`` AND its complement
+    for the side-b child, so the two label sets partition the inside points.
     """
-    assignment = split_pair(node.sq_a, node.sq_b, points)
+    to_a = split_pair(node.sq_a, node.sq_b, points)
+    y = as_labels(labels, len(to_a))
     return [
-        (child_node(node.depth, node.index, side), child_labels(labels, assignment, side.value))
-        for side in (Side.A, Side.B)
+        (child_node(node.depth, node.index, Side.A), y & to_a),
+        (child_node(node.depth, node.index, Side.B), y & ~to_a),
     ]
 
 

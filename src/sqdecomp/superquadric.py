@@ -192,8 +192,7 @@ class FieldWorkspace:
     other intermediates (offset, abs_local, ln_u, w1, w2, term_xy, term_z)
     live in scratch and are recomputed, bitwise the same, at gradient rows,
     and in a scratch that holds all K slots. With ``grad`` set the scratch
-    also holds one gradient block of up to n rows. A workspace must not be
-    shared between threads.
+    also holds one gradient block of up to n rows.
     """
 
     def __init__(self, points, k: int = 1, grad: bool = False):

@@ -8,6 +8,7 @@ from sqdecomp import quaternions as quat
 from sqdecomp.fitter import ACTIVE_RESIDUAL, LOG_CLAMP, MOMENTUM, FitConfig, init_node
 from sqdecomp.geometry import (
     _BARY_EPS,
+    _COPLANAR_DIST,
     _DIRECTIONS,
     _ON_SURFACE_T,
     _PARALLEL_EPS,
@@ -83,8 +84,9 @@ def gradient_corpus(rng: np.random.Generator, n: int):
                 return
 
 
-def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarray):
-    """Ray-parity test for one chunk of points against all triangles.
+def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarray, scale: float):
+    """Ray-parity test for one chunk of points against all triangles, with
+    the tolerances of a mesh whose vertex box's longest side is ``scale``.
 
     The brute-force reference for ``geometry.point_in_mesh``, which tests
     only the pairs its grid finds. Returns (resolved mask, inside labels). A point is unresolved when its ray
@@ -97,7 +99,7 @@ def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
     e2 = corners[:, 2] - a
     pvec = np.cross(direction, e2)
     det = np.einsum("tk,tk->t", e1, pvec)
-    parallel = np.abs(det) < _PARALLEL_EPS
+    parallel = np.abs(det) < _PARALLEL_EPS * scale * scale
     safe_det = np.where(parallel, 1.0, det)
 
     normal = np.cross(e1, e2)
@@ -115,11 +117,11 @@ def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
     bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
     bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
 
-    on_surface = (~parallel[None, :]) & (np.abs(t_hit) <= _ON_SURFACE_T) & bary_wide
-    forward = (~parallel[None, :]) & (t_hit > _ON_SURFACE_T)
+    on_surface = (~parallel[None, :]) & (np.abs(t_hit) <= _ON_SURFACE_T * scale) & bary_wide
+    forward = (~parallel[None, :]) & (t_hit > _ON_SURFACE_T * scale)
     counted = forward & bary_strict
     grazing = forward & bary_wide & ~bary_strict
-    coplanar = parallel[None, :] & (plane_dist < 1e-9)
+    coplanar = parallel[None, :] & (plane_dist < _COPLANAR_DIST * scale)
 
     is_on_surface = on_surface.any(axis=1)
     is_degenerate = (grazing | coplanar).any(axis=1) & ~is_on_surface
@@ -130,10 +132,17 @@ def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
     return resolved, labels
 
 
+def mesh_scale(mesh) -> float:
+    """Longest side L of the mesh's vertex box, which ``point_in_mesh``'s
+    tolerances are relative to."""
+    return float(np.ptp(mesh.vertices, axis=0).max())
+
+
 def point_in_mesh_reference(mesh, points) -> np.ndarray:
     """``point_in_mesh`` labels by the brute-force predicate, same retry order."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     corners = mesh.triangle_corners
+    scale = mesh_scale(mesh)
     labels = np.zeros(len(pts), dtype=np.uint8)
     unresolved = np.ones(len(pts), dtype=bool)
     chunk = max(1, int(2_000_000 / len(corners)))
@@ -141,7 +150,7 @@ def point_in_mesh_reference(mesh, points) -> np.ndarray:
         idx = np.flatnonzero(unresolved)
         for start in range(0, len(idx), chunk):
             sel = idx[start:start + chunk]
-            resolved, lab = _classify_chunk(pts[sel], corners, direction)
+            resolved, lab = _classify_chunk(pts[sel], corners, direction, scale)
             labels[sel[resolved]] = lab[resolved]
             unresolved[sel[resolved]] = False
     if unresolved.any():

@@ -15,8 +15,8 @@ from sqdecomp import (
     FitConfig,
     LabeledPointSet,
     OccupancyConfig,
+    SqPairNode,
     Superquadric,
-    child_labels,
     export_level_obj,
     fit_node,
     fit_tree,
@@ -29,6 +29,7 @@ from sqdecomp import (
     radial_distance,
     recompute_labels,
     sample_labeled_points,
+    split_node,
     split_pair,
     surface_points,
     voxel_iou,
@@ -115,9 +116,7 @@ class TestAcceptance:
     def test_criterion_04_split_partition(self):
         violations = 0
         for sq_a, sq_b, pts, labels in self.split_corpus():
-            assignment = split_pair(sq_a, sq_b, pts)
-            la = child_labels(labels, assignment, "a")
-            lb = child_labels(labels, assignment, "b")
+            (_, la), (_, lb) = split_node(SqPairNode(1, 1, sq_a, sq_b), pts, labels)
             if not np.array_equal(la | lb, labels):
                 violations += 1
             if np.any(la & lb):
@@ -128,13 +127,13 @@ class TestAcceptance:
         violations = 0
         decided = 0
         for sq_a, sq_b, pts, _labels in self.split_corpus():
-            assignment = split_pair(sq_a, sq_b, pts)
+            to_a = split_pair(sq_a, sq_b, pts)
             strictly_a = inside_outside_stable(sq_a, pts) < 1.0
             strictly_b = inside_outside_stable(sq_b, pts) < 1.0
             only_a = strictly_a & ~strictly_b
             only_b = strictly_b & ~strictly_a
-            violations += int(np.sum(only_a & ~assignment.to_a))
-            violations += int(np.sum(only_b & assignment.to_a))
+            violations += int(np.sum(only_a & ~to_a))
+            violations += int(np.sum(only_b & to_a))
             decided += int(only_a.sum() + only_b.sum())
         report(
             5,

@@ -134,14 +134,17 @@ class TestFitCommand:
         assert code == 2
         assert "fit.cfg:2" in err and "line 1" in err
 
-    def test_negative_threads_exits_2(self, capsys, mesh_dir, tmp_path):
+    @pytest.mark.parametrize("threads", ["-3", "0", "2"])
+    def test_negative_threads_exits_2(self, capsys, mesh_dir, tmp_path, threads):
+        """Nodes are fitted on one thread; --threads accepts only 1."""
         code, _, err = run(
             capsys,
-            ["fit", str(mesh_dir / "sphere.obj"), *FAST_FIT, "--threads", "-3",
+            ["fit", str(mesh_dir / "sphere.obj"), *FAST_FIT, "--threads", threads,
              "--out-dir", str(tmp_path)],
         )
         assert code == 2
-        assert "threads" in err
+        assert "--threads" in err
+        assert not (tmp_path / "tree.json").exists()
 
     def test_missing_mesh_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["fit", str(tmp_path / "absent.obj"), *FAST_FIT])

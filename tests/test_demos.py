@@ -1,7 +1,8 @@
-"""The fast demo scripts run to completion.
+"""The fast demo scripts run to completion, with every warning an error.
 
-fit_sphere.py and fit_dumbbell_tree.py are left out: each is a full
-multi-minute fit.
+pyproject's ``filterwarnings`` does not reach a subprocess, so each demo
+runs under ``python -W error``. fit_sphere.py and fit_dumbbell_tree.py are
+left out: each is a full multi-minute fit.
 """
 
 import os
@@ -21,7 +22,7 @@ def test_demo_exits_0(script, tmp_path):
     src = str(Path(sqdecomp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(DEMOS / script)],
+        [sys.executable, "-W", "error", str(DEMOS / script)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

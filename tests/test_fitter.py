@@ -366,7 +366,7 @@ class TestFitNode:
         cfg = FitConfig(iterations=120, restarts=2, sharpness=20.0, step_size=0.005)
         fit = fit_node(pts, labels, cfg)
         start = init_node(pts, labels, cfg, restart=0)
-        assert fit.loss <= node_loss(*start, pts, labels, cfg.occupancy()) + 1e-12
+        assert fit.loss <= node_loss(*start, pts, labels, OccupancyConfig(cfg.sharpness)) + 1e-12
 
     def test_recovers_single_ellipsoid_to_99_percent_accuracy(self):
         """Labels generated by one ellipsoid are matched almost pointwise by
@@ -563,7 +563,7 @@ def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
     fit = fit_node(pts, labels, cfg)
     np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
     np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
-    assert fit.loss == node_loss(ref_a, ref_b, pts, labels, cfg.occupancy())
+    assert fit.loss == node_loss(ref_a, ref_b, pts, labels, OccupancyConfig(cfg.sharpness))
     assert fit.iterations == restarts * cut + len(survivors) * (total - cut)
 
     runs = _race(pts, labels, cfg, (1, 1))
@@ -583,7 +583,7 @@ class TestRace:
         fit = fit_node(pts, labels, cfg)
         np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
         np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
-        assert fit.loss == node_loss(ref_a, ref_b, pts, labels, cfg.occupancy())
+        assert fit.loss == node_loss(ref_a, ref_b, pts, labels, OccupancyConfig(cfg.sharpness))
         assert fit.iterations == iterations
 
     @pytest.mark.parametrize("iterations", [1, 2, 7, 40])
@@ -713,7 +713,7 @@ class TestSupport:
             iterations=iterations, restarts=restarts, sharpness=sharpness, seed=seed
         )
         fit = fit_node(pts, labels, cfg)
-        assert fit.loss == node_loss(fit.sq_a, fit.sq_b, pts, labels, cfg.occupancy())
+        assert fit.loss == node_loss(fit.sq_a, fit.sq_b, pts, labels, OccupancyConfig(cfg.sharpness))
 
     @pytest.mark.parametrize("iterations", [1, 30])
     def test_support_of_every_point_is_the_uncropped_reference(self, iterations):
@@ -846,14 +846,16 @@ class TestFitTree:
             np.testing.assert_array_equal(node.sq_b.params(), t2.nodes[key].sq_b.params())
         assert r1.node_losses == r2.node_losses
 
-    def test_thread_count_does_not_change_results(self):
+    def test_depth_three_repeat_runs_are_bit_for_bit_equal(self):
         ps = self.small_pointset(seed=71)
         cfg = FitConfig(max_depth=3, iterations=25, restarts=2, seed=4)
-        t1, _ = fit_tree(ps, cfg, threads=1)
-        t2, _ = fit_tree(ps, cfg, threads=4)
+        t1, r1 = fit_tree(ps, cfg)
+        t2, r2 = fit_tree(ps, cfg)
+        assert len(t1.nodes) == 7 and set(t1.nodes) == set(t2.nodes)
         for key, node in t1.nodes.items():
             np.testing.assert_array_equal(node.sq_a.params(), t2.nodes[key].sq_a.params())
             np.testing.assert_array_equal(node.sq_b.params(), t2.nodes[key].sq_b.params())
+        assert r1.node_losses == r2.node_losses
 
     def test_depth_three_shape(self):
         ps = self.small_pointset(seed=72, n=800)
@@ -872,11 +874,6 @@ class TestFitTree:
         _, report = fit_tree(ps, cfg)
         assert sorted(report.degenerate_nodes) == [(1, 1), (2, 1), (2, 2)]
         assert fit_node(ps.points, ps.labels, cfg).iterations == 0
-
-    def test_negative_thread_count_rejected(self):
-        ps = self.small_pointset(n=100)
-        with pytest.raises(ConfigError, match="threads"):
-            fit_tree(ps, FitConfig(max_depth=1, iterations=1, restarts=1), threads=-3)
 
     def test_report_accounting(self):
         ps = self.small_pointset(seed=74, n=600)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _classify_chunk, point_in_mesh_reference, write_obj_records_reference
+from helpers import (
+    _classify_chunk,
+    mesh_scale,
+    point_in_mesh_reference,
+    write_obj_records_reference,
+)
 from sqdecomp import (
     DegenerateMeshError,
     Mesh,
@@ -437,6 +442,55 @@ class TestClosedManifoldCheck:
             point_in_mesh(Mesh(vertices, tris), pts), point_in_mesh(cube, pts)
         )
 
+    def test_mesh_with_only_zero_area_triangles_rejected(self):
+        """A box collapsed onto the x axis stays closed and manifold, but
+        every triangle has zero area: no triangle is left to cast rays at."""
+        cube = box()
+        flat = cube.vertices * np.array([1.0, 0.0, 0.0])
+        with pytest.raises(DegenerateMeshError, match="zero area"):
+            point_in_mesh(Mesh(flat, cube.triangles), [0.0, 0.0, 0.0])
+
+
+class TestScaleInvariance:
+    """Every ray-test tolerance is relative to the mesh's vertex box, and
+    scaling by a power of two is exact in floating point, so a mesh and its
+    points scaled by 2^j get bit for bit the labels of the unit-scale mesh."""
+
+    @pytest.mark.parametrize("j", [-24, -20, -16, 8, 20])
+    @pytest.mark.parametrize("name", ["box", "icosphere2", "dumbbell"])
+    def test_labels_equal_unit_scale_labels(self, name, j):
+        mesh = {
+            "box": box,
+            "icosphere2": lambda: icosphere(subdivisions=2),
+            "dumbbell": lambda: normalize(dumbbell()),
+        }[name]()
+        # Uniform points, and points on the surface: the vertices and the
+        # triangles' centroids, which the on-surface tolerance decides.
+        pts = np.vstack([
+            np.random.default_rng(56).uniform(-0.6, 0.6, (3000, 3)),
+            mesh.vertices,
+            mesh.triangle_corners.mean(axis=1),
+        ])
+        scaled = Mesh(np.ldexp(mesh.vertices, j), mesh.triangles)
+        np.testing.assert_array_equal(
+            point_in_mesh(scaled, np.ldexp(pts, j)), point_in_mesh(mesh, pts)
+        )
+
+    @pytest.mark.parametrize("j", [-24, -20, -16, 8, 20])
+    def test_points_left_for_the_next_ray_do_not_change_with_scale(self, j):
+        """Rays along the prism's six side triangles: the coplanar tolerance
+        decides which points one pass leaves unresolved, at any scale."""
+        mesh = prism_along(_DIRECTIONS[0])
+        pts = probe_points(mesh, np.random.default_rng(57))
+        corners, scale = mesh.triangle_corners, mesh_scale(mesh)
+        unit = _classify_along(pts, corners, _DIRECTIONS[0], scale)
+        scaled = _classify_along(
+            np.ldexp(pts, j), np.ldexp(corners, j), _DIRECTIONS[0], np.ldexp(scale, j)
+        )
+        assert not unit[0].all()
+        for got, want in zip(scaled, unit):
+            np.testing.assert_array_equal(got, want)
+
 
 def far_points(mesh: Mesh, rng: np.random.Generator, n: int = 1000) -> np.ndarray:
     """Uniform points over three times the mesh's vertex box, and points
@@ -519,14 +573,15 @@ class TestBinnedMatchesBruteForce:
         brute-force test sends them."""
         mesh = prism_along(_DIRECTIONS[0])
         corners = mesh.triangle_corners
-        assert np.count_nonzero(_TriangleTerms.of(corners, _DIRECTIONS[0]).parallel) == 6
+        scale = mesh_scale(mesh)
+        assert np.count_nonzero(_TriangleTerms.of(corners, _DIRECTIONS[0], scale).parallel) == 6
         rng = np.random.default_rng(51)
         v = mesh.vertices
         coef = rng.uniform(-0.5, 1.5, (300, 2))
         in_side_plane = v[0] + coef[:, :1] * (v[1] - v[0]) + coef[:, 1:] * (v[3] - v[0])
         pts = np.vstack([probe_points(mesh, rng, 300), in_side_plane])
-        resolved, labels = _classify_along(pts, corners, _DIRECTIONS[0])
-        ref_resolved, ref_labels = _classify_chunk(pts, corners, _DIRECTIONS[0])
+        resolved, labels = _classify_along(pts, corners, _DIRECTIONS[0], scale)
+        ref_resolved, ref_labels = _classify_chunk(pts, corners, _DIRECTIONS[0], scale)
         np.testing.assert_array_equal(resolved, ref_resolved)
         np.testing.assert_array_equal(labels, ref_labels)
         assert not resolved[-len(in_side_plane):].any()
@@ -540,7 +595,8 @@ class TestBinnedMatchesBruteForce:
         mesh = cylinder(200)
         direction = _DIRECTIONS[0]
         projected = mesh.triangle_corners @ _plane_basis(direction)
-        ids = np.flatnonzero(~_TriangleTerms.of(mesh.triangle_corners, direction).parallel)
+        scale = mesh_scale(mesh)
+        ids = np.flatnonzero(~_TriangleTerms.of(mesh.triangle_corners, direction, scale).parallel)
         grid = _BoxGrid.build(projected[ids].min(axis=1), projected[ids].max(axis=1), ids)
         assert grid.size < np.ceil(np.sqrt(len(ids)))
         assert len(grid.members) <= 16 * len(ids)

@@ -18,13 +18,13 @@ from sqdecomp import (
     SqTree,
     Superquadric,
     box,
-    child_labels,
     fit_node,
     inside_outside_stable,
     label_iou,
     node_loss,
     point_in_mesh,
     predicted_label,
+    split_node,
     split_pair,
 )
 from sqdecomp.fitter import init_node
@@ -61,7 +61,8 @@ LABEL_ENTRIES = {
     "label_iou truth": lambda y: label_iou(LABELS, y),
     "node_loss": lambda y: node_loss(SQ_A, SQ_B, POINTS, y),
     "SqPairNode": lambda y: SqPairNode(1, 1, SQ_A, SQ_B, labels=y),
-    "child_labels": lambda y: child_labels(y, split_pair(SQ_A, SQ_B, POINTS), "a"),
+    # split_node is the one maker of child labels.
+    "child_labels": lambda y: split_node(SqPairNode(1, 1, SQ_A, SQ_B), POINTS, y),
 }
 
 

@@ -51,7 +51,7 @@ class TestMatrixForm:
 
     def test_from_matrix_handles_near_pi_rotations(self):
         for axis in np.eye(3):
-            q = quat.from_axis_angle(axis, np.pi - 1e-7)
+            q = quat.from_rotation_vector((np.pi - 1e-7) * axis)
             R = quat.to_matrix(q)
             np.testing.assert_allclose(quat.to_matrix(quat.from_matrix(R)), R, atol=1e-9)
 
@@ -63,6 +63,8 @@ class TestExponentialMap:
         )
 
     def test_matches_axis_angle_construction(self):
+        """A rotation by angle about a unit axis is [cos(angle/2),
+        sin(angle/2) axis]."""
         rng = np.random.default_rng(6)
         for _ in range(30):
             axis = rng.normal(size=3)
@@ -70,7 +72,7 @@ class TestExponentialMap:
             angle = rng.uniform(-3.0, 3.0)
             np.testing.assert_allclose(
                 quat.from_rotation_vector(angle * axis),
-                quat.from_axis_angle(axis, angle),
+                np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis]),
                 atol=1e-12,
             )
 
@@ -81,7 +83,7 @@ class TestExponentialMap:
             np.testing.assert_allclose(np.linalg.norm(q), 1.0, atol=1e-12)
 
     def test_quarter_turn_about_z_rotates_x_to_y(self):
-        R = quat.to_matrix(quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2))
+        R = quat.to_matrix(quat.from_rotation_vector(np.array([0.0, 0.0, np.pi / 2])))
         np.testing.assert_allclose(R @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
 
 

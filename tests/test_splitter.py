@@ -4,10 +4,11 @@ import pytest
 from helpers import random_pair, random_superquadric
 from sqdecomp import (
     SliceSpec,
+    SqPairNode,
     Superquadric,
-    child_labels,
     inside_outside_stable,
     split_field_2d,
+    split_node,
     split_pair,
 )
 from sqdecomp import quaternions as quat
@@ -17,35 +18,40 @@ def sphere_at(x: float) -> Superquadric:
     return Superquadric(np.ones(3), np.ones(2), np.array([x, 0.0, 0.0]))
 
 
+def child_labels(sq_a, sq_b, points, parent):
+    """Side-a and side-b child labels, from the root's split_node."""
+    (_, la), (_, lb) = split_node(SqPairNode(1, 1, sq_a, sq_b), points, parent)
+    return la, lb
+
+
 class TestSplitPair:
     def test_point_inside_only_one_goes_there(self):
-        asg = split_pair(sphere_at(-2.0), sphere_at(2.0), [[1.9, 0.0, 0.0]])
-        assert not asg.to_a[0]
+        to_a = split_pair(sphere_at(-2.0), sphere_at(2.0), [[1.9, 0.0, 0.0]])
+        assert not to_a[0]
 
     def test_equidistant_outside_point_ties_to_a(self):
-        asg = split_pair(sphere_at(-2.0), sphere_at(2.0), [[0.0, 1.0, 0.0]])
-        assert asg.to_a[0]
+        to_a = split_pair(sphere_at(-2.0), sphere_at(2.0), [[0.0, 1.0, 0.0]])
+        assert to_a[0]
 
     def test_outside_point_goes_to_nearer_surface(self):
-        asg = split_pair(sphere_at(-2.0), sphere_at(2.0), [[3.5, 0.0, 0.0]])
-        assert not asg.to_a[0]
+        to_a = split_pair(sphere_at(-2.0), sphere_at(2.0), [[3.5, 0.0, 0.0]])
+        assert not to_a[0]
 
     def test_identical_pair_all_ties_to_a(self):
         rng = np.random.default_rng(20)
         sq = random_superquadric(rng)
         pts = rng.uniform(-1, 1, (200, 3))
-        asg = split_pair(sq, sq, pts)
-        assert asg.to_a.all()
+        assert split_pair(sq, sq, pts).all()
 
     def test_assignment_is_a_total_partition(self):
+        """One boolean per point: every point goes to exactly one side."""
         rng = np.random.default_rng(21)
         for _ in range(50):
             a, b = random_pair(rng)
             pts = rng.uniform(-1.2, 1.2, (200, 3))
-            asg = split_pair(a, b, pts)
-            assert len(asg) == 200
-            assert np.all(asg.to_a | asg.to_b)
-            assert not np.any(asg.to_a & asg.to_b)
+            to_a = split_pair(a, b, pts)
+            assert to_a.dtype == bool
+            assert to_a.shape == (200,)
 
     def test_containment_is_respected(self):
         """A point strictly inside exactly one SQ is assigned to that SQ."""
@@ -56,11 +62,11 @@ class TestSplitPair:
             pts = rng.uniform(-1.2, 1.2, (300, 3))
             ha = inside_outside_stable(a, pts)
             hb = inside_outside_stable(b, pts)
-            asg = split_pair(a, b, pts)
+            to_a = split_pair(a, b, pts)
             only_a = (ha < 1.0) & (hb > 1.0)
             only_b = (hb < 1.0) & (ha > 1.0)
-            assert np.all(asg.to_a[only_a])
-            assert np.all(asg.to_b[only_b])
+            assert np.all(to_a[only_a])
+            assert not np.any(to_a[only_b])
             checked += int(only_a.sum() + only_b.sum())
         assert checked > 1000  # the corpus actually exercised the rule
 
@@ -72,7 +78,7 @@ class TestSplitPair:
         pt = [[0.5, 0.0, 0.0]]
         assert inside_outside_stable(a, pt)[0] == 1.0
         assert inside_outside_stable(b, pt)[0] < 1.0
-        assert not split_pair(a, b, pt).to_a[0]
+        assert not split_pair(a, b, pt)[0]
 
     def test_rigid_equivariance(self):
         """Moving both SQs and the points by one rigid transform does not
@@ -92,30 +98,33 @@ class TestSplitPair:
                 quat.normalize(quat.multiply(q_t, sq.rotation)),
             )
             moved = split_pair(move(a), move(b), pts @ R.T + shift)
-            np.testing.assert_array_equal(moved.to_a, base.to_a)
+            np.testing.assert_array_equal(moved, base)
 
     def test_deterministic(self):
         rng = np.random.default_rng(24)
         a, b = random_pair(rng)
         pts = rng.uniform(-1, 1, (500, 3))
-        np.testing.assert_array_equal(split_pair(a, b, pts).to_a, split_pair(a, b, pts).to_a)
+        np.testing.assert_array_equal(split_pair(a, b, pts), split_pair(a, b, pts))
 
 
 class TestChildLabels:
+    """split_node ANDs the parent labels with split_pair's side-a mask for
+    the side-a child and with its complement for the side-b child."""
+
     def test_all_zero_parent_gives_all_zero_children(self):
-        asg = split_pair(sphere_at(-2.0), sphere_at(2.0), np.zeros((8, 3)))
         parent = np.zeros(8, dtype=np.uint8)
-        assert not child_labels(parent, asg, "a").any()
-        assert not child_labels(parent, asg, "b").any()
+        la, lb = child_labels(sphere_at(-2.0), sphere_at(2.0), np.zeros((8, 3)), parent)
+        assert not la.any()
+        assert not lb.any()
 
     def test_alternating_assignment_masks_parent(self):
         rng = np.random.default_rng(25)
         a, b = random_pair(rng)
         pts = rng.uniform(-1, 1, (10, 3))
-        asg = split_pair(a, b, pts)
-        parent = np.ones(10, dtype=np.uint8)
-        np.testing.assert_array_equal(child_labels(parent, asg, "a"), asg.to_a.astype(np.uint8))
-        np.testing.assert_array_equal(child_labels(parent, asg, "b"), asg.to_b.astype(np.uint8))
+        to_a = split_pair(a, b, pts)
+        la, lb = child_labels(a, b, pts, np.ones(10, dtype=np.uint8))
+        np.testing.assert_array_equal(la, to_a.astype(np.uint8))
+        np.testing.assert_array_equal(lb, (~to_a).astype(np.uint8))
 
     def test_children_partition_parent_inside_set(self):
         rng = np.random.default_rng(26)
@@ -123,22 +132,16 @@ class TestChildLabels:
             a, b = random_pair(rng)
             pts = rng.uniform(-1.2, 1.2, (400, 3))
             parent = (rng.random(400) < 0.5).astype(np.uint8)
-            asg = split_pair(a, b, pts)
-            ca = child_labels(parent, asg, "a")
-            cb = child_labels(parent, asg, "b")
+            ca, cb = child_labels(a, b, pts, parent)
+            assert ca.dtype == cb.dtype == np.uint8
             np.testing.assert_array_equal(ca | cb, parent)
             assert not np.any(ca & cb)
             assert ca.sum() + cb.sum() == parent.sum()
 
     def test_length_mismatch_rejected(self):
-        asg = split_pair(sphere_at(-2.0), sphere_at(2.0), np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            child_labels(np.ones(5, dtype=np.uint8), asg, "a")
-
-    def test_unknown_side_rejected(self):
-        asg = split_pair(sphere_at(-2.0), sphere_at(2.0), np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            child_labels(np.ones(4, dtype=np.uint8), asg, "c")
+            child_labels(sphere_at(-2.0), sphere_at(2.0), np.zeros((4, 3)),
+                         np.ones(5, dtype=np.uint8))
 
     def test_covering_pair_recovers_two_disjoint_boxes(self):
         """With one box-like SQ over each of two separated boxes, the child
@@ -152,9 +155,9 @@ class TestChildLabels:
         cover = lambda x: Superquadric(
             np.full(3, 0.17), np.array([0.2, 0.2]), np.array([x, 0.0, 0.0])
         )
-        asg = split_pair(cover(-0.3), cover(0.3), pts)
-        np.testing.assert_array_equal(child_labels(parent, asg, "a"), box_a.astype(np.uint8))
-        np.testing.assert_array_equal(child_labels(parent, asg, "b"), box_b.astype(np.uint8))
+        la, lb = child_labels(cover(-0.3), cover(0.3), pts, parent)
+        np.testing.assert_array_equal(la, box_a.astype(np.uint8))
+        np.testing.assert_array_equal(lb, box_b.astype(np.uint8))
 
 
 class TestSliceSpec:
@@ -193,8 +196,7 @@ class TestSplitField2d:
         spec = SliceSpec(nu=17, nv=13)
         fld = split_field_2d(a, b, spec)
         _, _, pts = spec.grid()
-        asg = split_pair(a, b, pts.reshape(-1, 3))
-        np.testing.assert_array_equal(fld.to_a.ravel(), asg.to_a)
+        np.testing.assert_array_equal(fld.to_a.ravel(), split_pair(a, b, pts.reshape(-1, 3)))
         assert fld.h_a.shape == (13, 17)
 
     def test_mirrored_spheres_give_mirrored_selector(self):

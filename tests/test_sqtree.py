@@ -6,7 +6,6 @@ from sqdecomp import (
     Side,
     SqPairNode,
     SqTree,
-    child_labels,
     parent_node,
     recompute_labels,
     split_node,
@@ -127,11 +126,11 @@ class TestSplitNode:
         points = rng.uniform(-1, 1, (500, 3))
         labels = (rng.random(500) < 0.6).astype(np.uint8)
         node = make_node(2, 2, rng)
-        asg = split_pair(node.sq_a, node.sq_b, points)
+        to_a = split_pair(node.sq_a, node.sq_b, points)
         (key_a, la), (key_b, lb) = split_node(node, points, labels)
         assert (key_a, key_b) == ((3, 4), (3, 3))
-        np.testing.assert_array_equal(la, labels & asg.to_a)
-        np.testing.assert_array_equal(lb, labels & asg.to_b)
+        np.testing.assert_array_equal(la, labels & to_a)
+        np.testing.assert_array_equal(lb, labels & ~to_a)
         np.testing.assert_array_equal(la | lb, labels)
 
 
@@ -142,9 +141,8 @@ class TestRecomputeLabels:
         points = rng.uniform(-1, 1, (500, 3))
         root_labels = (rng.random(500) < 0.6).astype(np.uint8)
         a, b = random_pair(rng)
-        asg = split_pair(a, b, points)
-        la = child_labels(root_labels, asg, "a")
-        lb = child_labels(root_labels, asg, "b")
+        to_a = split_pair(a, b, points)
+        la, lb = root_labels & to_a, root_labels & ~to_a
         tree = SqTree(max_depth=2, points=points)
         tree.add_node(SqPairNode(1, 1, a, b, labels=root_labels))
         ca, cb = random_pair(rng)

@@ -135,7 +135,7 @@ class TestWorldToLocal:
         np.testing.assert_array_equal(world_to_local(sq, [1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
 
     def test_quarter_turn_about_z_applies_inverse_rotation(self):
-        q = quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
+        q = quat.from_rotation_vector(np.array([0.0, 0.0, np.pi / 2]))
         sq = Superquadric(np.ones(3), np.ones(2), np.zeros(3), q)
         np.testing.assert_allclose(
             world_to_local(sq, [1.0, 0.0, 0.0]), [0.0, -1.0, 0.0], atol=1e-12
