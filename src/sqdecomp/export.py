@@ -63,13 +63,15 @@ def load_tree(path) -> tuple[SqTree, dict]:
     """Read a tree JSON written by :func:`save_tree`.
 
     Returns the tree (without sample points or labels) and the metadata
-    dict. Raises TreeFormatError for unparsable JSON, missing fields, or a
-    format version this code does not understand.
+    dict. Raises TreeFormatError for text that is not UTF-8 JSON, missing
+    fields, a ``depth``, ``index`` or ``max_depth`` that is not a JSON
+    integer, a ``degenerate`` that is not a JSON boolean, or a format
+    version this code does not understand.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise TreeFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TreeFormatError(f"{path}: expected a JSON object at top level")
@@ -79,20 +81,30 @@ def load_tree(path) -> tuple[SqTree, dict]:
             f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})"
         )
     try:
-        tree = SqTree(max_depth=int(doc["max_depth"]))
+        tree = SqTree(max_depth=_typed(doc["max_depth"], "max_depth", int))
         for entry in sorted(doc["nodes"], key=lambda e: (e["depth"], e["index"])):
             tree.add_node(
                 SqPairNode(
-                    depth=int(entry["depth"]),
-                    index=int(entry["index"]),
+                    depth=_typed(entry["depth"], "depth", int),
+                    index=_typed(entry["index"], "index", int),
                     sq_a=Superquadric.from_params(np.array(entry["lambda_a"])),
                     sq_b=Superquadric.from_params(np.array(entry["lambda_b"])),
-                    degenerate=bool(entry.get("degenerate", False)),
+                    degenerate=_typed(entry.get("degenerate", False), "degenerate", bool),
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise TreeFormatError(f"{path}: malformed tree document: {exc}") from exc
     return tree, doc.get("metadata", {})
+
+
+def _typed(value, key: str, kind: type):
+    """``value`` of field ``key``, which must have exactly the Python type
+    ``kind``: a JSON integer for int (``true`` is not one), a JSON boolean
+    for bool."""
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be a JSON {'integer' if kind is int else 'boolean'}, "
+                        f"got {value!r}")
+    return value
 
 
 def _triangulate_grid(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -587,7 +587,7 @@ def _to_cut(runs: _Restarts, cut: int) -> None:
         runs.live = np.sort(ranked[: (restarts + 1) // 2])
 
 
-def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> _Restarts:
+def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> tuple[_Restarts, int]:
     """Every restart of one node, raced with one cut at mid-schedule, on
     the node's support with the objective divided by its full point count.
 
@@ -598,7 +598,8 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> _Restarts:
     them, it could settle in a basin the support cannot see, so the node
     is raced again from the same starts on every point, which is bitwise
     its uncropped fit. With c == 0 there is no cut and no check. Returns
-    the restarts, with the survivors ``live``.
+    the restarts, with the survivors ``live``, and the iterations of the
+    cropped race a refit discarded (0 without a refit).
     """
     keep = _support(pts, y == 1)
     sub, sub_y = pts[keep], y[keep]
@@ -614,13 +615,15 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> _Restarts:
     cut = cfg.iterations // _CUT_DIVISOR
     runs = _Restarts(starts, cfg, node, batch)
     _to_cut(runs, cut)
+    discarded = 0
     if cut > 0 and not keep.all() and _escapes(runs, pts[~keep]):
+        discarded = int(runs.t.sum())
         del runs, batch  # free the support's buffers before the full set's
         batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, cfg.restarts)
         runs = _Restarts(starts, cfg, node, batch)
         _to_cut(runs, cut)
     _advance(runs, cfg.iterations)
-    return runs
+    return runs, discarded
 
 
 def fit_node(
@@ -638,7 +641,8 @@ def fit_node(
     with a strictly lower objective on the node's support; the returned
     ``loss`` is the pair's loss over every point,
     ``node_loss(fit.sq_a, fit.sq_b, points, labels)``.
-    ``iterations`` counts the iterations actually run over all restarts. A
+    ``iterations`` counts the iterations actually run over all restarts,
+    those of a cropped race discarded for a refit included. A
     node with no inside-labeled points returns the degenerate sentinel
     without optimizing.
     """
@@ -657,7 +661,7 @@ def fit_node(
             iterations=0,
         )
 
-    runs = _race(pts, y, cfg, node)
+    runs, discarded = _race(pts, y, cfg, node)
     _finish(runs)
     # min keeps the first of equal losses: a later restart wins only when
     # strictly lower.
@@ -666,7 +670,7 @@ def fit_node(
         Superquadric(p[0:3], p[3:5], p[5:8], q)
         for p, q in zip(runs.best_params[best], runs.best_rotation[best])
     )
-    iterations = int(runs.t.sum())
+    iterations = int(runs.t.sum()) + discarded
     # Free the support's buffers before the full-set pass allocates its own.
     del runs
     return NodeFit(

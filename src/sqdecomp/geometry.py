@@ -10,8 +10,8 @@ Each stage works on whole arrays. The OBJ reader splits each line once and
 converts every coordinate and every face reference in one pass per kind;
 the writer formats each record kind in one string. The inside test labels
 every point outside the mesh's padded vertex box 0 without casting a ray,
-and pairs each remaining point only with the triangles a 2D grid across
-the ray direction puts near it.
+crossing-tests the rest only against the triangles a 2D grid across the
+ray puts near them, and plane-checks them against those parallel to it.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def load_mesh(path) -> Mesh:
 
     Faces with more than three vertices are fan-triangulated around their
     first vertex. Texture/normal references (v/vt/vn forms) are accepted and
-    ignored. Raises MeshFormatError for malformed records or out-of-range
-    indices, OSError if the file cannot be read.
+    ignored. Raises MeshFormatError for malformed or non-finite records, bad
+    indices or non-UTF-8 text, OSError if the file cannot be read.
 
     The file is read once and each line split once. The coordinate tokens
     of every ``v`` record and the vertex references of every ``f`` record
@@ -155,7 +155,10 @@ def load_mesh(path) -> Mesh:
     record in file order.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise MeshFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     coords: list[str] = []
     refs: list[str] = []
     counts: list[int] = []
@@ -172,7 +175,7 @@ def load_mesh(path) -> Mesh:
             else:
                 counts.append(len(parts) - 1)
                 refs += parts[1:]
-        verts = np.array(list(map(float, coords))).reshape(-1, 3)
+        verts = np.asarray_chkfinite(list(map(float, coords))).reshape(-1, 3)
         if "/" in "".join(refs):
             refs = [ref.partition("/")[0] for ref in refs]
         idx = list(map(int, refs))
@@ -200,8 +203,7 @@ def _check_records(path, lines) -> None:
             if len(parts) < 4:
                 raise MeshFormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
             try:
-                for coord in parts[1:4]:
-                    float(coord)
+                np.asarray_chkfinite([float(coord) for coord in parts[1:4]])
             except ValueError as exc:
                 raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
         elif parts[0] == "f":
@@ -316,10 +318,8 @@ class _TriangleTerms:
     e1: np.ndarray
     e2: np.ndarray
     pvec: np.ndarray
+    det: np.ndarray
     parallel: np.ndarray
-    safe_det: np.ndarray
-    normal: np.ndarray
-    norm_len: np.ndarray
 
     @classmethod
     def of(cls, corners: np.ndarray, direction: np.ndarray, scale: float) -> "_TriangleTerms":
@@ -328,50 +328,43 @@ class _TriangleTerms:
         e2 = corners[:, 2] - a
         pvec = np.cross(direction, e2)
         det = np.einsum("tk,tk->t", e1, pvec)
-        parallel = np.abs(det) < _PARALLEL_EPS * scale * scale
-        normal = np.cross(e1, e2)
-        norm_len = np.linalg.norm(normal, axis=1)
-        return cls(scale, a, e1, e2, pvec, parallel, np.where(parallel, 1.0, det), normal,
-                   np.where(norm_len == 0, 1.0, norm_len))
+        return cls(scale, a, e1, e2, pvec, det, np.abs(det) < _PARALLEL_EPS * scale * scale)
 
 
-def _classify_pairs(points, pair_point, pair_tri, terms: _TriangleTerms, direction):
+def _classify_pairs(points, pair_point, pair_tri, terms: _TriangleTerms, direction, coplanar):
     """Ray-parity test of points against the triangles paired with them.
 
-    ``pair_point`` and ``pair_tri`` list (point, triangle) pairs; a pair
-    left out must be one whose predicate is false. Returns (resolved mask,
-    inside labels) per point. A point is unresolved when its ray produced a
-    degenerate intersection (hit near a triangle edge/vertex, or ran
-    parallel within a triangle's plane) and needs a different direction.
-    Points lying on the surface resolve immediately as inside.
+    ``pair_point`` and ``pair_tri`` list (point, triangle) pairs, none with
+    a triangle parallel to the ray; a pair left out must be one whose ray
+    misses. ``coplanar`` marks the points in the plane of a parallel
+    triangle. Returns (resolved mask, inside labels) per point. A point is
+    unresolved when its ray grazes an edge or vertex, or is coplanar, and
+    needs another direction. Points on the surface resolve as inside.
     """
     n = len(points)
-    det = terms.safe_det[pair_tri]
+    det = terms.det[pair_tri]
     s = points[pair_point] - terms.a[pair_tri]
     u = np.einsum("pk,pk->p", s, terms.pvec[pair_tri]) / det
     qvec = np.cross(s, terms.e1[pair_tri])
+    del s
     v = np.einsum("pk,k->p", qvec, direction) / det
     t_hit = np.einsum("pk,pk->p", qvec, terms.e2[pair_tri]) / det
     del qvec
-    plane_dist = np.abs(np.einsum("pk,pk->p", s, terms.normal[pair_tri])) / terms.norm_len[pair_tri]
-    del s
 
-    parallel = terms.parallel[pair_tri]
     bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
     bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
 
     on_surface_t = _ON_SURFACE_T * terms.scale
-    on_surface = (~parallel) & (np.abs(t_hit) <= on_surface_t) & bary_wide
-    forward = (~parallel) & (t_hit > on_surface_t)
+    on_surface = (np.abs(t_hit) <= on_surface_t) & bary_wide
+    forward = t_hit > on_surface_t
     counted = forward & bary_strict
     grazing = forward & bary_wide & ~bary_strict
-    coplanar = parallel & (plane_dist < _COPLANAR_DIST * terms.scale)
 
     def per_point(mask):
         return np.bincount(pair_point[mask], minlength=n)
 
     is_on_surface = per_point(on_surface) > 0
-    is_degenerate = (per_point(grazing | coplanar) > 0) & ~is_on_surface
+    is_degenerate = ((per_point(grazing) > 0) | coplanar) & ~is_on_surface
     parity = per_point(counted) & 1
 
     resolved = is_on_surface | ~is_degenerate
@@ -466,13 +459,13 @@ def _classify_along(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
     """(resolved mask, inside labels) of points for rays along one direction,
     with the tolerances of a mesh whose vertex box's longest side is ``scale``.
 
-    Equals testing every point against every triangle, but tests each point
-    only against the triangles whose projection along the ray can contain
-    it: the triangles' projected bounding boxes, padded by a margin far
-    wider than the barycentric tolerance, are binned into a uniform grid of
-    about sqrt(t) x sqrt(t) cells. Triangles parallel to the ray are tested
-    against every point, since their in-plane test has no barycentric
-    bound. Work is chunked by candidate pairs, which bounds peak memory.
+    Equals testing every point against every triangle. A triangle parallel
+    to the ray is never crossed; one plane-distance check per chunk of
+    points leaves the points in its plane for the next direction. Every
+    other triangle's projected bounding box, padded far wider than the
+    barycentric tolerance, is binned into a uniform grid of about sqrt(t) x
+    sqrt(t) cells, and gets the crossing test only against the points in
+    its cells. Chunks of candidate pairs bound peak memory.
     """
     terms = _TriangleTerms.of(corners, direction, scale)
     margin = _BIN_MARGIN * scale
@@ -485,18 +478,18 @@ def _classify_along(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
         binned,
     )
     parallel = np.flatnonzero(terms.parallel)
+    normal = np.cross(terms.e1[parallel], terms.e2[parallel])
+    norm_len = np.linalg.norm(normal, axis=1)
     cells = grid.cells_of(points @ basis)
     load = grid.start[cells + 1] - grid.start[cells] + len(parallel)
     resolved = np.empty(len(points), dtype=bool)
     labels = np.empty(len(points), dtype=np.uint8)
     for part in _chunks(load, _PAIR_CHUNK):
-        pair_point, pair_tri = grid.pairs(cells[part])
-        if len(parallel):
-            m = part.stop - part.start
-            pair_point = np.concatenate([pair_point, np.repeat(np.arange(m), len(parallel))])
-            pair_tri = np.concatenate([pair_tri, np.tile(parallel, m)])
+        s = points[part, None, :] - terms.a[parallel]
+        plane_dist = np.abs(np.einsum("npk,pk->np", s, normal)) / norm_len
+        coplanar = (plane_dist < _COPLANAR_DIST * scale).any(axis=1)
         resolved[part], labels[part] = _classify_pairs(
-            points[part], pair_point, pair_tri, terms, direction
+            points[part], *grid.pairs(cells[part]), terms, direction, coplanar
         )
     return resolved, labels
 
@@ -516,10 +509,10 @@ def point_in_mesh(mesh: Mesh, points) -> np.ndarray:
     After those checks, every point outside the mesh's vertex box, padded
     by ``_BIN_MARGIN`` times the mesh extent, is labeled 0 without a ray:
     on a closed mesh the ray test gives it 0 as well, so the labels are
-    the same. Each remaining point is tested only against the triangles a
-    uniform grid pairs it with (see :func:`_classify_along`), so the cost
-    grows with the points in the box times triangles per grid cell, not
-    points times triangles.
+    the same. Each remaining point is crossing-tested only against the
+    triangles a uniform grid pairs it with, and plane-checked against those
+    parallel to the ray (see :func:`_classify_along`), so the cost grows
+    with the points in the box times triangles per grid cell.
     """
     pts, single = as_points(points)
     if len(mesh.triangles) == 0:

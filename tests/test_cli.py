@@ -1,7 +1,10 @@
 """End-to-end CLI tests driving main() in-process."""
 
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from sqdecomp import (
     save_mesh,
     save_tree,
 )
-from sqdecomp.cli import main
+from sqdecomp.cli import build_parser, main
 
 FAST_FIT = [
     "--max-depth", "1",
@@ -44,6 +47,17 @@ FLAG_VALUES = {
     "e_min": 0.2,
     "e_max": 1.7,
 }
+
+
+# OBJ bodies load_mesh refuses, each with the end of its error message;
+# fit and eval must exit 1 on each.
+BAD_MESHES = {
+    "nan": (b"v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", ":1: bad vertex coordinate"),
+    "overflow": (b"v 0 0 0\nv 1e400 0 0\nv 0 1 0\nf 1 2 3\n", ":2: bad vertex coordinate"),
+    "not-utf8": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\n# \xff\nf 1 2 3\n", ": not UTF-8 text"),
+}
+# A tree document that is not UTF-8; eval and export must exit 1 on it.
+NOT_UTF8_TREE = b'{"format_version": 1, "max_depth": 1, "nodes": [], "note": "\xff"}'
 
 
 def run(capsys, argv):
@@ -157,6 +171,16 @@ class TestFitCommand:
         code, _, err = run(capsys, ["fit", str(bad), *FAST_FIT])
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("kind", sorted(BAD_MESHES))
+    def test_bad_mesh_file_exits_1(self, capsys, tmp_path, kind):
+        body, message = BAD_MESHES[kind]
+        bad = tmp_path / "bad.obj"
+        bad.write_bytes(body)
+        code, _, err = run(capsys, ["fit", str(bad), *FAST_FIT, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"error: {bad}{message}" in err
+        assert not (tmp_path / "tree.json").exists()
 
     def test_open_mesh_exits_1(self, capsys, tmp_path):
         """Ray parity cannot label points of a mesh with a hole."""
@@ -294,6 +318,31 @@ class TestEvalCommand:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("kind", sorted(BAD_MESHES))
+    def test_bad_mesh_file_exits_1(self, capsys, tmp_path, kind):
+        tree = SqTree(max_depth=1)
+        sq = Superquadric(np.full(3, 0.2), np.ones(2))
+        tree.add_node(SqPairNode(depth=1, index=1, sq_a=sq, sq_b=sq))
+        save_tree(tree, None, tmp_path / "tree.json")
+        body, message = BAD_MESHES[kind]
+        bad = tmp_path / "bad.obj"
+        bad.write_bytes(body)
+        code, _, err = run(
+            capsys, ["eval", str(tmp_path / "tree.json"), str(bad), "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert f"error: {bad}{message}" in err
+
+    def test_tree_not_utf8_exits_1(self, capsys, mesh_dir, tmp_path):
+        bad = tmp_path / "tree.json"
+        bad.write_bytes(NOT_UTF8_TREE)
+        code, _, err = run(
+            capsys, ["eval", str(bad), str(mesh_dir / "sphere.obj"), "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert f"error: {bad}: not valid JSON" in err
+
+
 class TestExportCommand:
     def test_export_deepest_level_by_default(self, capsys, fitted_dir):
         code, out, _ = run(
@@ -333,6 +382,13 @@ class TestExportCommand:
         bad.write_text('{"format_version": 7}')
         code, _, _ = run(capsys, ["export", str(bad), "--out-dir", str(tmp_path)])
         assert code == 1
+
+    def test_export_tree_not_utf8_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "tree.json"
+        bad.write_bytes(NOT_UTF8_TREE)
+        code, _, err = run(capsys, ["export", str(bad), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"error: {bad}: not valid JSON" in err
 
 
 class TestSplitDemoCommand:
@@ -410,3 +466,19 @@ class TestExitCodeMapping:
         code, _, err = run(capsys, ["eval", str(path), str(mesh_dir / "sphere.obj")])
         assert code == 1
         assert "error:" in err
+
+
+class TestReadme:
+    def test_fit_flag_table_names_every_fit_option(self):
+        """README's `fit` flag table lists exactly the options the parser
+        gives `fit`; a row such as `--a-min/--a-max X` names two."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### `sqdecomp fit MESH`", 1)[1].split("\n### ", 1)[0]
+        rows = re.findall(r"^\| `(--[^` ]+)", section, flags=re.MULTILINE)
+        documented = [flag for row in rows for flag in row.split("/")]
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            flag for action in sub.choices["fit"]._actions for flag in action.option_strings
+        } - {"-h", "--help"}
+        assert len(documented) == len(set(documented))
+        assert set(documented) == options

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,38 @@ class TestTreeFormatErrors:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(TreeFormatError):
+            load_tree(bad)
+
+    def test_text_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"format_version": 1, "max_depth": "\xff"}')
+        with pytest.raises(TreeFormatError, match="not valid JSON"):
+            load_tree(p)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("degenerate", "false", "degenerate must be a JSON boolean, got 'false'"),
+        ("degenerate", 0, "degenerate must be a JSON boolean, got 0"),
+        ("degenerate", None, "degenerate must be a JSON boolean, got None"),
+        ("depth", 1.9, "depth must be a JSON integer, got 1.9"),
+        ("depth", 1.0, "depth must be a JSON integer, got 1.0"),
+        ("depth", "1", "depth must be a JSON integer, got '1'"),
+        ("depth", True, "depth must be a JSON integer, got True"),
+        ("index", 1.0, "index must be a JSON integer, got 1.0"),
+        ("index", True, "index must be a JSON integer, got True"),
+        ("max_depth", 1.5, "max_depth must be a JSON integer, got 1.5"),
+        ("max_depth", True, "max_depth must be a JSON integer, got True"),
+        ("max_depth", "2", "max_depth must be a JSON integer, got '2'"),
+    ])
+    def test_field_of_the_wrong_json_type(self, tmp_path, field, value, message):
+        """Types are checked, not coerced: "false" is not False and 1.9 is
+        not depth 1."""
+        good = tmp_path / "good.json"
+        save_tree(build_tree(1, seed=17), None, good)
+        doc = json.loads(good.read_text())
+        (doc if field == "max_depth" else doc["nodes"][0])[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(TreeFormatError, match=re.escape(message)):
             load_tree(bad)
 
 

@@ -553,9 +553,11 @@ def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
     on the node's support with the loss divided by the count of all the
     points, or on every point where a survivor reaches past the support at
     the cut."""
-    support, losses, _ = reference_support(pts, labels, cfg)
+    support, losses, fired = reference_support(pts, labels, cfg)
     restarts, total = cfg.restarts, cfg.iterations
     survivors, cut = reference_survivors(losses, cfg)
+    # A refit also counts the cropped race it discarded at the cut.
+    discarded = restarts * (total // 2) if fired else 0
     (ref_a, ref_b, _), _ = fit_node_reference(
         pts, labels, cfg, restarts=survivors, support=support
     )
@@ -564,9 +566,10 @@ def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
     np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
     np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
     assert fit.loss == node_loss(ref_a, ref_b, pts, labels, OccupancyConfig(cfg.sharpness))
-    assert fit.iterations == restarts * cut + len(survivors) * (total - cut)
+    assert fit.iterations == discarded + restarts * cut + len(survivors) * (total - cut)
 
-    runs = _race(pts, labels, cfg, (1, 1))
+    runs, spent = _race(pts, labels, cfg, (1, 1))
+    assert spent == discarded
     assert list(runs.live) == survivors
     for r in range(restarts):
         assert runs.t[r] == (total if r in survivors else cut)
@@ -604,7 +607,7 @@ class TestRace:
         (_, _, ref_objective), _ = fit_node_reference(
             pts, labels, cfg, support=_support(pts, labels == 1)
         )
-        runs = _race(pts, labels, cfg, (1, 1))
+        runs, _ = _race(pts, labels, cfg, (1, 1))
         _finish(runs)
         assert runs.best_loss[runs.live].min() > ref_objective
 
@@ -781,6 +784,15 @@ class TestEscapeRule:
             pts, labels, cfg, restarts=survivors, support=cropped
         )
         assert not np.array_equal(fit_node(pts, labels, cfg).sq_a.params(), crop_a.params())
+
+    def test_refit_counts_the_discarded_race(self):
+        """The cropped race runs 3 restarts to the cut at 10 before the rule
+        fires; the refit runs 3 x 10 + 2 x 10. All 80 count."""
+        pts, labels = race_problem(81, 300)
+        cfg = FitConfig(iterations=20, restarts=3, sharpness=1.0, seed=4)
+        assert fit_node(pts, labels, cfg).iterations == 80
+        _, report = fit_tree(LabeledPointSet(pts, labels), dataclasses.replace(cfg, max_depth=1))
+        assert report.iterations == 80
 
     @pytest.mark.parametrize("restarts", [1, 4])
     def test_unreached_support_keeps_the_cropped_fit(self, monkeypatch, restarts):

@@ -26,6 +26,7 @@ from sqdecomp import (
     sample_labeled_points,
     save_mesh,
 )
+from sqdecomp import geometry
 from sqdecomp import quaternions as quat
 from sqdecomp.geometry import (
     _BIN_MARGIN,
@@ -133,6 +134,12 @@ MALFORMED_OBJ = [
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 # a comment\n", ":4: bad face index '#'"),
     # Lines are numbered after newline translation.
     ("v 0 0 0\r\nv 1 0 0\rv 0 1\n", ":3: vertex needs 3 coordinates"),
+    # Python's float reads these, but a mesh vertex must be finite.
+    ("v nan 0 0\n", ":1: bad vertex coordinate"),
+    ("v 0 0 0\nv 1e400 0 0\n", ":2: bad vertex coordinate"),
+    ("v 0 0 0\nv 0 -inf 0\nf 1 2 1\n", ":2: bad vertex coordinate"),
+    ("v 0 0 0\nf 1 1 x\nv 0 0 NaN\n", ":2: bad face index 'x'"),
+    ("v 0 0 Infinity\nf 1 1 x\n", ":1: bad vertex coordinate"),
 ]
 
 
@@ -142,6 +149,12 @@ class TestLoadMeshErrors:
         p = tmp_path / "bad.obj"
         p.write_bytes(body.encode())
         with pytest.raises(MeshFormatError, match=f"^{re.escape(str(p) + message)}$"):
+            load_mesh(p)
+
+    def test_text_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.obj"
+        p.write_bytes(b"v 0 0 0\nv 1 0 0\nv 0 1 0\n# caf\xe9\nf 1 2 3\n")
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(str(p))}: not UTF-8 text: "):
             load_mesh(p)
 
 
@@ -341,16 +354,17 @@ def probe_points(mesh: Mesh, rng: np.random.Generator, n: int = 1000) -> np.ndar
     ])
 
 
-def prism_along(direction: np.ndarray) -> Mesh:
-    """Closed triangular prism extruded along ``direction``: the ray along
-    that direction runs parallel to all six side triangles."""
+def prism_along(direction: np.ndarray, size: float = 0.4, offset=-0.1) -> Mesh:
+    """Closed triangular prism extruded along ``direction``, its edges
+    ``size`` long, moved by ``offset``: the ray along that direction runs
+    parallel to all six side triangles."""
     local = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], float)
     b1 = np.cross(direction, [1.0, 0.0, 0.0])
     b1 /= np.linalg.norm(b1)
     frame = np.stack([b1, np.cross(direction, b1), direction], axis=1)
     faces = [[0, 2, 1], [3, 4, 5], [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
              [2, 0, 3], [2, 3, 5]]
-    return Mesh(0.4 * local @ frame.T - 0.1, faces)
+    return Mesh(size * local @ frame.T + offset, faces)
 
 
 def cylinder(segments: int) -> Mesh:
@@ -567,25 +581,36 @@ class TestBinnedMatchesBruteForce:
         pts = probe_points(mesh, np.random.default_rng(50))
         np.testing.assert_array_equal(point_in_mesh(mesh, pts), point_in_mesh_reference(mesh, pts))
 
-    def test_triangles_parallel_to_the_ray(self):
-        """Triangles parallel to the ray are tested against every point, so
-        points in their planes are sent on to the next ray exactly as the
-        brute-force test sends them."""
-        mesh = prism_along(_DIRECTIONS[0])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        size=st.floats(0.05, 2.0),
+        offset=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        j=st.integers(-20, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_triangles_parallel_to_the_ray(self, size, offset, j, seed):
+        """Triangles parallel to the ray get one plane check per chunk of
+        points, so points in their planes are sent on to the next ray
+        exactly as the brute-force test sends them. A small pair budget
+        spreads the points over many chunks."""
+        mesh = prism_along(_DIRECTIONS[0], size, offset)
+        mesh = Mesh(np.ldexp(mesh.vertices, j), mesh.triangles)
         corners = mesh.triangle_corners
         scale = mesh_scale(mesh)
         assert np.count_nonzero(_TriangleTerms.of(corners, _DIRECTIONS[0], scale).parallel) == 6
-        rng = np.random.default_rng(51)
+        rng = np.random.default_rng(seed)
         v = mesh.vertices
         coef = rng.uniform(-0.5, 1.5, (300, 2))
         in_side_plane = v[0] + coef[:, :1] * (v[1] - v[0]) + coef[:, 1:] * (v[3] - v[0])
         pts = np.vstack([probe_points(mesh, rng, 300), in_side_plane])
-        resolved, labels = _classify_along(pts, corners, _DIRECTIONS[0], scale)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_PAIR_CHUNK", 64)
+            resolved, labels = _classify_along(pts, corners, _DIRECTIONS[0], scale)
+            got = point_in_mesh(mesh, pts)
         ref_resolved, ref_labels = _classify_chunk(pts, corners, _DIRECTIONS[0], scale)
         np.testing.assert_array_equal(resolved, ref_resolved)
         np.testing.assert_array_equal(labels, ref_labels)
         assert not resolved[-len(in_side_plane):].any()
-        got = point_in_mesh(mesh, pts)
         np.testing.assert_array_equal(got, point_in_mesh_reference(mesh, pts))
         assert got.any() and not got.all()
 
