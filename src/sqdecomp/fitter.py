@@ -22,10 +22,11 @@ manifold.
 Multi-restart: the first start is a deterministic PCA/moment init with the
 pair offset along the long axis, the next three start the pair coincident
 (effectively a single-SQ fit) while cycling the principal-axis roles, and
-further starts add seeded noise. The R restarts race with one cut at
-mid-schedule, as in successive halving: all of them run to iteration
-``iterations // 2``, and only the better half, ceil(R/2) of them by
-running-best loss (ties to the lower restart index), runs on to the end.
+further starts add seeded noise. The R restarts race in one loop with
+one cut at mid-schedule, as in successive halving: all of them run to
+iteration ``iterations // 2``, where the better half, ceil(R/2) of them by
+running-best loss (ties to the lower restart index), is kept and the rest
+are dropped; the survivors run on to the end.
 A restart that survives does exactly the arithmetic of an uncut one, so
 wherever the overall winner survives the result is bit for bit that of
 running every restart to the end; at four restarts the cut saves a quarter
@@ -52,22 +53,23 @@ reports is the full-set loss of the returned pair, from one gradient-free
 pass over every point; where the support is every point, the fit is
 bitwise the uncropped one.
 
-The live restarts of a node advance in lock step, held as arrays: per
-restart its pair's parameters (2, 8) and quaternions (2, 4), its velocity
-(22,), its iteration count, its running best loss and the pair that
-reached it. Each iteration makes one value pass over the slots of all live
-SQs in the node's one field workspace, computes every restart's loss at
-once over (restarts, points) arrays, and differentiates the active rows of
-all the SQs in gradient calls of at most n rows each, cut between SQs.
-Active rows often fill most of a block, so in practice an iteration makes
-about one call per live pair (fit-dumbbell: 4 per iteration before the
-cut, 2 after). Then one momentum step moves every live
-restart: the velocity and parameter updates and both clips as array
-operations, and one retraction of all the rotations. The new parameters
-pass the checks of a Superquadric (``check_parameters``) every iteration;
-a step that fails them names the node, the restart, the iteration and the
-step size. Superquadric objects are built only for the returned pair.
-Every value a restart gets is bitwise the one it gets run alone.
+The running restarts of a node advance in lock step, held as rows of
+plain arrays: per restart its id, its pair's parameters (2, 8) and
+quaternions (2, 4), its velocity (22,), its running best loss and the pair
+that reached it; the cut drops the rows of the restarts it stops. Each
+iteration makes one value pass over the slots of all running SQs in the
+node's one field workspace, computes every restart's loss at once over
+(restarts, points) arrays, and differentiates the active rows of all the
+SQs in gradient calls of at most n rows each, cut between SQs. Active rows
+often fill most of a block, so in practice an iteration makes about one
+call per running pair (fit-dumbbell: 4 per iteration before the cut, 2
+after). Then one momentum step moves every row: the velocity and
+parameter updates and both clips as array operations, and one retraction
+of all the rotations. The new parameters pass the checks of a Superquadric
+(``check_parameters``) every iteration; a step that fails them names the
+node, the restart, the iteration and the step size. Superquadric objects
+are built only for the returned pair. Every value a restart gets is
+bitwise the one it gets run alone.
 
 Nodes without a single inside-labeled point get a degenerate sentinel pair
 (two minimum-size SQs at the point centroid) and are not optimized; their
@@ -141,6 +143,11 @@ class FitConfig:
     e_max: float = EXPONENT_BOUNDS[1]
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, and numpy integers are not ints.
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be an int, got {value!r}")
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.iterations < 1:
@@ -321,10 +328,10 @@ class _PairBatch:
         summed by their own (m, 11) matrix-vector product; every value a
         pair gets is bitwise the one it gets evaluated alone.
         """
-        ws, n, live = self.field, self.field.n, len(params)
-        _value_pass(ws, params.reshape(2 * live, 8), rotation.reshape(2 * live, 4))
-        ha, hb = ws.h[0:2 * live:2], ws.h[1:2 * live:2]
-        g, credited = self.g[:live], self.credited[:live]
+        ws, n, pairs = self.field, self.field.n, len(params)
+        _value_pass(ws, params.reshape(2 * pairs, 8), rotation.reshape(2 * pairs, 4))
+        ha, hb = ws.h[0:2 * pairs:2], ws.h[1:2 * pairs:2]
+        g, credited = self.g[:pairs], self.credited[:pairs]
         # g = expit(s (1 - min(h_a, h_b)))
         np.minimum(ha, hb, out=g)
         np.subtract(1.0, g, out=g)
@@ -334,7 +341,7 @@ class _PairBatch:
         np.subtract(1.0, g, out=credited)
         np.copyto(credited, g, where=self.inside)
         if grad:
-            residual, flag = self.residual[:live], self.flag[:live]
+            residual, flag = self.residual[:pairs], self.flag[:pairs]
             # residual = where(credited < LOG_CLAMP, 0, g - y)
             np.less(credited, LOG_CLAMP, out=flag)
             np.subtract(g, self.y, out=residual)
@@ -349,7 +356,7 @@ class _PairBatch:
             return losses, None
 
         # The active set, split by winning side: sides[j, 0] for a, [j, 1] for b.
-        a_wins, sides = self.a_wins[:live], self.sides[:live]
+        a_wins, sides = self.a_wins[:pairs], self.sides[:pairs]
         np.abs(residual, out=g)  # g is not needed any more
         np.greater_equal(g, ACTIVE_RESIDUAL, out=flag)
         np.less_equal(ha, hb, out=a_wins)
@@ -359,16 +366,16 @@ class _PairBatch:
         # Rows per slot (2j + side), then blocks of whole slots, at most n
         # rows each.
         counts = np.count_nonzero(sides, axis=2).ravel()
-        bounds = np.zeros(2 * live + 1, dtype=np.intp)
+        bounds = np.zeros(2 * pairs + 1, dtype=np.intp)
         np.cumsum(counts, out=bounds[1:])
         flat = sides.reshape(-1)
 
         # dz/dparams = -sharpness * dh/dparams on the winning side only.
-        grads = np.empty((2 * live, 11))
+        grads = np.empty((2 * pairs, 11))
         first = 0
-        while first < 2 * live:
+        while first < 2 * pairs:
             last = first + 1
-            while last < 2 * live and bounds[last + 1] - bounds[first] <= n:
+            while last < 2 * pairs and bounds[last + 1] - bounds[first] <= n:
                 last += 1
             # Flat indices k n + i (slot k, point i) of the block's rows.
             idx = np.flatnonzero(flat[first * n:last * n])
@@ -464,96 +471,44 @@ def init_node(
     return pair[0], pair[1]
 
 
-class _Restarts:
-    """Every restart of one node's momentum descent, as arrays, resumable
-    at any iteration.
-
-    Restart r's current pair is ``params[r]`` (2, 8), each SQ's size,
-    exponents and translation, and ``rotation[r]`` (2, 4); ``vel[r]`` (22,)
-    is its velocity in the gradient layout of both SQs, ``t[r]`` the
-    iterations it has run, ``best_loss[r]`` its running best loss and
-    ``best_params[r]``, ``best_rotation[r]`` the pair that reached it.
-    ``live`` lists the restarts still running, in restart order; they
-    stand at the same iteration. ``batch`` is the node's :class:`_PairBatch`.
-    Superquadrics are built only for the pair :func:`fit_node` returns.
-    """
-
-    def __init__(self, starts, cfg: FitConfig, node: tuple[int, int], batch: _PairBatch):
-        self.cfg, self.node, self.batch = cfg, node, batch
-        self.params, self.rotation = (a.copy() for a in _pair_arrays(starts))
-        restarts = len(starts)
-        self.vel = np.zeros((restarts, 22))
-        self.t = np.zeros(restarts, dtype=np.intp)
-        self.best_loss = np.full(restarts, np.inf)
-        self.best_params, self.best_rotation = self.params.copy(), self.rotation.copy()
-        self.live = np.arange(restarts)
-
-    def record(self, losses) -> None:
-        """Keep each live restart's current pair where its loss beats the
-        restart's running best."""
-        better = losses < self.best_loss[self.live]
-        won = self.live[better]
-        self.best_loss[won] = losses[better]
-        self.best_params[won] = self.params[won]
-        self.best_rotation[won] = self.rotation[won]
-
-    def step(self, t: int, grads) -> None:
-        """One momentum step of iteration ``t`` for every live restart along
-        its (2, 11) rows of ``grads``; the new pairs must pass the checks
-        of :class:`Superquadric`."""
-        cfg, live = self.cfg, self.live
-        lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
-        # A diverging step overflows; the checks refuse every non-finite
-        # value it leaves, so numpy need not warn as well.
-        with np.errstate(over="ignore", invalid="ignore"):
-            vel = MOMENTUM * self.vel[live] - lr * grads.reshape(len(live), 22)
-            self.vel[live] = vel
-            vel = vel.reshape(len(live), 2, 11)
-            params = self.params[live] + vel[:, :, 0:8]
-            params[:, :, 0:3] = np.clip(params[:, :, 0:3], cfg.a_min, cfg.a_max)
-            params[:, :, 3:5] = np.clip(params[:, :, 3:5], cfg.e_min, cfg.e_max)
-            turned = quat.multiply(quat.from_rotation_vector(vel[:, :, 8:11]), self.rotation[live])
-            try:
-                rotation = quat.normalize(turned)
-                check_parameters(params[..., 0:3], params[..., 3:5], params[..., 5:8], rotation)
-            except ValueError as exc:
-                raise self._divergence(t, params, turned) from exc
-        self.params[live], self.rotation[live] = params, rotation
-        self.t[live] += 1
-
-    def _divergence(self, t: int, params, turned) -> ValueError:
-        """The error of the first live restart whose new pair fails a check,
-        checked as that restart alone would be: both rotations normalized,
-        then each SQ's parameters. Runs under :meth:`step`'s errstate."""
-        for j, r in enumerate(self.live):
-            try:
-                rotation = quat.normalize(turned[j])
-                for p, q in zip(params[j], rotation):
-                    check_parameters(p[0:3], p[3:5], p[5:8], q)
-            except ValueError as exc:
-                return ValueError(
-                    f"node {self.node}, restart {r} diverged at iteration {t} with "
-                    f"step_size {self.cfg.step_size}: {exc}"
-                )
-        return ValueError(f"node {self.node} diverged at iteration {t}")
+def _step(cfg: FitConfig, node: tuple[int, int], t: int, ids, params, rotation, vel, grads):
+    """One momentum step of iteration ``t`` for the race's rows: restarts
+    ``ids``, their pairs ``params`` (L, 2, 8) and ``rotation`` (L, 2, 4),
+    velocities ``vel`` (L, 22) and (2L, 11) ``grads``. Returns the new
+    velocities, parameters and rotations, which pass the checks of
+    :class:`Superquadric`."""
+    lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
+    # A diverging step overflows; the checks refuse every non-finite
+    # value it leaves, so numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vel = MOMENTUM * vel - lr * grads.reshape(len(ids), 22)
+        move = vel.reshape(len(ids), 2, 11)
+        params = params + move[:, :, 0:8]
+        params[:, :, 0:3] = np.clip(params[:, :, 0:3], cfg.a_min, cfg.a_max)
+        params[:, :, 3:5] = np.clip(params[:, :, 3:5], cfg.e_min, cfg.e_max)
+        turned = quat.multiply(quat.from_rotation_vector(move[:, :, 8:11]), rotation)
+        try:
+            rotation = quat.normalize(turned)
+            check_parameters(params[..., 0:3], params[..., 3:5], params[..., 5:8], rotation)
+        except ValueError as exc:
+            raise _divergence(cfg, node, t, ids, params, turned) from exc
+    return vel, params, rotation
 
 
-def _advance(runs: _Restarts, stop: int) -> None:
-    """Run the live restarts up to iteration ``stop`` (exclusive) in lock
-    step: each iteration evaluates every live pair in one
-    :meth:`_PairBatch.evaluate`, then steps them all at once."""
-    for t in range(int(runs.t[runs.live[0]]), stop):
-        losses, grads = runs.batch.evaluate(runs.params[runs.live], runs.rotation[runs.live])
-        runs.record(losses)
-        runs.step(t, grads)
-
-
-def _finish(runs: _Restarts) -> None:
-    """Score the live restarts' last iterates too."""
-    losses, _ = runs.batch.evaluate(
-        runs.params[runs.live], runs.rotation[runs.live], grad=False
-    )
-    runs.record(losses)
+def _divergence(cfg: FitConfig, node: tuple[int, int], t: int, ids, params, turned) -> ValueError:
+    """The error of the first row whose new pair fails a check, checked as
+    that restart alone would be: both rotations normalized, then each SQ's
+    parameters. Runs under :func:`_step`'s errstate."""
+    for r, p_pair, q_pair in zip(ids, params, turned):
+        try:
+            for p, q in zip(p_pair, quat.normalize(q_pair)):
+                check_parameters(p[0:3], p[3:5], p[5:8], q)
+        except ValueError as exc:
+            return ValueError(
+                f"node {node}, restart {r} diverged at iteration {t} with "
+                f"step_size {cfg.step_size}: {exc}"
+            )
+    return ValueError(f"node {node} diverged at iteration {t}")
 
 
 def _support(points: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -565,65 +520,68 @@ def _support(points: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return (np.abs(points - 0.5 * (lo + hi)) <= half).all(axis=1)
 
 
-def _escapes(runs: _Restarts, outside: np.ndarray) -> int:
-    """How many of the ``outside`` points, all labeled 0, the current pair
-    of some live restart reaches: min(h_a, h_b) < 1 + _ESCAPE_MARGIN / s.
-    One gradient-free value pass over those points."""
-    live = runs.live
-    ws = FieldWorkspace(outside, 2 * len(live))
-    _value_pass(ws, runs.params[live].reshape(-1, 8), runs.rotation[live].reshape(-1, 4))
-    reached = ws.h < 1.0 + _ESCAPE_MARGIN / runs.cfg.sharpness
+def _escapes(params, rotation, outside: np.ndarray, sharpness: float) -> int:
+    """How many of the ``outside`` points, all labeled 0, one of the pairs
+    ``params`` (L, 2, 8), ``rotation`` (L, 2, 4) reaches: min(h_a, h_b) <
+    1 + _ESCAPE_MARGIN / s. One gradient-free value pass over those points."""
+    ws = FieldWorkspace(outside, 2 * len(params))
+    _value_pass(ws, params.reshape(-1, 8), rotation.reshape(-1, 4))
+    reached = ws.h < 1.0 + _ESCAPE_MARGIN / sharpness
     return int(np.count_nonzero(reached.any(axis=0)))
 
 
-def _to_cut(runs: _Restarts, cut: int) -> None:
-    """Run every restart to iteration ``cut``, then keep live the ceil(R/2)
-    with the lowest running-best objective (ties to the lower restart
-    index). With ``cut`` 0 every restart stays live."""
-    restarts = len(runs.live)
-    if cut > 0:
-        _advance(runs, cut)
-        ranked = sorted(range(restarts), key=lambda r: (runs.best_loss[r], r))
-        runs.live = np.sort(ranked[: (restarts + 1) // 2])
+def _race(pts, y, cfg: FitConfig, node: tuple[int, int], denominator: int, outside=None):
+    """Every restart of one node on the points ``pts``, labels ``y``, in
+    one lock-step loop with one cut at ``c = iterations // _CUT_DIVISOR``,
+    the objective divided by ``denominator``.
 
-
-def _race(pts, y, cfg: FitConfig, node: tuple[int, int]) -> tuple[_Restarts, int]:
-    """Every restart of one node, raced with one cut at mid-schedule, on
-    the node's support with the objective divided by its full point count.
-
-    All restarts run to ``c = iterations // _CUT_DIVISOR`` (:func:`_to_cut`);
-    the survivors run on to the end, the rest stop at c. At the cut, one
-    value pass checks the survivors' current pairs against the points
-    outside the support (:func:`_escapes`). If any pair reaches one of
-    them, it could settle in a basin the support cannot see, so the node
-    is raced again from the same starts on every point, which is bitwise
-    its uncropped fit. With c == 0 there is no cut and no check. Returns
-    the restarts, with the survivors ``live``, and the iterations of the
-    cropped race a refit discarded (0 without a refit).
+    The running restarts are rows of plain arrays, in restart order. Each
+    iteration evaluates every row in one :meth:`_PairBatch.evaluate`, keeps
+    each row's pair where its loss beats the row's running best, and moves
+    every row by one momentum step. At c the ceil(R/2) rows with the lowest
+    running best stay (ties to the lower restart id) and the others are
+    dropped; if one of the survivors' current pairs then reaches a point
+    of ``outside`` (:func:`_escapes`), the race stops there. With c == 0
+    there is no cut and no check. A last gradient-free pass scores the
+    final iterates. Returns the survivors' restart ids, running-best
+    losses, pairs (S, 2, 8) and rotations (S, 2, 4), or None where the
+    escape rule fired, and the iterations run, summed over the rows.
     """
-    keep = _support(pts, y == 1)
-    sub, sub_y = pts[keep], y[keep]
     starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(node[0], node[1], r))
         )
-        starts.append(init_node(sub, sub_y, cfg, restart=r, rng=rng))
+        starts.append(init_node(pts, y, cfg, restart=r, rng=rng))
     batch = _PairBatch(
-        sub, sub_y.astype(np.float64), cfg.sharpness, cfg.restarts, denominator=len(pts)
+        pts, y.astype(np.float64), cfg.sharpness, cfg.restarts, denominator=denominator
     )
-    cut = cfg.iterations // _CUT_DIVISOR
-    runs = _Restarts(starts, cfg, node, batch)
-    _to_cut(runs, cut)
-    discarded = 0
-    if cut > 0 and not keep.all() and _escapes(runs, pts[~keep]):
-        discarded = int(runs.t.sum())
-        del runs, batch  # free the support's buffers before the full set's
-        batch = _PairBatch(pts, y.astype(np.float64), cfg.sharpness, cfg.restarts)
-        runs = _Restarts(starts, cfg, node, batch)
-        _to_cut(runs, cut)
-    _advance(runs, cfg.iterations)
-    return runs, discarded
+    params, rotation = _pair_arrays(starts)
+    ids, vel = np.arange(cfg.restarts), np.zeros((cfg.restarts, 22))
+    best_loss = np.full(cfg.restarts, np.inf)
+    best_params, best_rotation = params.copy(), rotation.copy()
+    cut, spent = cfg.iterations // _CUT_DIVISOR, 0
+    for t in range(cfg.iterations + 1):
+        if t == cut > 0:
+            # The rows are in restart order, so the stable sort breaks ties
+            # to the lower restart id.
+            rows = np.sort(np.argsort(best_loss, kind="stable")[: (len(ids) + 1) // 2])
+            state = ids, params, rotation, vel, best_loss, best_params, best_rotation
+            ids, params, rotation, vel, best_loss, best_params, best_rotation = (
+                a[rows] for a in state
+            )
+            if outside is not None and _escapes(params, rotation, outside, cfg.sharpness):
+                return None, spent
+        # The pass after the last step only scores the final iterates.
+        last = t == cfg.iterations
+        losses, grads = batch.evaluate(params, rotation, grad=not last)
+        better = losses < best_loss
+        best_loss[better] = losses[better]
+        best_params[better], best_rotation[better] = params[better], rotation[better]
+        if last:
+            return (ids, best_loss, best_params, best_rotation), spent
+        vel, params, rotation = _step(cfg, node, t, ids, params, rotation, vel, grads)
+        spent += len(ids)
 
 
 def fit_node(
@@ -636,15 +594,18 @@ def fit_node(
 
     Restart r of node (d, i) draws its jitter from
     SeedSequence(cfg.seed, spawn_key=(d, i, r)), so a node's fit does not
-    depend on which nodes were fitted before it. The restarts that finish
-    the schedule are compared in restart order, a later one winning only
-    with a strictly lower objective on the node's support; the returned
+    depend on which nodes were fitted before it. The race runs on the
+    node's support with the objective divided by the full point count; if
+    a survivor reaches past the support at the cut, it runs again on every
+    point from the same starts, which is bitwise the uncropped fit. The
+    restarts that finish the schedule are compared in restart order, a
+    later one winning only with a strictly lower objective; the returned
     ``loss`` is the pair's loss over every point,
-    ``node_loss(fit.sq_a, fit.sq_b, points, labels)``.
-    ``iterations`` counts the iterations actually run over all restarts,
-    those of a cropped race discarded for a refit included. A
-    node with no inside-labeled points returns the degenerate sentinel
-    without optimizing.
+    ``node_loss(fit.sq_a, fit.sq_b, points, labels)``. ``iterations``
+    counts the iterations actually run over all restarts, those of a
+    cropped race discarded for a refit included. A node with no
+    inside-labeled points returns the degenerate sentinel without
+    optimizing.
     """
     ps = LabeledPointSet(points, labels)
     pts, y = ps.points, ps.labels
@@ -661,18 +622,22 @@ def fit_node(
             iterations=0,
         )
 
-    runs, discarded = _race(pts, y, cfg, node)
-    _finish(runs)
-    # min keeps the first of equal losses: a later restart wins only when
-    # strictly lower.
-    best = min(runs.live, key=lambda r: runs.best_loss[r])
+    # The race's batch is freed when it returns, before a refit or the
+    # full-set pass below allocates its own.
+    keep = _support(pts, y == 1)
+    outside = None if keep.all() else pts[~keep]
+    survivors, iterations = _race(pts[keep], y[keep], cfg, node, len(pts), outside)
+    if survivors is None:
+        survivors, refit = _race(pts, y, cfg, node, len(pts))
+        iterations += refit
+    _, best_loss, best_params, best_rotation = survivors
+    # argmin keeps the first of equal losses: a later restart wins only
+    # when strictly lower.
+    best = int(np.argmin(best_loss))
     sq_a, sq_b = (
         Superquadric(p[0:3], p[3:5], p[5:8], q)
-        for p, q in zip(runs.best_params[best], runs.best_rotation[best])
+        for p, q in zip(best_params[best], best_rotation[best])
     )
-    iterations = int(runs.t.sum()) + discarded
-    # Free the support's buffers before the full-set pass allocates its own.
-    del runs
     return NodeFit(
         sq_a=sq_a,
         sq_b=sq_b,

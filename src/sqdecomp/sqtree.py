@@ -85,6 +85,8 @@ class SqTree:
             self.points = as_points(self.points)[0]
 
     def add_node(self, node: SqPairNode) -> None:
+        if node.key in self.nodes:
+            raise ValueError(f"node {node.key} is already in the tree")
         if node.depth > self.max_depth:
             raise ValueError(f"node depth {node.depth} exceeds max_depth {self.max_depth}")
         if node.depth > 1 and parent_node(node.depth, node.index) not in self.nodes:

@@ -383,6 +383,19 @@ class TestExportCommand:
         code, _, _ = run(capsys, ["export", str(bad), "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_export_repeated_node_exits_1(self, capsys, tmp_path):
+        tree = SqTree(max_depth=1)
+        sq = Superquadric(np.full(3, 0.2), np.ones(2))
+        tree.add_node(SqPairNode(depth=1, index=1, sq_a=sq, sq_b=sq))
+        path = tmp_path / "tree.json"
+        save_tree(tree, None, path)
+        doc = json.loads(path.read_text())
+        doc["nodes"] *= 2
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["export", str(path), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "node (1, 1) is already in the tree" in err
+
     def test_export_tree_not_utf8_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "tree.json"
         bad.write_bytes(NOT_UTF8_TREE)

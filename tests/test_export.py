@@ -153,6 +153,18 @@ class TestTreeFormatErrors:
         with pytest.raises(TreeFormatError):
             load_tree(bad)
 
+    def test_repeated_node(self, tmp_path):
+        """A node list holding the root twice used to load one node, with
+        the second entry's parameters."""
+        good = tmp_path / "good.json"
+        save_tree(build_tree(1, seed=18), None, good)
+        doc = json.loads(good.read_text())
+        doc["nodes"].append(dict(doc["nodes"][0], lambda_a=doc["nodes"][0]["lambda_b"]))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(TreeFormatError, match=re.escape("node (1, 1) is already in the tree")):
+            load_tree(bad)
+
     def test_text_that_is_not_utf8(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_bytes(b'{"format_version": 1, "max_depth": "\xff"}')

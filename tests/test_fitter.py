@@ -38,7 +38,6 @@ from sqdecomp.fitter import (
     _ESCAPE_MARGIN,
     _PairBatch,
     _escapes,
-    _finish,
     _pair_arrays,
     _race,
     _support,
@@ -121,11 +120,19 @@ class TestFitConfig:
             {"a_min": 0.0},
             {"a_min": 0.5, "a_max": 0.1},
             {"e_min": 1.0, "e_max": 0.5},
+            {"iterations": 2.5},
+            {"restarts": 1.5},
+            {"seed": 0.5},
+            {"max_depth": 1.5},
+            {"iterations": True},
+            {"iterations": np.int64(3)},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         """A config checks itself when it is built, so an invalid one never
-        reaches a fit."""
+        reaches a fit. An int field takes only a Python int: 2.5 failed
+        the fit with a bare TypeError, True ran one iteration and wrote
+        "iterations": true, and an int64 failed save_tree's JSON."""
         with pytest.raises(ConfigError):
             FitConfig(**kwargs)
 
@@ -485,18 +492,19 @@ class TestFitNode:
 
     def test_divergence_names_the_first_failing_live_restart(self):
         """When only restart 2's new translation is not finite, the error
-        names restart 2 (the second live one) and the iteration, with the
-        message Superquadric gives for its parameters."""
+        names restart 2 (the second row, after the cut dropped restart 1)
+        and the iteration, with the message Superquadric gives for its
+        parameters."""
         pts, labels = race_problem(80, 300)
         cfg = FitConfig(iterations=10, restarts=3)
-        starts = [init_node(pts, labels, cfg, restart=r) for r in range(3)]
-        batch = _PairBatch(pts, labels.astype(np.float64), cfg.sharpness, 3)
-        runs = fitter._Restarts(starts, cfg, (3, 2), batch)
-        runs.live = np.array([0, 2])
+        starts = [init_node(pts, labels, cfg, restart=r) for r in (0, 2)]
+        params, rotation = _pair_arrays(starts)
         grads = np.zeros((4, 11))
         grads[3, 6] = np.inf  # restart 2, sq_b, t2
         with pytest.raises(ValueError) as info:
-            runs.step(4, grads)
+            fitter._step(
+                cfg, (3, 2), 4, np.array([0, 2]), params, rotation, np.zeros((2, 22)), grads
+            )
         assert str(info.value) == (
             "node (3, 2), restart 2 diverged at iteration 4 with step_size 0.01: "
             "superquadric parameters must be finite"
@@ -545,35 +553,49 @@ def reference_support(pts, labels, cfg: FitConfig):
     return support, losses, False
 
 
+def race_on_support(pts, labels, cfg: FitConfig):
+    """fitter._race on the node's support, the first race fit_node runs."""
+    keep = _support(pts, labels == 1)
+    outside = None if keep.all() else pts[~keep]
+    return _race(pts[keep], labels[keep], cfg, (1, 1), len(pts), outside)
+
+
 def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
     """The raced fit_node equals the sequential reference over the
-    survivors, bitwise, and reports that pair's loss over every point; each
-    restart's running best equals the reference's minimum over the
-    iterations it ran; the iteration count is exact. The reference runs
-    on the node's support with the loss divided by the count of all the
-    points, or on every point where a survivor reaches past the support at
-    the cut."""
+    survivors, bitwise, and reports that pair's loss over every point. The
+    race keeps the reference's survivors, ranked at the cut by every
+    restart's running best; each survivor's running best is the
+    reference's minimum over all the iterations and the scoring pass; the
+    iteration count is exact. The reference runs on the node's support
+    with the loss divided by the count of all the points, or on every
+    point where a survivor reaches past the support at the cut."""
     support, losses, fired = reference_support(pts, labels, cfg)
     restarts, total = cfg.restarts, cfg.iterations
     survivors, cut = reference_survivors(losses, cfg)
     # A refit also counts the cropped race it discarded at the cut.
     discarded = restarts * (total // 2) if fired else 0
-    (ref_a, ref_b, _), _ = fit_node_reference(
-        pts, labels, cfg, restarts=survivors, support=support
-    )
+    raced = restarts * cut + len(survivors) * (total - cut)
+    finals = {
+        r: fit_node_reference(pts, labels, cfg, restarts=[r], support=support)[0]
+        for r in survivors
+    }
+    # min keeps the first of equal objectives, as the reference does.
+    ref_a, ref_b, _ = min(finals.values(), key=lambda final: final[2])
 
     fit = fit_node(pts, labels, cfg)
     np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
     np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
     assert fit.loss == node_loss(ref_a, ref_b, pts, labels, OccupancyConfig(cfg.sharpness))
-    assert fit.iterations == discarded + restarts * cut + len(survivors) * (total - cut)
+    assert fit.iterations == discarded + raced
 
-    runs, spent = _race(pts, labels, cfg, (1, 1))
-    assert spent == discarded
-    assert list(runs.live) == survivors
-    for r in range(restarts):
-        assert runs.t[r] == (total if r in survivors else cut)
-        assert runs.best_loss[r] == min(losses[r][: runs.t[r]])
+    found, spent = race_on_support(pts, labels, cfg)
+    if fired:
+        assert found is None and spent == discarded
+        found, spent = _race(pts, labels, cfg, (1, 1), len(pts))
+    ids, best_loss, _, _ = found
+    assert list(ids) == survivors
+    assert list(best_loss) == [finals[r][2] for r in survivors]
+    assert spent == raced
 
 
 class TestRace:
@@ -607,9 +629,8 @@ class TestRace:
         (_, _, ref_objective), _ = fit_node_reference(
             pts, labels, cfg, support=_support(pts, labels == 1)
         )
-        runs, _ = _race(pts, labels, cfg, (1, 1))
-        _finish(runs)
-        assert runs.best_loss[runs.live].min() > ref_objective
+        (_, best_loss, _, _), _ = race_on_support(pts, labels, cfg)
+        assert best_loss.min() > ref_objective
 
     def test_gradient_blocks_cut_between_restarts(self, monkeypatch):
         """Four restarts carry more active rows than one block of n holds,
@@ -737,8 +758,8 @@ def escape_counts(monkeypatch) -> list:
     counts = []
     check = fitter._escapes
 
-    def counted(runs, outside):
-        counts.append(check(runs, outside))
+    def counted(params, rotation, outside, sharpness):
+        counts.append(check(params, rotation, outside, sharpness))
         return counts[-1]
 
     monkeypatch.setattr(fitter, "_escapes", counted)
@@ -750,20 +771,16 @@ class TestEscapeRule:
     def test_threshold(self, sharpness):
         """Spheres of radius 0.2 at the origin: h = (r / 0.2)^2, so a point
         is reached below r = 0.2 sqrt(1 + ln(10) / s); by either SQ of any
-        live restart, and only by live ones."""
+        row checked, and only by the rows checked."""
         sphere = Superquadric(np.full(3, 0.2), np.ones(2))
         far = Superquadric(np.full(3, 0.2), np.ones(2), np.array([5.0, 0.0, 0.0]))
-        cfg = FitConfig(restarts=3, sharpness=sharpness)
         limit = 0.2 * np.sqrt(1.0 + _ESCAPE_MARGIN / sharpness)
         radii = limit * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0])
         outside = (radii[:, None, None] * np.eye(3)).reshape(-1, 3)
-        batch = _PairBatch(outside, np.zeros(len(outside)), sharpness, 3, grad=False)
-        runs = fitter._Restarts([(far, far), (far, sphere), (sphere, far)], cfg, (1, 1), batch)
-        assert _escapes(runs, outside) == 6
-        runs.live = np.array([0, 2])
-        assert _escapes(runs, outside) == 6
-        runs.live = np.array([0])
-        assert _escapes(runs, outside) == 0
+        params, rotation = _pair_arrays([(far, far), (far, sphere), (sphere, far)])
+        assert _escapes(params, rotation, outside, sharpness) == 6
+        assert _escapes(params[[0, 2]], rotation[[0, 2]], outside, sharpness) == 6
+        assert _escapes(params[[0]], rotation[[0]], outside, sharpness) == 0
 
     def test_reaching_pair_refits_on_every_point(self, monkeypatch):
         """At s = 1 a pair that covers the inside points has an occupancy

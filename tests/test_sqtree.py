@@ -80,6 +80,17 @@ class TestTreeStructure:
         with pytest.raises(ValueError):
             tree.add_node(make_node(2, 1, rng))
 
+    def test_repeated_key_rejected(self):
+        """A second node at a key already in the tree used to replace the
+        first silently."""
+        rng = np.random.default_rng(37)
+        tree = SqTree(max_depth=1)
+        first = make_node(1, 1, rng)
+        tree.add_node(first)
+        with pytest.raises(ValueError, match=r"node \(1, 1\) is already in the tree"):
+            tree.add_node(make_node(1, 1, rng))
+        assert tree.node(1, 1) is first
+
     def test_labels_must_match_point_count(self):
         rng = np.random.default_rng(33)
         tree = SqTree(max_depth=1, points=np.zeros((10, 3)))
