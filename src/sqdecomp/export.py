@@ -65,8 +65,9 @@ def load_tree(path) -> tuple[SqTree, dict]:
     Returns the tree (without sample points or labels) and the metadata
     dict. Raises TreeFormatError for text that is not UTF-8 JSON, missing
     fields, a ``depth``, ``index`` or ``max_depth`` that is not a JSON
-    integer, a ``degenerate`` that is not a JSON boolean, or a format
-    version this code does not understand.
+    integer, a ``degenerate`` that is not a JSON boolean, a ``lambda_a`` or
+    ``lambda_b`` entry that is not a JSON number, or a format version this
+    code does not understand.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -87,12 +88,12 @@ def load_tree(path) -> tuple[SqTree, dict]:
                 SqPairNode(
                     depth=_typed(entry["depth"], "depth", int),
                     index=_typed(entry["index"], "index", int),
-                    sq_a=Superquadric.from_params(np.array(entry["lambda_a"])),
-                    sq_b=Superquadric.from_params(np.array(entry["lambda_b"])),
+                    sq_a=Superquadric.from_params(_numbers(entry["lambda_a"], "lambda_a")),
+                    sq_b=Superquadric.from_params(_numbers(entry["lambda_b"], "lambda_b")),
                     degenerate=_typed(entry.get("degenerate", False), "degenerate", bool),
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeFormatError(f"{path}: malformed tree document: {exc}") from exc
     return tree, doc.get("metadata", {})
 
@@ -105,6 +106,13 @@ def _typed(value, key: str, kind: type):
         raise TypeError(f"{key} must be a JSON {'integer' if kind is int else 'boolean'}, "
                         f"got {value!r}")
     return value
+
+
+def _numbers(values, key: str) -> np.ndarray:
+    """List field ``key`` as float64, every entry a JSON integer or float."""
+    if type(values) is not list or any(type(v) not in (int, float) for v in values):
+        raise TypeError(f"{key} must be a list of JSON numbers, got {values!r}")
+    return np.array(values, dtype=np.float64)
 
 
 def _triangulate_grid(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -54,22 +54,22 @@ pass over every point; where the support is every point, the fit is
 bitwise the uncropped one.
 
 The running restarts of a node advance in lock step, held as rows of
-plain arrays: per restart its id, its pair's parameters (2, 8) and
-quaternions (2, 4), its velocity (22,), its running best loss and the pair
-that reached it; the cut drops the rows of the restarts it stops. Each
-iteration makes one value pass over the slots of all running SQs in the
-node's one field workspace, computes every restart's loss at once over
-(restarts, points) arrays, and differentiates the active rows of all the
-SQs in gradient calls of at most n rows each, cut between SQs. Active rows
-often fill most of a block, so in practice an iteration makes about one
-call per running pair (fit-dumbbell: 4 per iteration before the cut, 2
-after). Then one momentum step moves every row: the velocity and
-parameter updates and both clips as array operations, and one retraction
-of all the rotations. The new parameters pass the checks of a Superquadric
-(``check_parameters``) every iteration; a step that fails them names the
-node, the restart, the iteration and the step size. Superquadric objects
-are built only for the returned pair. Every value a restart gets is
-bitwise the one it gets run alone.
+plain arrays: per restart its id, its pair as two parameter rows (2, 12) in
+the layout of ``Superquadric.params``, its velocity (22,), its running best
+loss and the pair that reached it; the cut drops the rows of the restarts
+it stops. Each iteration makes one value pass over the slots of all
+running SQs in the node's one field workspace, computes every restart's
+loss at once over (restarts, points) arrays, and differentiates the active
+rows of all the SQs in gradient calls of at most n rows each, cut between
+SQs. Active rows often fill most of a block, so in practice an iteration
+makes about one call per running pair (fit-dumbbell: 4 per iteration
+before the cut, 2 after). Then one momentum step moves every row: the
+velocity and parameter updates and both clips as array operations, and
+one retraction of all the rotations. The new rows pass the checks of a
+Superquadric (``check_parameters``) every iteration; a step that fails
+them names the node, the restart, the iteration and the step size.
+Superquadric objects are built only for the returned pair. Every value a
+restart gets is bitwise the one it gets run alone.
 
 Nodes without a single inside-labeled point get a degenerate sentinel pair
 (two minimum-size SQs at the point centroid) and are not optimized; their
@@ -78,6 +78,7 @@ children inherit empty label sets and therefore the same treatment.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -145,18 +146,22 @@ class FitConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # bool is an int subclass, and numpy integers are not ints.
-            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be an int, got {value!r}")
+            # bool is an int subclass, numpy integers are not ints and numpy
+            # float32 is not a float; nan, inf and ints past the double range
+            # fail the bound.
+            kinds = int if f.type == "int" else (int, float)
+            if (not isinstance(value, kinds) or isinstance(value, bool)
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{f.name} must be a finite {f.type}, got {value!r}")
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
+        if self.step_size <= 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
-        if not (np.isfinite(self.sharpness) and self.sharpness > 0):
+        if self.sharpness <= 0:
             raise ConfigError(f"sharpness must be positive, got {self.sharpness}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
@@ -262,16 +267,14 @@ def node_loss(
     """
     ps = LabeledPointSet(points, labels)
     batch = _PairBatch(ps.points, ps.labels.astype(np.float64), cfg.sharpness, 1, grad=False)
-    losses, _ = batch.evaluate(*_pair_arrays([(sq_a, sq_b)]), grad=False)
+    losses, _ = batch.evaluate(_pair_rows([(sq_a, sq_b)]), grad=False)
     return float(losses[0])
 
 
-def _pair_arrays(pairs):
-    """(L, 2, 8) parameters and (L, 2, 4) rotations of L superquadric pairs,
-    the layout of :meth:`_PairBatch.evaluate`: per SQ its size, exponents
-    and translation, then its quaternion."""
-    p = np.array([[sq.params() for sq in pair] for pair in pairs])
-    return p[..., :8], p[..., 8:]
+def _pair_rows(pairs):
+    """The parameter rows (L, 2, 12) of L superquadric pairs, one
+    ``Superquadric.params`` row per SQ."""
+    return np.array([[sq.params() for sq in pair] for pair in pairs])
 
 
 class _PairBatch:
@@ -303,14 +306,13 @@ class _PairBatch:
             self.sides = np.empty((pairs, 2, n), dtype=bool)
             self.weight = np.empty(n)
 
-    def evaluate(self, params, rotation, grad: bool = True):
+    def evaluate(self, rows, grad: bool = True):
         """Losses (L,) of L pairs and, with ``grad``, their (2L, 11)
         gradients: row 2j for pair j's sq_a, row 2j + 1 for its sq_b.
 
-        Pair j is given by ``params[j]`` (2, 8), each SQ's size, exponents
-        and translation, and ``rotation[j]`` (2, 4), as from
-        :func:`_pair_arrays`. One value pass over all 2L slots gives h_a,
-        h_b; a pair's occupancy is one
+        Pair j is given by ``rows[j]`` (2, 12), each SQ's parameter row, as
+        from :func:`_pair_rows`. One value pass over all 2L slots gives
+        h_a, h_b; a pair's occupancy is one
         ``g = expit(s (1 - min(h_a, h_b)))``, which equals max(g_a, g_b)
         because expit is monotone. Each point's max differentiates through
         its winning side, the smaller h (ties to a). Points where the BCE
@@ -328,8 +330,8 @@ class _PairBatch:
         summed by their own (m, 11) matrix-vector product; every value a
         pair gets is bitwise the one it gets evaluated alone.
         """
-        ws, n, pairs = self.field, self.field.n, len(params)
-        _value_pass(ws, params.reshape(2 * pairs, 8), rotation.reshape(2 * pairs, 4))
+        ws, n, pairs = self.field, self.field.n, len(rows)
+        _value_pass(ws, rows.reshape(2 * pairs, 12))
         ha, hb = ws.h[0:2 * pairs:2], ws.h[1:2 * pairs:2]
         g, credited = self.g[:pairs], self.credited[:pairs]
         # g = expit(s (1 - min(h_a, h_b)))
@@ -471,38 +473,38 @@ def init_node(
     return pair[0], pair[1]
 
 
-def _step(cfg: FitConfig, node: tuple[int, int], t: int, ids, params, rotation, vel, grads):
+def _step(cfg: FitConfig, node: tuple[int, int], t: int, ids, rows, vel, grads):
     """One momentum step of iteration ``t`` for the race's rows: restarts
-    ``ids``, their pairs ``params`` (L, 2, 8) and ``rotation`` (L, 2, 4),
-    velocities ``vel`` (L, 22) and (2L, 11) ``grads``. Returns the new
-    velocities, parameters and rotations, which pass the checks of
-    :class:`Superquadric`."""
+    ``ids``, their pairs ``rows`` (L, 2, 12), velocities ``vel`` (L, 22)
+    and (2L, 11) ``grads``. Returns the new velocities and rows, which pass
+    the checks of :class:`Superquadric`."""
     lr = cfg.step_size * 0.5 * (1.0 + np.cos(np.pi * t / cfg.iterations))
     # A diverging step overflows; the checks refuse every non-finite
     # value it leaves, so numpy need not warn as well.
     with np.errstate(over="ignore", invalid="ignore"):
         vel = MOMENTUM * vel - lr * grads.reshape(len(ids), 22)
         move = vel.reshape(len(ids), 2, 11)
-        params = params + move[:, :, 0:8]
-        params[:, :, 0:3] = np.clip(params[:, :, 0:3], cfg.a_min, cfg.a_max)
-        params[:, :, 3:5] = np.clip(params[:, :, 3:5], cfg.e_min, cfg.e_max)
-        turned = quat.multiply(quat.from_rotation_vector(move[:, :, 8:11]), rotation)
+        new = rows.copy()
+        new[..., 0:8] += move[..., 0:8]
+        new[..., 0:3] = np.clip(new[..., 0:3], cfg.a_min, cfg.a_max)
+        new[..., 3:5] = np.clip(new[..., 3:5], cfg.e_min, cfg.e_max)
+        turned = quat.multiply(quat.from_rotation_vector(move[..., 8:11]), rows[..., 8:12])
         try:
-            rotation = quat.normalize(turned)
-            check_parameters(params[..., 0:3], params[..., 3:5], params[..., 5:8], rotation)
+            new[..., 8:12] = quat.normalize(turned)
+            check_parameters(new)
         except ValueError as exc:
-            raise _divergence(cfg, node, t, ids, params, turned) from exc
-    return vel, params, rotation
+            raise _divergence(cfg, node, t, ids, new, turned) from exc
+    return vel, new
 
 
-def _divergence(cfg: FitConfig, node: tuple[int, int], t: int, ids, params, turned) -> ValueError:
+def _divergence(cfg: FitConfig, node: tuple[int, int], t: int, ids, rows, turned) -> ValueError:
     """The error of the first row whose new pair fails a check, checked as
     that restart alone would be: both rotations normalized, then each SQ's
-    parameters. Runs under :func:`_step`'s errstate."""
-    for r, p_pair, q_pair in zip(ids, params, turned):
+    row. Runs under :func:`_step`'s errstate."""
+    for r, pair, q_pair in zip(ids, rows, turned):
         try:
-            for p, q in zip(p_pair, quat.normalize(q_pair)):
-                check_parameters(p[0:3], p[3:5], p[5:8], q)
+            for row, q in zip(pair, quat.normalize(q_pair)):
+                check_parameters(np.concatenate([row[0:8], q]))
         except ValueError as exc:
             return ValueError(
                 f"node {node}, restart {r} diverged at iteration {t} with "
@@ -520,12 +522,12 @@ def _support(points: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return (np.abs(points - 0.5 * (lo + hi)) <= half).all(axis=1)
 
 
-def _escapes(params, rotation, outside: np.ndarray, sharpness: float) -> int:
+def _escapes(rows, outside: np.ndarray, sharpness: float) -> int:
     """How many of the ``outside`` points, all labeled 0, one of the pairs
-    ``params`` (L, 2, 8), ``rotation`` (L, 2, 4) reaches: min(h_a, h_b) <
-    1 + _ESCAPE_MARGIN / s. One gradient-free value pass over those points."""
-    ws = FieldWorkspace(outside, 2 * len(params))
-    _value_pass(ws, params.reshape(-1, 8), rotation.reshape(-1, 4))
+    ``rows`` (L, 2, 12) reaches: min(h_a, h_b) < 1 + _ESCAPE_MARGIN / s.
+    One gradient-free value pass over those points."""
+    ws = FieldWorkspace(outside, 2 * len(rows))
+    _value_pass(ws, rows.reshape(-1, 12))
     reached = ws.h < 1.0 + _ESCAPE_MARGIN / sharpness
     return int(np.count_nonzero(reached.any(axis=0)))
 
@@ -544,7 +546,7 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int], denominator: int, outsi
     of ``outside`` (:func:`_escapes`), the race stops there. With c == 0
     there is no cut and no check. A last gradient-free pass scores the
     final iterates. Returns the survivors' restart ids, running-best
-    losses, pairs (S, 2, 8) and rotations (S, 2, 4), or None where the
+    losses and the pairs (S, 2, 12) that reached them, or None where the
     escape rule fired, and the iterations run, summed over the rows.
     """
     starts = []
@@ -556,31 +558,28 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int], denominator: int, outsi
     batch = _PairBatch(
         pts, y.astype(np.float64), cfg.sharpness, cfg.restarts, denominator=denominator
     )
-    params, rotation = _pair_arrays(starts)
+    rows = _pair_rows(starts)
     ids, vel = np.arange(cfg.restarts), np.zeros((cfg.restarts, 22))
-    best_loss = np.full(cfg.restarts, np.inf)
-    best_params, best_rotation = params.copy(), rotation.copy()
+    best_loss, best_rows = np.full(cfg.restarts, np.inf), rows.copy()
     cut, spent = cfg.iterations // _CUT_DIVISOR, 0
     for t in range(cfg.iterations + 1):
         if t == cut > 0:
             # The rows are in restart order, so the stable sort breaks ties
             # to the lower restart id.
-            rows = np.sort(np.argsort(best_loss, kind="stable")[: (len(ids) + 1) // 2])
-            state = ids, params, rotation, vel, best_loss, best_params, best_rotation
-            ids, params, rotation, vel, best_loss, best_params, best_rotation = (
-                a[rows] for a in state
+            kept = np.sort(np.argsort(best_loss, kind="stable")[: (len(ids) + 1) // 2])
+            ids, rows, vel, best_loss, best_rows = (
+                a[kept] for a in (ids, rows, vel, best_loss, best_rows)
             )
-            if outside is not None and _escapes(params, rotation, outside, cfg.sharpness):
+            if outside is not None and _escapes(rows, outside, cfg.sharpness):
                 return None, spent
         # The pass after the last step only scores the final iterates.
         last = t == cfg.iterations
-        losses, grads = batch.evaluate(params, rotation, grad=not last)
+        losses, grads = batch.evaluate(rows, grad=not last)
         better = losses < best_loss
-        best_loss[better] = losses[better]
-        best_params[better], best_rotation[better] = params[better], rotation[better]
+        best_loss[better], best_rows[better] = losses[better], rows[better]
         if last:
-            return (ids, best_loss, best_params, best_rotation), spent
-        vel, params, rotation = _step(cfg, node, t, ids, params, rotation, vel, grads)
+            return (ids, best_loss, best_rows), spent
+        vel, rows = _step(cfg, node, t, ids, rows, vel, grads)
         spent += len(ids)
 
 
@@ -630,14 +629,10 @@ def fit_node(
     if survivors is None:
         survivors, refit = _race(pts, y, cfg, node, len(pts))
         iterations += refit
-    _, best_loss, best_params, best_rotation = survivors
+    _, best_loss, best_rows = survivors
     # argmin keeps the first of equal losses: a later restart wins only
     # when strictly lower.
-    best = int(np.argmin(best_loss))
-    sq_a, sq_b = (
-        Superquadric(p[0:3], p[3:5], p[5:8], q)
-        for p, q in zip(best_params[best], best_rotation[best])
-    )
+    sq_a, sq_b = (Superquadric.from_params(row) for row in best_rows[np.argmin(best_loss)])
     return NodeFit(
         sq_a=sq_a,
         sq_b=sq_b,

@@ -23,18 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .superquadric import FieldWorkspace, Superquadric, _field_and_radial
+from .superquadric import FieldWorkspace, Superquadric, _radial, _value_pass
 
 
 def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, points):
-    """(h_a, h_b, d_a, d_b, to_a) at points (n, 3), from one field pass per SQ.
+    """(h_a, h_b, d_a, d_b, to_a) at points (n, 3), from one two-slot field
+    pass over the pair.
 
     h is F^e1, d the radial distance and to_a the split rule of the module
     docstring.
     """
     ws = FieldWorkspace(points, 2)
-    h_a, d_a = _field_and_radial(sq_a, ws, 0)
-    h_b, d_b = _field_and_radial(sq_b, ws, 1)
+    _value_pass(ws, np.array([sq_a.params(), sq_b.params()]))
+    h_a, h_b = ws.h
+    d_a, d_b = _radial(sq_a, ws, 0), _radial(sq_b, ws, 1)
     in_a, in_b = h_a < 1.0, h_b < 1.0
     # Containment wins outright; the remaining cases compare fields.
     to_a = np.where(in_a == in_b, np.where(in_a, h_a >= h_b, d_a <= d_b), in_a)

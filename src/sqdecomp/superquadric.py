@@ -30,15 +30,16 @@ finite coordinates (:func:`geometry.as_points`) and return a scalar or an
 and :func:`_field_gradient`) works on a structure-of-arrays layout, so that
 every ufunc runs over n contiguous values: points as (3, n) and, in a
 :class:`FieldWorkspace` of K superquadric slots, vector intermediates as
-(3, K, n) and scalar ones as (K, n). A value pass covers a range of slots
-from parameter arrays, each slot's scalars broadcast as (slots, 1) columns;
-:func:`_log_field` is its one-slot call. A gradient call takes its rows as
-per-slot segments and fills each segment's parameters by broadcast. Each
-evaluator transposes its points once per call and uses one slot per
-superquadric; the fitter puts all the superquadrics of a node's restarts in
-the slots of one workspace and passes their parameters as arrays, never as
-Superquadric objects. :func:`check_parameters` is the one validity check,
-for one superquadric or a batch of parameter rows.
+(3, K, n) and scalar ones as (K, n). A superquadric moves between the
+kernel, the fitter and the split as one parameter row (12,), the layout of
+:meth:`Superquadric.params`. A value pass fills slots 0 to K-1 from K such
+rows, each slot's scalars broadcast as (K, 1) columns; :func:`_log_field` is
+its one-slot call. A gradient call takes its rows as per-slot segments and
+fills each segment's parameters by broadcast. Each evaluator transposes its
+points once per call and uses one slot per superquadric; the fitter puts all
+the superquadrics of a node's restarts in the slots of one workspace and
+passes them as rows, never as Superquadric objects. :func:`check_parameters`
+is the one validity check, for one row or a batch of rows.
 """
 
 from __future__ import annotations
@@ -79,23 +80,13 @@ class Superquadric:
     rotation: np.ndarray = field(default_factory=lambda: quat.IDENTITY.copy())
 
     def __post_init__(self) -> None:
-        size = _readonly(self.size)
-        exponents = _readonly(self.exponents)
-        translation = _readonly(self.translation)
-        rotation = _readonly(self.rotation)
-        if size.shape != (3,):
-            raise ValueError(f"size must have shape (3,), got {size.shape}")
-        if exponents.shape != (2,):
-            raise ValueError(f"exponents must have shape (2,), got {exponents.shape}")
-        if translation.shape != (3,):
-            raise ValueError(f"translation must have shape (3,), got {translation.shape}")
-        if rotation.shape != (4,):
-            raise ValueError(f"rotation must have shape (4,), got {rotation.shape}")
-        check_parameters(size, exponents, translation, rotation)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "rotation", rotation)
+        names = ("size", "exponents", "translation", "rotation")
+        parts = [_readonly(getattr(self, name)) for name in names]
+        for name, length, part in zip(names, (3, 2, 3, 4), parts):
+            if part.shape != (length,):
+                raise ValueError(f"{name} must have shape ({length},), got {part.shape}")
+            object.__setattr__(self, name, part)
+        check_parameters(self.params())
 
     def rotation_matrix(self) -> np.ndarray:
         """3x3 active rotation matrix, world = R @ local + t."""
@@ -114,26 +105,25 @@ class Superquadric:
         return cls(size=p[0:3], exponents=p[3:5], translation=p[5:8], rotation=p[8:12])
 
 
-def check_parameters(size, exponents, translation, rotation) -> None:
-    """Raise ValueError unless the parameters make a valid superquadric.
+def check_parameters(rows) -> None:
+    """Raise ValueError unless the parameter rows make valid superquadrics.
 
-    Takes one superquadric's size (3,), exponents (2,), translation (3,)
-    and rotation (4,), or the rows of a batch: (..., 3), (..., 2), (..., 3)
-    and (..., 4). The checks run in order over all rows: every number
-    finite, sizes and exponents positive, and a unit quaternion within
-    ``QUATERNION_NORM_TOL``. The message is the one :class:`Superquadric`
-    gives for the first row that fails the first failing check.
+    Takes one row (12,) in the layout of :meth:`Superquadric.params`, or a
+    batch of rows (..., 12). The checks run in order over all rows: every
+    number finite, sizes and exponents positive, and a unit quaternion
+    within ``QUATERNION_NORM_TOL``. The message is the one
+    :class:`Superquadric` gives for the first row that fails the first
+    failing check.
     """
-    if not (np.isfinite(size).all() and np.isfinite(exponents).all()
-            and np.isfinite(translation).all() and np.isfinite(rotation).all()):
+    if not np.isfinite(rows).all():
         raise ValueError("superquadric parameters must be finite")
-    for name, values in (("size components", size), ("exponents", exponents)):
+    for name, values in (("size components", rows[..., 0:3]), ("exponents", rows[..., 3:5])):
         bad = values <= 0
         if bad.any():
-            rows = np.reshape(values, (-1, values.shape[-1]))
-            first = rows[np.reshape(bad, rows.shape).any(axis=1)][0]
+            flat = np.reshape(values, (-1, values.shape[-1]))
+            first = flat[np.reshape(bad, flat.shape).any(axis=1)][0]
             raise ValueError(f"{name} must be positive, got {first}")
-    norm = quat.norm(rotation)
+    norm = quat.norm(rows[..., 8:12])
     bad = np.abs(norm - 1.0) > QUATERNION_NORM_TOL
     if bad.any():
         first = np.reshape(norm, -1)[np.reshape(bad, -1)][0]
@@ -160,8 +150,8 @@ def world_to_local(sq: Superquadric, x) -> np.ndarray:
 
 # FieldWorkspace.params holds one column per slot: what the gradient needs
 # of the slot's superquadric, with the value pass's own coefficients: the
-# parameter row as given, size (3), e1, e2 and translation (3), then 2/e2,
-# e2/e1, 2/e1 and the rotation matrix (9, row-major).
+# first eight numbers of its parameter row, size (3), e1, e2 and translation
+# (3), then 2/e2, e2/e1, 2/e1 and the rotation matrix (9, row-major).
 _N_PARAMS = 20
 # One gradient block as rows of m values: the parameters, offset (3), the
 # kept local (3), ln_s, ln_f and h, abs_local (3), ln_u (3), w1, w2,
@@ -188,7 +178,8 @@ class FieldWorkspace:
     stored once as (3, n); ``single`` says they were given as one point
     (3,). Slot k holds the last value pass of some superquadric: ``local``
     (3, K, n) and ``ln_s``, ``ln_f``, ``h`` (K, n), which is all a gradient
-    keeps per point, plus that superquadric's parameters. The value pass's
+    keeps per point, plus what the gradient needs of that superquadric's
+    parameter row (``params``, one column per slot). The value pass's
     other intermediates (offset, abs_local, ln_u, w1, w2, term_xy, term_z)
     live in scratch and are recomputed, bitwise the same, at gradient rows,
     and in a scratch that holds all K slots. With ``grad`` set the scratch
@@ -229,40 +220,35 @@ def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, gap: np.ndarray) -
     np.add(out, gap, out=out)
 
 
-def _value_pass(ws: FieldWorkspace, params: np.ndarray, rotation: np.ndarray, first: int = 0):
+def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     """The one log-space field kernel: value passes of K superquadrics at
-    the workspace's points into slots ``first`` to ``first + K - 1``.
+    the workspace's points into slots 0 to K - 1.
 
-    ``params`` holds one row (K, 8) per superquadric: size (3), exponents
-    (2), translation (3); ``rotation`` its unit quaternions (K, 4). Slot k
-    receives h = F^e1, ln F and the local coordinates, and the parameters
-    its gradient needs. The operations and their order are those of the
-    plain expressions in the comments, with each slot's scalars broadcast
-    as (K, 1) columns. Every one but the rotation is elementwise, and the
-    rotation is one 3x3 matrix product per slot, so a point's values do not
-    depend on the other points, the slot, the workspace or which slots
-    share the pass.
+    ``rows`` holds one parameter row (K, 12) per superquadric, in the
+    layout of :meth:`Superquadric.params`: size (3), exponents (2),
+    translation (3) and unit quaternion (4). Slot k receives h = F^e1, ln F
+    and the local coordinates, and the parameters its gradient needs. The
+    operations and their order are those of the plain expressions in the
+    comments, with each slot's scalars broadcast as (K, 1) columns. Every
+    one but the rotation is elementwise, and the rotation is one 3x3 matrix
+    product per slot, so a point's values do not depend on the other
+    points, the slot, the workspace or which slots share the pass.
     """
-    count = len(params)
-    if not 0 <= first <= first + count <= ws.k:
-        raise ValueError(
-            f"slots {first} to {first + count - 1} out of range for a workspace of {ws.k}"
-        )
-    slots = slice(first, first + count)
+    count = len(rows)
     # The slots' parameter columns, which the coefficients below are read
     # from: size, e1, e2, translation, 2/e2, e2/e1, 2/e1, rotation matrix.
-    prm = ws.params[:, slots]
-    prm[0:8] = params.T
+    prm = ws.params[:, :count]
+    prm[0:8] = rows[:, 0:8].T
     np.divide(2.0, prm[4], out=prm[8])
     np.divide(prm[4], prm[3], out=prm[9])
     np.divide(2.0, prm[3], out=prm[10])
-    rot = quat.to_matrix(rotation)
+    rot = quat.to_matrix(rows[:, 8:12])
     prm[11:20] = rot.reshape(count, 9).T
     cols = prm[:, :, None]
     a, (e1, e2), t, (c2e2, ce2e1, c2e1) = cols[0:3], cols[3:5], cols[5:8], cols[8:11]
     scratch = ws.scratch[:_VALUE_SCRATCH * count * ws.n].reshape(_VALUE_SCRATCH, count, ws.n)
     vec, (w1, w2, gap) = scratch[0:3], scratch[3:6]
-    local, ln_s, ln_f, h = ws.local[:, slots], ws.ln_s[slots], ws.ln_f[slots], ws.h[slots]
+    local, ln_s, ln_f, h = ws.local[:, :count], ws.ln_s[:count], ws.ln_f[:count], ws.h[:count]
 
     # local = R^T (x - t)
     np.subtract(ws.points[:, None, :], t, out=vec)
@@ -285,16 +271,15 @@ def _value_pass(ws: FieldWorkspace, params: np.ndarray, rotation: np.ndarray, fi
     np.exp(h, out=h)
 
 
-def _log_field(sq: Superquadric, ws: FieldWorkspace, k: int = 0):
-    """The value pass of one superquadric into slot ``k``.
+def _log_field(sq: Superquadric, ws: FieldWorkspace):
+    """The value pass of one superquadric into slot 0.
 
     Returns (h, ln_f, local): h = F^e1 (n,), ln F (n,) and the local
-    coordinates (3, n), as views of slot k that the next pass into that
-    slot overwrites. A pass also overwrites the last gradient block.
+    coordinates (3, n), as views of slot 0 that the next pass overwrites.
+    A pass also overwrites the last gradient block.
     """
-    p = sq.params()
-    _value_pass(ws, p[None, :8], p[None, 8:], k)
-    return ws.h[k], ws.ln_f[k], ws.local[:, k]
+    _value_pass(ws, sq.params()[None])
+    return ws.h[0], ws.ln_f[0], ws.local[:, 0]
 
 
 def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, slots, counts) -> np.ndarray:
@@ -468,17 +453,17 @@ def radial_distance(sq: Superquadric, x) -> np.ndarray:
     this cannot happen.
     """
     ws = FieldWorkspace(x)
-    _, d = _field_and_radial(sq, ws)
+    _log_field(sq, ws)
+    d = _radial(sq, ws, 0)
     return d[0] if ws.single else d
 
 
-def _field_and_radial(sq: Superquadric, ws: FieldWorkspace, k: int = 0):
-    """F^e1 and :func:`radial_distance` at the workspace's points, from one
-    :func:`_log_field` pass into slot ``k``."""
-    h, ln_f, local = _log_field(sq, ws, k)
-    r = np.linalg.norm(local, axis=0)
-    d = r * np.abs(1.0 - np.exp(-0.5 * sq.exponents[0] * ln_f))
-    return h, np.where(r < 1e-12, np.min(sq.size), d)
+def _radial(sq: Superquadric, ws: FieldWorkspace, k: int):
+    """:func:`radial_distance` at the workspace's points, read from slot
+    ``k`` after a value pass of ``sq`` into it."""
+    r = np.linalg.norm(ws.local[:, k], axis=0)
+    d = r * np.abs(1.0 - np.exp(-0.5 * sq.exponents[0] * ws.ln_f[k]))
+    return np.where(r < 1e-12, np.min(sq.size), d)
 
 
 def occupancy_gradient(

@@ -14,7 +14,7 @@ from sqdecomp.geometry import (
     _PARALLEL_EPS,
     RayDegeneracyError,
 )
-from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _log_field
+from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _log_field, _value_pass
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -189,9 +189,9 @@ def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None, denominator=No
 
     The one-pair reference for ``fitter._PairBatch.evaluate``, which runs
     the pairs of all restarts together: the same arithmetic written for one
-    pair, as the fitter ran it before its restarts were batched (a value
-    pass per SQ, the loss over 1-D arrays, and one gradient call and one
-    matrix-vector product per SQ over its own active rows). ``ws`` is an
+    pair, as the fitter ran it before its restarts were batched (one value
+    pass over the pair, the loss over 1-D arrays, and one gradient call and
+    one matrix-vector product per SQ over its own active rows). ``ws`` is an
     optional two-slot gradient workspace at ``points``. The loss and the
     gradient sum over the points and divide by ``denominator``, by default
     their count, which makes the loss their mean.
@@ -199,8 +199,8 @@ def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None, denominator=No
     n = len(points)
     denominator = n if denominator is None else denominator
     ws = FieldWorkspace(points, 2, grad=True) if ws is None else ws
-    ha = _log_field(sq_a, ws, 0)[0]
-    hb = _log_field(sq_b, ws, 1)[0]
+    _value_pass(ws, np.array([sq_a.params(), sq_b.params()]))
+    ha, hb = ws.h[0], ws.h[1]
     a_wins = ha <= hb
     g = expit(sharpness * (1.0 - np.minimum(ha, hb)))
     credited = np.where(y == 1.0, g, 1.0 - g)

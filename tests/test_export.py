@@ -24,6 +24,11 @@ from sqdecomp import (
 from sqdecomp import export
 
 
+# The parameter row of a sphere of radius 0.5, with JSON integers where
+# the value is whole.
+SPHERE_ROW = [0.5, 0.5, 0.5, 1, 1, 0, 0, 0, 1, 0, 0, 0]
+
+
 def build_tree(depth: int, seed: int = 0) -> SqTree:
     """A complete random tree down to ``depth`` (sizes kept small so every
     surface fits in the unit domain)."""
@@ -184,10 +189,15 @@ class TestTreeFormatErrors:
         ("max_depth", 1.5, "max_depth must be a JSON integer, got 1.5"),
         ("max_depth", True, "max_depth must be a JSON integer, got True"),
         ("max_depth", "2", "max_depth must be a JSON integer, got '2'"),
+        ("lambda_a", ["0.5"] + SPHERE_ROW[1:],
+         "lambda_a must be a list of JSON numbers, got ['0.5', 0.5, 0.5, 1, 1, 0"),
+        ("lambda_b", SPHERE_ROW[:3] + [True, True] + SPHERE_ROW[5:],
+         "lambda_b must be a list of JSON numbers, got [0.5, 0.5, 0.5, True, True, 0"),
+        ("lambda_a", [10**400] + SPHERE_ROW[1:], "int too large to convert to float"),
     ])
     def test_field_of_the_wrong_json_type(self, tmp_path, field, value, message):
-        """Types are checked, not coerced: "false" is not False and 1.9 is
-        not depth 1."""
+        """Types are checked, not coerced: "false" is not False, 1.9 is
+        not depth 1, and neither "0.5" nor true is a size or an exponent."""
         good = tmp_path / "good.json"
         save_tree(build_tree(1, seed=17), None, good)
         doc = json.loads(good.read_text())
@@ -196,6 +206,18 @@ class TestTreeFormatErrors:
         bad.write_text(json.dumps(doc))
         with pytest.raises(TreeFormatError, match=re.escape(message)):
             load_tree(bad)
+
+
+    def test_integer_parameters_load(self, tmp_path):
+        """A parameter row may hold JSON integers, which load as floats."""
+        good = tmp_path / "good.json"
+        save_tree(build_tree(1, seed=19), None, good)
+        doc = json.loads(good.read_text())
+        doc["nodes"][0]["lambda_a"] = SPHERE_ROW
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        tree, _ = load_tree(path)
+        np.testing.assert_array_equal(tree.nodes[(1, 1)].sq_a.params(), SPHERE_ROW)
 
 
 def obj_groups(path) -> dict:

@@ -38,7 +38,7 @@ from sqdecomp.fitter import (
     _ESCAPE_MARGIN,
     _PairBatch,
     _escapes,
-    _pair_arrays,
+    _pair_rows,
     _race,
     _support,
     init_node,
@@ -126,13 +126,23 @@ class TestFitConfig:
             {"max_depth": 1.5},
             {"iterations": True},
             {"iterations": np.int64(3)},
+            {"sharpness": True},
+            {"step_size": np.float32(0.01)},
+            {"sharpness": "10"},
+            {"step_size": 10**400},
+            {"e_max": float("inf")},
+            {"a_max": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         """A config checks itself when it is built, so an invalid one never
         reaches a fit. An int field takes only a Python int: 2.5 failed
         the fit with a bare TypeError, True ran one iteration and wrote
-        "iterations": true, and an int64 failed save_tree's JSON."""
+        "iterations": true, and an int64 failed save_tree's JSON. A float
+        field takes only a finite Python float or int: True was written as
+        "sharpness": true, a float32 failed save_tree's JSON, '10' and
+        10**400 failed with numpy's bare TypeError, and an infinite bound
+        clipped nothing."""
         with pytest.raises(ConfigError):
             FitConfig(**kwargs)
 
@@ -239,7 +249,7 @@ class TestInitNode:
 
 def batch_loss_and_grad(sq_a, sq_b, pts, y, sharpness):
     """``_PairBatch.evaluate`` of one pair: (loss, grad_a, grad_b)."""
-    (loss,), grads = _PairBatch(pts, y, sharpness, 1).evaluate(*_pair_arrays([(sq_a, sq_b)]))
+    (loss,), grads = _PairBatch(pts, y, sharpness, 1).evaluate(_pair_rows([(sq_a, sq_b)]))
     return loss, grads[0], grads[1]
 
 
@@ -345,8 +355,8 @@ class TestPairGradient:
         pairs.append((pairs[0][0], pairs[0][0]))  # coincident: every point a tie
         batch = _PairBatch(pts, y, sharpness, 5)
         for live in (5, 3, 1):
-            losses, grads = batch.evaluate(*_pair_arrays(pairs[-live:]))
-            values, _ = batch.evaluate(*_pair_arrays(pairs[-live:]), grad=False)
+            losses, grads = batch.evaluate(_pair_rows(pairs[-live:]))
+            values, _ = batch.evaluate(_pair_rows(pairs[-live:]), grad=False)
             for j, (sq_a, sq_b) in enumerate(pairs[-live:]):
                 loss, grad_a, grad_b = pair_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
                 assert losses[j] == loss and values[j] == loss
@@ -498,12 +508,11 @@ class TestFitNode:
         pts, labels = race_problem(80, 300)
         cfg = FitConfig(iterations=10, restarts=3)
         starts = [init_node(pts, labels, cfg, restart=r) for r in (0, 2)]
-        params, rotation = _pair_arrays(starts)
         grads = np.zeros((4, 11))
         grads[3, 6] = np.inf  # restart 2, sq_b, t2
         with pytest.raises(ValueError) as info:
             fitter._step(
-                cfg, (3, 2), 4, np.array([0, 2]), params, rotation, np.zeros((2, 22)), grads
+                cfg, (3, 2), 4, np.array([0, 2]), _pair_rows(starts), np.zeros((2, 22)), grads
             )
         assert str(info.value) == (
             "node (3, 2), restart 2 diverged at iteration 4 with step_size 0.01: "
@@ -592,7 +601,7 @@ def check_race_against_reference(pts, labels, cfg: FitConfig) -> None:
     if fired:
         assert found is None and spent == discarded
         found, spent = _race(pts, labels, cfg, (1, 1), len(pts))
-    ids, best_loss, _, _ = found
+    ids, best_loss, _ = found
     assert list(ids) == survivors
     assert list(best_loss) == [finals[r][2] for r in survivors]
     assert spent == raced
@@ -629,7 +638,7 @@ class TestRace:
         (_, _, ref_objective), _ = fit_node_reference(
             pts, labels, cfg, support=_support(pts, labels == 1)
         )
-        (_, best_loss, _, _), _ = race_on_support(pts, labels, cfg)
+        (_, best_loss, _), _ = race_on_support(pts, labels, cfg)
         assert best_loss.min() > ref_objective
 
     def test_gradient_blocks_cut_between_restarts(self, monkeypatch):
@@ -758,8 +767,8 @@ def escape_counts(monkeypatch) -> list:
     counts = []
     check = fitter._escapes
 
-    def counted(params, rotation, outside, sharpness):
-        counts.append(check(params, rotation, outside, sharpness))
+    def counted(rows, outside, sharpness):
+        counts.append(check(rows, outside, sharpness))
         return counts[-1]
 
     monkeypatch.setattr(fitter, "_escapes", counted)
@@ -777,10 +786,10 @@ class TestEscapeRule:
         limit = 0.2 * np.sqrt(1.0 + _ESCAPE_MARGIN / sharpness)
         radii = limit * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0])
         outside = (radii[:, None, None] * np.eye(3)).reshape(-1, 3)
-        params, rotation = _pair_arrays([(far, far), (far, sphere), (sphere, far)])
-        assert _escapes(params, rotation, outside, sharpness) == 6
-        assert _escapes(params[[0, 2]], rotation[[0, 2]], outside, sharpness) == 6
-        assert _escapes(params[[0]], rotation[[0]], outside, sharpness) == 0
+        rows = _pair_rows([(far, far), (far, sphere), (sphere, far)])
+        assert _escapes(rows, outside, sharpness) == 6
+        assert _escapes(rows[[0, 2]], outside, sharpness) == 6
+        assert _escapes(rows[[0]], outside, sharpness) == 0
 
     def test_reaching_pair_refits_on_every_point(self, monkeypatch):
         """At s = 1 a pair that covers the inside points has an occupancy

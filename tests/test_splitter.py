@@ -7,6 +7,7 @@ from sqdecomp import (
     SqPairNode,
     Superquadric,
     inside_outside_stable,
+    radial_distance,
     split_field_2d,
     split_node,
     split_pair,
@@ -212,11 +213,19 @@ class TestSplitField2d:
         assert sel[:, np.abs(fld.u) <= 1e-12].all()
 
     def test_field_values_match_direct_evaluation(self):
+        """Both slots of the pair's one field pass are bitwise each SQ's
+        own evaluators: F^e1 and the radial distance of a and of b."""
         rng = np.random.default_rng(29)
-        a, b = random_pair(rng)
         spec = SliceSpec(axis=1, offset=0.05, nu=9, nv=9)
-        fld = split_field_2d(a, b, spec)
         _, _, pts = spec.grid()
-        np.testing.assert_array_equal(
-            fld.h_a, inside_outside_stable(a, pts.reshape(-1, 3)).reshape(9, 9)
-        )
+        pts = pts.reshape(-1, 3)
+        for _ in range(20):
+            a, b = random_pair(rng)
+            fld = split_field_2d(a, b, spec)
+            for got, direct in (
+                (fld.h_a, inside_outside_stable(a, pts)),
+                (fld.h_b, inside_outside_stable(b, pts)),
+                (fld.d_a, radial_distance(a, pts)),
+                (fld.d_b, radial_distance(b, pts)),
+            ):
+                np.testing.assert_array_equal(got, direct.reshape(9, 9))

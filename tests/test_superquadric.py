@@ -105,11 +105,12 @@ class TestConstruction:
                 Superquadric(size[r], exponents[r], translation[r], rotation[r])
             assert str(info.value) == failure[1]
             failures.append((failure[0], r, failure[1]))
+        batch = np.concatenate([size, exponents, translation, rotation], axis=1)
         if not failures:
-            check_parameters(size, exponents, translation, rotation)
+            check_parameters(batch)
             return
         with pytest.raises(ValueError) as info:
-            check_parameters(size, exponents, translation, rotation)
+            check_parameters(batch)
         assert str(info.value) == min(failures)[2]
 
     def test_params_round_trip(self):
@@ -245,15 +246,15 @@ class TestFieldKernel:
             assert np.array_equal(h, inside_outside_stable(sq, pts))
             ws = FieldWorkspace(pts, grad=True)
             h_g, ln_f_g, local_g = _log_field(sq, ws)
+            assert np.shares_memory(h_g, ws.h)
             assert np.array_equal(h, h_g)
             assert np.array_equal(ln_f, ln_f_g)
             assert np.array_equal(local, local_g)
             dh = _field_gradient(ws, np.arange(len(pts)), [0], [len(pts)]).copy()
             assert dh.shape == (len(pts), 11)
             k = trial % 3
-            h_w, _, _ = _log_field(sq, shared, k)
-            assert np.shares_memory(h_w, shared.h)
-            assert np.array_equal(h_w, h)
+            _value_pass(shared, np.tile(sq.params(), (k + 1, 1)))
+            assert np.array_equal(shared.h[k], h)
             rows = k * len(pts) + np.arange(len(pts))
             assert np.array_equal(_field_gradient(shared, rows, [k], [len(pts)]), dh)
 
@@ -274,9 +275,8 @@ class TestFieldKernel:
         pts = rng.uniform(-1.2, 1.2, (n, 3))
         sqs = [random_superquadric(rng) for _ in range(slots)]
         ws = FieldWorkspace(pts, slots + 1, grad=grad)
-        p = np.array([sq.params() for sq in sqs])
-        _value_pass(ws, p[:, :8], p[:, 8:], 1)
-        for k, sq in enumerate(sqs, start=1):
+        _value_pass(ws, np.array([sq.params() for sq in sqs]))
+        for k, sq in enumerate(sqs):
             alone = FieldWorkspace(pts, grad=grad)
             h, ln_f, local = _log_field(sq, alone)
             assert np.array_equal(ws.h[k], h)
@@ -291,13 +291,13 @@ class TestFieldKernel:
 
     def test_workspace_must_fit_the_call(self):
         pts = np.zeros((4, 3))
+        rows = np.tile(unit_sphere().params(), (3, 1))
         with pytest.raises(ValueError):
-            _log_field(unit_sphere(), FieldWorkspace(pts, k=2), k=2)
+            _value_pass(FieldWorkspace(pts, k=2), rows)
         with pytest.raises(ValueError):
             _field_gradient(FieldWorkspace(pts), np.arange(4), [0], [4])
         ws = FieldWorkspace(pts, k=2, grad=True)
-        _log_field(unit_sphere(), ws, 0)
-        _log_field(unit_sphere(), ws, 1)
+        _value_pass(ws, rows[:2])
         with pytest.raises(ValueError, match="block"):
             _field_gradient(ws, np.arange(5), [0, 1], [4, 1])
         with pytest.raises(ValueError, match="shape"):
@@ -324,8 +324,7 @@ class TestFieldKernel:
             n = len(pts)
             full = [field_and_gradient(sq, pts)[1] for sq in sqs]
             ws = FieldWorkspace(pts, k=len(sqs), grad=True)
-            for k, sq in enumerate(sqs):
-                _log_field(sq, ws, k)
+            _value_pass(ws, np.array([sq.params() for sq in sqs]))
             for rows in (
                 np.zeros(0, dtype=np.intp),
                 np.array([n - 1]),
