@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--threads", type=int, default=1,
         help="must be 1: nodes are fitted in order on one thread; the flag goes "
-        "with the next benchmark change (ROADMAP item 2)",
+        "with the next change to benchmarks/",
     )
     p_fit.add_argument("--out-dir", default=".")
     p_fit.set_defaults(func=cmd_fit)

@@ -121,30 +121,20 @@ def _triangulate_grid(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The grid rows run pole to pole (the two pole rows are constant); rings in
     between are closed in the omega direction. Output is (vertices (v, 3),
     faces (f, 3)) with the south pole first, ring vertices row-major, north
-    pole last, wound outward.
+    pole last, wound outward. Faces are the south pole's fan onto the first
+    ring, then one strip per pair of neighbouring rings, two triangles per
+    quad in ring order, then the north pole's fan onto the last ring.
     """
     n_eta, n_omega, _ = grid.shape
-    rings = grid[1:-1]  # (n_eta - 2, n_omega, 3)
-    n_rings = n_eta - 2
-    vertices = np.vstack([grid[0, 0][None, :], rings.reshape(-1, 3), grid[-1, 0][None, :]])
-    south = 0
-    north = 1 + n_rings * n_omega
-
-    def ring(r: int, c: int) -> int:
-        return 1 + r * n_omega + (c % n_omega)
-
-    faces = []
-    for c in range(n_omega):
-        faces.append((south, ring(0, c + 1), ring(0, c)))
-    for r in range(n_rings - 1):
-        for c in range(n_omega):
-            a, b = ring(r, c), ring(r, c + 1)
-            cc, d = ring(r + 1, c + 1), ring(r + 1, c)
-            faces.append((a, b, cc))
-            faces.append((a, cc, d))
-    for c in range(n_omega):
-        faces.append((north, ring(n_rings - 1, c), ring(n_rings - 1, c + 1)))
-    return vertices, np.array(faces, dtype=np.intp)
+    rings = grid[1:-1].reshape(-1, 3)
+    vertices = np.vstack([grid[0, 0][None, :], rings, grid[-1, 0][None, :]])
+    # ring[r, c] is the vertex of ring r at column c; after[r, c] is column c + 1.
+    ring = np.arange(1, 1 + len(rings), dtype=np.intp).reshape(n_eta - 2, n_omega)
+    after = np.roll(ring, -1, axis=1)
+    south = np.stack([np.zeros_like(ring[0]), after[0], ring[0]], axis=-1)
+    strips = np.stack([ring[:-1], after[:-1], after[1:], ring[:-1], after[1:], ring[1:]], axis=-1)
+    north = np.stack([np.full_like(ring[-1], len(vertices) - 1), ring[-1], after[-1]], axis=-1)
+    return vertices, np.concatenate([south, strips.reshape(-1, 3), north])
 
 
 def export_level_obj(tree: SqTree, depth: int, path, resolution: int = 32) -> None:

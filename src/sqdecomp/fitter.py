@@ -78,7 +78,6 @@ children inherit empty label sets and therefore the same treatment.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -98,6 +97,7 @@ from .superquadric import (
     _field_gradient,
     _value_pass,
     check_parameters,
+    is_finite_number,
 )
 
 MOMENTUM = 0.9
@@ -146,12 +146,7 @@ class FitConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # bool is an int subclass, numpy integers are not ints and numpy
-            # float32 is not a float; nan, inf and ints past the double range
-            # fail the bound.
-            kinds = int if f.type == "int" else (int, float)
-            if (not isinstance(value, kinds) or isinstance(value, bool)
-                    or not abs(value) <= sys.float_info.max):
+            if not is_finite_number(value, int if f.type == "int" else (int, float)):
                 raise ConfigError(f"{f.name} must be a finite {f.type}, got {value!r}")
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
@@ -183,13 +178,18 @@ class FitConfig:
         """Parse a plain key-value config file (`key = value`, # comments).
 
         Keys are exactly the FitConfig field names, each at most once;
-        unknown or repeated keys and unparsable values raise ConfigError.
+        unknown or repeated keys, unparsable values and text that is not
+        UTF-8 raise ConfigError.
         """
         casters = cls.field_casters()
         overrides: dict[str, object] = {}
         key_lines: dict[str, int] = {}
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+            try:
+                lines = fh.read().split("\n")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+            for lineno, raw in enumerate(lines, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue

@@ -87,56 +87,37 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-1] + (3, 3))
 
 
-def from_matrix(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion of a rotation matrix, w >= 0.
+# Shepperd's method (J. Guidance & Control, 1978). The pivot k is the
+# largest of (trace, R00, R11, R22), ties to the first;
+#   s = 2 sqrt(1 + trace)                  for k = 0,
+#   s = 2 sqrt(1 + a R00 + b R11 + c R22)  for k > 0, (a, b, c) = _PIVOT_SIGNS[k - 1];
+# q_k = s / 4 and every other q_m = (R[i, j] + sign R[j, i]) / s, with
+# 3 i + j = _PAIR_ENTRIES[k, m] and sign = _PAIR_SIGNS[k, m] (the diagonal
+# is unused). Both depend only on the pair {k, m}; the sign is - when w is in it:
+#   w x: R21 - R12   w y: R02 - R20   w z: R10 - R01
+#   x y: R01 + R10   x z: R02 + R20   y z: R12 + R21
+# Pivot 0 adds 1 after np.trace's sum and the others add the signed diagonal
+# to 1 term by term, as the written-out formulas do: the order of the
+# additions fixes the bits, and adding a negated term is exactly subtracting it.
+_PIVOT_SIGNS = np.array([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
+_PAIR_ENTRIES = np.array([[0, 7, 2, 3], [7, 0, 1, 2], [2, 1, 0, 5], [3, 2, 5, 0]])
+_PAIR_SIGNS = np.array([[1, -1, -1, -1], [-1, 1, 1, 1], [-1, 1, 1, 1], [-1, 1, 1, 1]], float)
 
-    Uses the largest-pivot variant of Shepperd's method, stable for all
-    rotation angles.
-    """
+
+def from_matrix(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a rotation matrix, w >= 0, by the largest-pivot
+    variant of Shepperd's method, stable for all rotation angles."""
     R = np.asarray(R, dtype=np.float64)
     t = np.trace(R)
-    candidates = np.array([t, R[0, 0], R[1, 1], R[2, 2]])
-    case = int(np.argmax(candidates))
-    if case == 0:
+    k = int(np.argmax(np.array([t, R[0, 0], R[1, 1], R[2, 2]])))
+    if k == 0:
         s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (R[2, 1] - R[1, 2]) / s,
-                (R[0, 2] - R[2, 0]) / s,
-                (R[1, 0] - R[0, 1]) / s,
-            ]
-        )
-    elif case == 1:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [
-                (R[2, 1] - R[1, 2]) / s,
-                0.25 * s,
-                (R[0, 1] + R[1, 0]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-            ]
-        )
-    elif case == 2:
-        s = np.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [
-                (R[0, 2] - R[2, 0]) / s,
-                (R[0, 1] + R[1, 0]) / s,
-                0.25 * s,
-                (R[1, 2] + R[2, 1]) / s,
-            ]
-        )
     else:
-        s = np.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
-        q = np.array(
-            [
-                (R[1, 0] - R[0, 1]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-                (R[1, 2] + R[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
+        d = np.diagonal(R) * _PIVOT_SIGNS[k - 1]
+        s = np.sqrt(1.0 + d[0] + d[1] + d[2]) * 2.0
+    entries = _PAIR_ENTRIES[k]
+    q = (R.ravel()[entries] + _PAIR_SIGNS[k] * R.T.ravel()[entries]) / s
+    q[k] = 0.25 * s
     if q[0] < 0:
         q = -q
     return normalize(q)

@@ -44,6 +44,7 @@ is the one validity check, for one row or a batch of rows.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +131,15 @@ def check_parameters(rows) -> None:
         raise ValueError(f"rotation must be a unit quaternion, |q| = {first!r}")
 
 
+def is_finite_number(value, kinds=(int, float)) -> bool:
+    """Whether a config value is one of the Python types ``kinds`` and
+    finite. bool is an int subclass but not a number here, numpy integers
+    are not ints and numpy float32 is not a float; nan, inf and ints past
+    the double range fail the bound."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class OccupancyConfig:
     """Settings for the soft occupancy field g = sigmoid(s * (1 - F^e1))."""
@@ -137,8 +147,8 @@ class OccupancyConfig:
     sharpness: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sharpness) and self.sharpness > 0):
-            raise ValueError(f"sharpness must be positive and finite, got {self.sharpness}")
+        if not (is_finite_number(self.sharpness) and self.sharpness > 0):
+            raise ValueError(f"sharpness must be positive and finite, got {self.sharpness!r}")
 
 
 def world_to_local(sq: Superquadric, x) -> np.ndarray:

@@ -203,6 +203,15 @@ class TestFitCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_config_file_not_utf8_exits_2(self, capsys, mesh_dir, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_bytes(b"iterations = 100\n# caf\xe9\n")
+        code, _, err = run(
+            capsys, ["fit", str(mesh_dir / "sphere.obj"), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert f"error: {cfg}: not UTF-8 text" in err
+
     def test_diverging_step_size_exits_2_naming_it(self, capsys, mesh_dir, tmp_path):
         """A step size that makes the fit diverge used to exit 2 with the
         quaternion normalizer's message alone, after three numpy overflow

@@ -284,22 +284,25 @@ class TestLevelObjExport:
 
     def test_each_group_is_a_closed_surface(self, tmp_path):
         """V - E + F = 2 per group, and every edge is shared by exactly two
-        triangles with opposite orientation."""
-        path = tmp_path / "level1.obj"
-        export_level_obj(build_tree(1, seed=24), 1, path, resolution=9)
-        groups = obj_groups(path)
-        for name in ("sq_1_1_a", "sq_1_1_b"):
-            n_vertices = len(groups[name])
-            faces = groups[name + "/faces"]
-            directed = set()
-            for a, b, c in faces:
-                for e in ((a, b), (b, c), (c, a)):
-                    assert e not in directed, "duplicate directed edge"
-                    directed.add(e)
-            for e in directed:
-                assert (e[1], e[0]) in directed, "boundary edge found"
-            n_edges = len(directed) // 2
-            assert n_vertices - n_edges + len(faces) == 2
+        triangles with opposite orientation. Resolution 3 leaves one ring
+        and no strip, 4 one strip."""
+        tree = build_tree(1, seed=24)
+        for resolution in (3, 4, 9):
+            path = tmp_path / f"level1_{resolution}.obj"
+            export_level_obj(tree, 1, path, resolution=resolution)
+            groups = obj_groups(path)
+            for name in ("sq_1_1_a", "sq_1_1_b"):
+                n_vertices = len(groups[name])
+                faces = groups[name + "/faces"]
+                directed = set()
+                for a, b, c in faces:
+                    for e in ((a, b), (b, c), (c, a)):
+                        assert e not in directed, ("duplicate directed edge", resolution)
+                        directed.add(e)
+                for e in directed:
+                    assert (e[1], e[0]) in directed, ("boundary edge found", resolution)
+                n_edges = len(directed) // 2
+                assert n_vertices - n_edges + len(faces) == 2, resolution
 
     def test_unfitted_level_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -199,6 +199,13 @@ class TestFitConfig:
         with pytest.raises(ConfigError):
             FitConfig.from_file(p)
 
+    def test_from_file_rejects_text_that_is_not_utf8(self, tmp_path):
+        """A bare UnicodeDecodeError used to escape, without the path."""
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"iterations = 100\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg: not UTF-8 text"):
+            FitConfig.from_file(p)
+
 
 class TestInitNode:
     def test_box_points_give_pair_offset_along_long_axis(self):

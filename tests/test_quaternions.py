@@ -49,6 +49,22 @@ class TestMatrixForm:
                 q = -q
             np.testing.assert_allclose(quat.from_matrix(quat.to_matrix(q)), q, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "R, q",
+        [
+            # 90 deg about x: trace = R00 = 1, so pivot 0 (the trace) wins.
+            ([[1, 0, 0], [0, 0, -1], [0, 1, 0]], [np.sqrt(0.5), np.sqrt(0.5), 0, 0]),
+            # 180 deg about (1, 1, 0)/sqrt(2): R00 = R11 = 0, so pivot 1 wins.
+            ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], [0, np.sqrt(0.5), np.sqrt(0.5), 0]),
+        ],
+    )
+    def test_from_matrix_breaks_exact_pivot_ties(self, R, q):
+        """Random rotations never tie two pivots exactly; these do."""
+        got = quat.from_matrix(np.array(R, dtype=float))
+        assert got[0] >= 0
+        np.testing.assert_allclose(got, q, atol=1e-15)
+        np.testing.assert_allclose(quat.to_matrix(got), R, atol=1e-15)
+
     def test_from_matrix_handles_near_pi_rotations(self):
         for axis in np.eye(3):
             q = quat.from_rotation_vector((np.pi - 1e-7) * axis)

@@ -415,6 +415,17 @@ class TestOccupancy:
         with pytest.raises(ValueError):
             OccupancyConfig(0.0)
 
+    @pytest.mark.parametrize(
+        "sharpness", [float("nan"), float("inf"), -1.0, True, np.float32(10), "10", 10**400],
+        ids=["nan", "inf", "negative", "bool", "float32", "str", "past-double-range"],
+    )
+    def test_sharpness_must_be_a_positive_finite_number(self, sharpness):
+        """The check of FitConfig's float fields: True and a float32 used
+        to be taken, and '10' and 10**400 failed with numpy's bare
+        TypeError."""
+        with pytest.raises(ValueError, match="sharpness must be positive and finite, got"):
+            OccupancyConfig(sharpness)
+
 
 class TestOccupancyGradient:
     def test_matches_finite_differences(self):
