@@ -60,13 +60,13 @@ loss and the pair that reached it; the cut drops the rows of the restarts
 it stops. Each iteration makes one value pass over the slots of all
 running SQs in the node's one field workspace, computes every restart's
 loss at once over (restarts, points) arrays, and differentiates the active
-rows of all the SQs in gradient calls of at most n rows each, cut between
-SQs. Active rows often fill most of a block, so in practice an iteration
-makes about one call per running pair (fit-dumbbell: 4 per iteration
-before the cut, 2 after). Then one momentum step moves every row: the
-velocity and parameter updates and both clips as array operations, and
-one retraction of all the rotations. The new rows pass the checks of a
-Superquadric (``check_parameters``) every iteration; a step that fails
+rows of all the SQs in gradient calls of at most n rows each, cut wherever
+n falls, inside one SQ's rows too: in practice about one call per running
+pair (fit-dumbbell: 4 per iteration before the cut, 2 after). Then one
+momentum step moves every row: the velocity and parameter updates and both
+clips as array operations, and one retraction of all the rotations. The
+new rows pass the checks of a Superquadric (``check_parameters``) every
+iteration; a step that fails
 them names the node, the restart, the iteration and the step size.
 Superquadric objects are built only for the returned pair. Every value a
 restart gets is bitwise the one it gets run alone.
@@ -301,10 +301,15 @@ class _PairBatch:
         self.inside = y == 1.0
         self.g, self.credited = np.empty((pairs, n)), np.empty((pairs, n))
         if grad:
-            self.residual = np.empty((pairs, n))
+            # Pair j's residuals at [j, 0] and a copy at [j, 1]: [j, side, i]
+            # is the residual of slot 2j + side at point i.
+            self.residual = np.empty((pairs, 2, n))
             self.a_wins, self.flag = (np.empty((pairs, n), dtype=bool) for _ in range(2))
             self.sides = np.empty((pairs, 2, n), dtype=bool)
-            self.weight = np.empty(n)
+            # The active rows, on one side of each pair: at most pairs * n.
+            self.index = np.arange(2 * pairs * n)
+            self.rows, self.weight = np.empty(pairs * n, dtype=np.intp), np.empty(pairs * n)
+            self.dh = np.empty((pairs * n, 11))
 
     def evaluate(self, rows, grad: bool = True):
         """Losses (L,) of L pairs and, with ``grad``, their (2L, 11)
@@ -325,10 +330,12 @@ class _PairBatch:
         which would change the gradient by less than
         ``s * ACTIVE_RESIDUAL / denominator`` times its field derivative.
 
-        The rows of all 2L SQs go through :func:`_field_gradient` together,
-        in blocks of at most n rows cut between SQs, and each SQ's rows are
-        summed by their own (m, 11) matrix-vector product; every value a
-        pair gets is bitwise the one it gets evaluated alone.
+        The active rows of all 2L SQs, found in one pass as flat indices
+        k n + i in slot order, go through :func:`_field_gradient` in chunks
+        of at most n rows, cut wherever n falls, into one (m, 11) buffer;
+        each SQ's rows, contiguous there, are summed by their own
+        matrix-vector product. Every value a pair gets is bitwise the one it
+        gets evaluated alone.
         """
         ws, n, pairs = self.field, self.field.n, len(rows)
         _value_pass(ws, rows.reshape(2 * pairs, 12))
@@ -343,11 +350,12 @@ class _PairBatch:
         np.subtract(1.0, g, out=credited)
         np.copyto(credited, g, where=self.inside)
         if grad:
-            residual, flag = self.residual[:pairs], self.flag[:pairs]
+            residual, flag = self.residual[:pairs, 0], self.flag[:pairs]
             # residual = where(credited < LOG_CLAMP, 0, g - y)
             np.less(credited, LOG_CLAMP, out=flag)
             np.subtract(g, self.y, out=residual)
             np.copyto(residual, 0.0, where=flag)
+            np.copyto(self.residual[:pairs, 1], residual)
         # loss = sum(-log(max(credited, LOG_CLAMP))) / denominator, which
         # at denominator n is bitwise the mean
         np.maximum(credited, LOG_CLAMP, out=credited)
@@ -365,34 +373,21 @@ class _PairBatch:
         np.logical_and(flag, a_wins, out=sides[:, 0])
         np.logical_not(a_wins, out=a_wins)
         np.logical_and(flag, a_wins, out=sides[:, 1])
-        # Rows per slot (2j + side), then blocks of whole slots, at most n
-        # rows each.
-        counts = np.count_nonzero(sides, axis=2).ravel()
-        bounds = np.zeros(2 * pairs + 1, dtype=np.intp)
-        np.cumsum(counts, out=bounds[1:])
+        # The active rows as flat indices k n + i (slot k, point i), in slot
+        # order, each with its residual / denominator.
         flat = sides.reshape(-1)
-
+        counts = np.count_nonzero(sides, axis=2).ravel()
+        ends = np.cumsum(counts)
+        idx, weight, dh = self.rows[:ends[-1]], self.weight[:ends[-1]], self.dh[:ends[-1]]
+        np.compress(flat, self.index[:flat.size], out=idx)
+        np.compress(flat, self.residual[:pairs].reshape(-1), out=weight)
+        np.divide(weight, self.denominator, out=weight)
+        for start in range(0, len(idx), n):
+            _field_gradient(ws, idx[start:start + n], dh[start:start + n])
         # dz/dparams = -sharpness * dh/dparams on the winning side only.
         grads = np.empty((2 * pairs, 11))
-        first = 0
-        while first < 2 * pairs:
-            last = first + 1
-            while last < 2 * pairs and bounds[last + 1] - bounds[first] <= n:
-                last += 1
-            # Flat indices k n + i (slot k, point i) of the block's rows.
-            idx = np.flatnonzero(flat[first * n:last * n])
-            idx += first * n
-            # Each row's residual / denominator: slot k's rows are pair
-            # k // 2's residuals where its side is active, in point order.
-            weight, lo = self.weight[:len(idx)], bounds[first]
-            segments = [slice(bounds[k] - lo, bounds[k + 1] - lo) for k in range(first, last)]
-            for k, rows in zip(range(first, last), segments):
-                np.compress(flat[k * n:(k + 1) * n], residual[k // 2], out=weight[rows])
-            np.divide(weight, self.denominator, out=weight)
-            dh = _field_gradient(ws, idx, range(first, last), counts[first:last])
-            for k, rows in zip(range(first, last), segments):
-                grads[k] = -self.sharpness * (weight[rows] @ dh[rows])
-            first = last
+        for k, (lo, hi) in enumerate(zip(ends - counts, ends)):
+            grads[k] = -self.sharpness * (weight[lo:hi] @ dh[lo:hi])
         return losses, grads
 
 

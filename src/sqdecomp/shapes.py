@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import quaternions as quat
 from .geometry import Mesh
 
 # Outward-wound faces of the unit cube [-1, 1]^3, two triangles per side.
@@ -36,7 +37,12 @@ def box(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0)) -> Mesh:
 
 
 def icosphere(radius: float = 1.0, subdivisions: int = 2, center=(0.0, 0.0, 0.0)) -> Mesh:
-    """Geodesic sphere from a subdivided icosahedron (20 * 4^n triangles)."""
+    """Geodesic sphere from a subdivided icosahedron (20 * 4^n triangles).
+
+    Each level splits face (a, b, c) into (a, ab, ca), (b, bc, ab), (c, ca, bc)
+    and (ab, bc, ca); the edge midpoints, pushed out to the unit sphere, are
+    numbered in the order their edges first appear (faces in order, edges ab,
+    bc, ca)."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -46,33 +52,27 @@ def icosphere(radius: float = 1.0, subdivisions: int = 2, center=(0.0, 0.0, 0.0)
         ],
         dtype=np.float64,
     )
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [v / np.linalg.norm(v) for v in verts]
+    ], dtype=np.intp)
+    verts /= quat.norm(verts)[:, None]
 
     for _ in range(subdivisions):
-        midpoint_cache: dict[tuple[int, int], int] = {}
+        # Every face's edges ab, bc, ca as vertex pairs (3F, 2), in order.
+        ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        keys = ends.min(axis=1) * len(verts) + ends.max(axis=1)
+        _, first, edge = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct edges by first appearance
+        number = len(verts) + np.argsort(order)
+        mid = verts[ends[first[order]]].sum(axis=1)
+        verts = np.vstack([verts, mid / quat.norm(mid)[:, None]])
+        (a, b, c), (ab, bc, ca) = faces.T, number[edge].reshape(-1, 3).T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
-        def midpoint(i: int, j: int) -> int:
-            key = (min(i, j), max(i, j))
-            if key not in midpoint_cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint_cache[key] = len(verts) - 1
-            return midpoint_cache[key]
-
-        next_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            next_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = next_faces
-
-    vertices = np.array(verts) * radius + np.asarray(center, dtype=np.float64)
-    return Mesh(vertices, np.array(faces, dtype=np.intp))
+    return Mesh(verts * radius + np.asarray(center, dtype=np.float64), faces)
 
 
 def merge(meshes) -> Mesh:

@@ -34,12 +34,13 @@ every ufunc runs over n contiguous values: points as (3, n) and, in a
 kernel, the fitter and the split as one parameter row (12,), the layout of
 :meth:`Superquadric.params`. A value pass fills slots 0 to K-1 from K such
 rows, each slot's scalars broadcast as (K, 1) columns; :func:`_log_field` is
-its one-slot call. A gradient call takes its rows as per-slot segments and
-fills each segment's parameters by broadcast. Each evaluator transposes its
-points once per call and uses one slot per superquadric; the fitter puts all
-the superquadrics of a node's restarts in the slots of one workspace and
-passes them as rows, never as Superquadric objects. :func:`check_parameters`
-is the one validity check, for one row or a batch of rows.
+its one-slot call. A gradient call takes its rows as flat indices k*n + i
+(slot k, point i) of any slots in any order, and gathers each row's
+parameters by slot. Each evaluator transposes its points once per call and
+uses one slot per superquadric; the fitter puts all the superquadrics of a
+node's restarts in the slots of one workspace and passes them as rows,
+never as Superquadric objects. :func:`check_parameters` is the one validity
+check, for one row or a batch of rows.
 """
 
 from __future__ import annotations
@@ -193,13 +194,14 @@ class FieldWorkspace:
     other intermediates (offset, abs_local, ln_u, w1, w2, term_xy, term_z)
     live in scratch and are recomputed, bitwise the same, at gradient rows,
     and in a scratch that holds all K slots. With ``grad`` set the scratch
-    also holds one gradient block of up to n rows.
+    also holds one gradient block of up to n rows of any slots, and
+    ``slot_point`` the slot and point of each of its rows.
     """
 
     def __init__(self, points, k: int = 1, grad: bool = False):
         pts, self.single = as_points(points)
         n = len(pts)
-        self.n, self.k, self.grad = n, k, grad
+        self.n, self.grad = n, grad
         self.points = np.ascontiguousarray(pts.T)
         kept = np.empty((6, k, n))
         self.kept = kept.reshape(6, k * n)
@@ -210,7 +212,7 @@ class FieldWorkspace:
         rows = max(_BLOCK_ROWS, _VALUE_SCRATCH * k) if grad else _VALUE_SCRATCH * k
         self.scratch = np.empty(rows * n)
         if grad:
-            self.point = np.empty(n, dtype=np.intp)
+            self.slot_point = np.empty((2, n), dtype=np.intp)
             self.pinned = np.empty(3 * n, dtype=bool)
 
 
@@ -292,16 +294,15 @@ def _log_field(sq: Superquadric, ws: FieldWorkspace):
     return ws.h[0], ws.ln_f[0], ws.local[:, 0]
 
 
-def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, slots, counts) -> np.ndarray:
+def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gradient of h over the 11 DOF at rows of the slots' last value passes.
 
     ``idx`` holds flat indices ``k * n + i`` (slot k, point i; in range,
-    not bounds-checked), at most n of them, as consecutive segments: the
-    j-th segment holds ``counts[j]`` rows, all of slot ``slots[j]``, in any
-    order. Returns an (m, 11) view into the workspace that the next
-    gradient call or value pass overwrites, row j the gradient at
-    ``idx[j]``. The block is computed as (rows, m) arrays, each segment's
-    superquadric parameters broadcast over its rows, and copied to
+    not bounds-checked), at most n of them, of any slots in any order.
+    Writes row j, the gradient at ``idx[j]``, into ``out`` (m, 11) and
+    returns it. Each row's slot and point come from one divmod of its
+    index and its superquadric's parameters from one gather by slot; the
+    block is computed as (rows, m) arrays in the workspace and copied to
     row-major once at the end.
 
     Derivatives of h pass through the log-space intermediates; the softmax
@@ -318,17 +319,11 @@ def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, slots, counts) -> np.nd
         raise ValueError(f"{m} gradient rows exceed the block size {n}")
     blk = ws.scratch[:_BLOCK_ROWS * m].reshape(_BLOCK_ROWS, m)
     prm, offset, kept, abs_local, ln_u, scalars, dh_dlnu, dh_t = (blk[s] for s in _BLOCK_SLICES)
-    point = ws.point[:m]
-    end = 0
-    for k, count in zip(slots, counts):
-        rows = slice(end, end + count)
-        prm[:, rows] = ws.params[:, k, None]
-        np.subtract(idx[rows], k * n, out=point[rows])
-        end += count
-    if end != m:
-        raise ValueError(f"segments hold {end} rows, not {m}")
+    slot, point = ws.slot_point[:, :m]
+    np.divmod(idx, n, out=(slot, point))
     # mode="clip" writes straight into the buffer; "raise" would copy
     # through a temporary.
+    np.take(ws.params, slot, axis=1, out=prm, mode="clip")
     np.take(ws.points, point, axis=1, out=offset, mode="clip")
     np.take(ws.kept, idx, axis=1, out=kept, mode="clip")
     a, (e1, e2), t, (c2e2, ce2e1, c2e1), rot = (
@@ -417,11 +412,8 @@ def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, slots, counts) -> np.nd
         np.multiply(p, q, out=dh_t[8 + k])
         np.multiply(r, s, out=tmp_a)
         np.subtract(dh_t[8 + k], tmp_a, out=dh_t[8 + k])
-    # Row-major into the block's first 11 rows, whose parameters, offset
-    # and local coordinates are no longer needed.
-    dh = ws.scratch[:11 * m].reshape(m, 11)
-    np.copyto(dh, dh_t.T)
-    return dh
+    np.copyto(out, dh_t.T)
+    return out
 
 
 def inside_outside(sq: Superquadric, x) -> np.ndarray:
@@ -487,7 +479,7 @@ def occupancy_gradient(
     """
     ws = FieldWorkspace(x, grad=True)
     h, _, _ = _log_field(sq, ws)
-    dh = _field_gradient(ws, np.arange(ws.n), [0], [ws.n])
+    dh = _field_gradient(ws, np.arange(ws.n), np.empty((ws.n, 11)))
     g = expit(cfg.sharpness * (1.0 - h))
     dg_dh = -cfg.sharpness * g * (1.0 - g)
     grad = dg_dh[:, None] * dh

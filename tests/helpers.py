@@ -181,7 +181,7 @@ def field_and_gradient(sq, points):
     alone: a one-slot workspace and one full-row gradient call."""
     ws = FieldWorkspace(points, grad=True)
     h = _log_field(sq, ws)[0].copy()
-    return h, _field_gradient(ws, np.arange(len(points)), [0], [len(points)]).copy()
+    return h, _field_gradient(ws, np.arange(len(points)), np.empty((len(points), 11)))
 
 
 def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None, denominator=None):
@@ -210,7 +210,7 @@ def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None, denominator=No
     grads = []
     for k, wins in ((0, a_wins), (1, ~a_wins)):
         rows = np.flatnonzero(active & wins)
-        dh = _field_gradient(ws, k * n + rows, [k], [len(rows)])
+        dh = _field_gradient(ws, k * n + rows, np.empty((len(rows), 11)))
         grads.append(-sharpness * ((residual[rows] / denominator) @ dh))
     return loss, grads[0], grads[1]
 
@@ -330,3 +330,45 @@ def fit_node_reference(
         if best is None or result[2] < best[2]:
             best = result
     return best, losses
+
+
+def icosphere_reference(radius: float = 1.0, subdivisions: int = 2, center=(0.0, 0.0, 0.0)):
+    """``shapes.icosphere`` as it was built before its array pass: a Python
+    loop over the faces with a dict of edge midpoints. Returns the
+    vertices and faces it must keep, bit for bit."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = np.array(
+        [
+            [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
+            [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
+            [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
+        ],
+        dtype=np.float64,
+    )
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [v / np.linalg.norm(v) for v in verts]
+
+    for _ in range(subdivisions):
+        midpoint_cache: dict[tuple[int, int], int] = {}
+
+        def midpoint(i: int, j: int) -> int:
+            key = (min(i, j), max(i, j))
+            if key not in midpoint_cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint_cache[key] = len(verts) - 1
+            return midpoint_cache[key]
+
+        next_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            next_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = next_faces
+
+    vertices = np.array(verts) * radius + np.asarray(center, dtype=np.float64)
+    return vertices, np.array(faces, dtype=np.intp)

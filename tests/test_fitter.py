@@ -352,7 +352,7 @@ class TestPairGradient:
     @pytest.mark.parametrize("sharpness", [10.0, 50.0])
     def test_batch_is_each_pair_alone_bitwise(self, sharpness):
         """Up to five pairs evaluated together, their active rows spread
-        over several gradient blocks, give each pair bitwise the loss and
+        over several gradient chunks, give each pair bitwise the loss and
         gradients of the one-pair reference; so does a value-only call."""
         rng = np.random.default_rng(76)
         pts = rng.uniform(-0.6, 0.6, (500, 3))
@@ -649,23 +649,35 @@ class TestRace:
         assert best_loss.min() > ref_objective
 
     def test_gradient_blocks_cut_between_restarts(self, monkeypatch):
-        """Four restarts carry more active rows than one block of n holds,
-        so iterations split their gradient rows over two blocks; the fit
-        is still the reference's over the survivors, bitwise."""
+        """Four restarts carry more active rows than one chunk of n holds,
+        so iterations split their gradient rows over several chunks, cut
+        wherever n falls: at least one chunk ends inside one slot's rows,
+        which blocks of whole slots never did. The fit is still the
+        reference's over the survivors, bitwise."""
         pts, labels = race_problem(81, 300)
         cfg = FitConfig(iterations=40, restarts=4, seed=5)
-        blocks = []
+        calls = []
 
-        def counted(ws, idx, slots, counts):
-            blocks.append(len(idx))
-            return field_gradient(ws, idx, slots, counts)
+        def counted(ws, idx, out):
+            calls[-1].append(idx // ws.n)
+            return field_gradient(ws, idx, out)
 
-        field_gradient = fitter._field_gradient
+        def evaluate(batch, rows, grad=True):
+            calls.append([])
+            return batch_evaluate(batch, rows, grad)
+
+        field_gradient, batch_evaluate = fitter._field_gradient, fitter._PairBatch.evaluate
         with monkeypatch.context() as patch:
             patch.setattr(fitter, "_field_gradient", counted)
+            patch.setattr(fitter._PairBatch, "evaluate", evaluate)
             fit_node(pts, labels, cfg)
-        assert max(blocks) <= len(pts)
-        assert len(blocks) > cfg.iterations
+        chunks = [slots for call in calls for slots in call]
+        assert max(map(len, chunks)) <= len(pts)
+        assert len(chunks) > cfg.iterations
+        assert any(
+            len(before) and len(after) and before[-1] == after[0]
+            for call in calls for before, after in zip(call, call[1:])
+        )
         check_race_against_reference(pts, labels, cfg)
 
     @settings(max_examples=30, deadline=None)

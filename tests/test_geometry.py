@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _classify_chunk,
+    icosphere_reference,
     mesh_scale,
     point_in_mesh_reference,
     write_obj_records_reference,
@@ -225,6 +226,19 @@ class TestMeshValidation:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             Mesh(np.zeros((3, 3)), np.array([[0, 1, -1]]))
+
+
+class TestIcosphere:
+    @pytest.mark.parametrize("subdivisions", range(6))
+    def test_array_pass_is_the_face_loop_bitwise(self, subdivisions):
+        """One edge-key array pass per level gives the face loop's vertices,
+        bit for bit, and its faces, numbered and ordered the same."""
+        for radius, center in ((1.0, (0.0, 0.0, 0.0)), (0.4, (0.1, -0.2, 0.3))):
+            mesh = icosphere(radius, subdivisions, center)
+            vertices, faces = icosphere_reference(radius, subdivisions, center)
+            assert mesh.vertices.tobytes() == vertices.tobytes()
+            assert mesh.triangles.dtype == faces.dtype
+            assert np.array_equal(mesh.triangles, faces)
 
 
 class TestNormalize:

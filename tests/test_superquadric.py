@@ -32,6 +32,17 @@ def unit_sphere() -> Superquadric:
     return Superquadric(np.ones(3), np.ones(2))
 
 
+def pinned_points(sqs):
+    """Points where the clamp pins the local coordinates of ``sqs``: each
+    SQ's center (all three pinned) and a point on each local axis (two)."""
+    pts = []
+    for sq in sqs:
+        axes = sq.rotation_matrix().T  # rows: the local axes in world space
+        pts.append(sq.translation[None, :])
+        pts.append(sq.translation + 0.3 * axes)
+    return np.vstack(pts)
+
+
 class TestConstruction:
     def test_sizes_must_be_positive(self):
         """Construction rejects non-positive sizes; the optimizer's bound
@@ -250,13 +261,14 @@ class TestFieldKernel:
             assert np.array_equal(h, h_g)
             assert np.array_equal(ln_f, ln_f_g)
             assert np.array_equal(local, local_g)
-            dh = _field_gradient(ws, np.arange(len(pts)), [0], [len(pts)]).copy()
-            assert dh.shape == (len(pts), 11)
+            out = np.empty((len(pts), 11))
+            dh = _field_gradient(ws, np.arange(len(pts)), out)
+            assert dh is out
             k = trial % 3
             _value_pass(shared, np.tile(sq.params(), (k + 1, 1)))
             assert np.array_equal(shared.h[k], h)
             rows = k * len(pts) + np.arange(len(pts))
-            assert np.array_equal(_field_gradient(shared, rows, [k], [len(pts)]), dh)
+            assert np.array_equal(_field_gradient(shared, rows, np.empty_like(dh)), dh)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -286,8 +298,8 @@ class TestFieldKernel:
             assert np.array_equal(ws.params[:, k], alone.params[:, 0])
             if grad:
                 rows = np.flatnonzero(rng.random(n) < 0.5)
-                dh = _field_gradient(ws, k * n + rows, [k], [len(rows)])
-                assert np.array_equal(dh, _field_gradient(alone, rows, [0], [len(rows)]))
+                dh = _field_gradient(ws, k * n + rows, np.empty((len(rows), 11)))
+                assert np.array_equal(dh, _field_gradient(alone, rows, np.empty_like(dh)))
 
     def test_workspace_must_fit_the_call(self):
         pts = np.zeros((4, 3))
@@ -295,34 +307,31 @@ class TestFieldKernel:
         with pytest.raises(ValueError):
             _value_pass(FieldWorkspace(pts, k=2), rows)
         with pytest.raises(ValueError):
-            _field_gradient(FieldWorkspace(pts), np.arange(4), [0], [4])
+            _field_gradient(FieldWorkspace(pts), np.arange(4), np.empty((4, 11)))
         ws = FieldWorkspace(pts, k=2, grad=True)
         _value_pass(ws, rows[:2])
         with pytest.raises(ValueError, match="block"):
-            _field_gradient(ws, np.arange(5), [0, 1], [4, 1])
+            _field_gradient(ws, np.arange(5), np.empty((5, 11)))
+        with pytest.raises(ValueError):
+            _field_gradient(ws, np.arange(4), np.empty((3, 11)))
         with pytest.raises(ValueError, match="shape"):
             FieldWorkspace(np.zeros((4, 2)))
 
     @pytest.mark.parametrize("exponents", [None, (0.1, 0.1), (1.9, 0.1)])
     def test_row_subset_gradient_is_bitwise_the_full_rows(self, exponents):
-        """The fitter differentiates only some rows of some slots, the rows
-        of up to eight SQs in one call; each row must equal its row of the
-        SQ's own full-row call bit for bit, whatever the subset, whichever
-        SQs share the call and wherever in the call the row lands."""
+        """The fitter differentiates only some rows of some slots; each row
+        must equal its row of the SQ's own full-row call bit for bit,
+        whatever the subset, whichever slot of a shared workspace the SQ
+        holds and wherever in the call the row lands."""
         rng = np.random.default_rng(91)
         for _ in range(4):
             sqs = [random_superquadric(rng) for _ in range(rng.integers(1, 9))]
             if exponents is not None:
                 sqs = [Superquadric(sq.size, exponents, sq.translation, sq.rotation)
                        for sq in sqs]
-            pts = [rng.uniform(-1.2, 1.2, (2000, 3))]
-            for sq in sqs[:3]:
-                axes = sq.rotation_matrix().T  # rows: the local axes in world space
-                pts.append(sq.translation[None, :])  # every coordinate pinned by the clamp
-                pts.append(sq.translation + 0.3 * axes)  # two coordinates pinned
-            pts = np.vstack(pts)
+            pts = np.vstack([rng.uniform(-1.2, 1.2, (2000, 3)), pinned_points(sqs[:3])])
             n = len(pts)
-            full = [field_and_gradient(sq, pts)[1] for sq in sqs]
+            full = field_and_gradient(sqs[-1], pts)[1]
             ws = FieldWorkspace(pts, k=len(sqs), grad=True)
             _value_pass(ws, np.array([sq.params() for sq in sqs]))
             for rows in (
@@ -332,23 +341,44 @@ class TestFieldKernel:
                 np.flatnonzero(rng.random(n) < 0.3),
                 rng.permutation(n)[:700],
             ):
-                dh = _field_gradient(ws, (len(sqs) - 1) * n + rows, [len(sqs) - 1], [len(rows)])
+                dh = _field_gradient(ws, (len(sqs) - 1) * n + rows, np.empty((len(rows), 11)))
                 assert dh.shape == (len(rows), 11)
-                assert np.array_equal(dh, full[-1][rows])
-            # Rows of every slot in one call, in blocks of at most n rows cut
-            # anywhere: one segment per slot, slots and rows in random order.
-            order = rng.permutation(len(sqs))
-            idx = np.concatenate(
-                [k * n + rng.permutation(np.flatnonzero(rng.random(n) < 0.4)) for k in order]
-            )
-            cuts = np.sort(rng.choice(np.arange(1, len(idx)), 2 * len(sqs), replace=False))
-            for block in np.split(idx, np.union1d(cuts, np.arange(n, len(idx), n))):
-                slot, point = np.divmod(block, n)
-                starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
-                counts = np.diff(np.r_[starts, len(block)])
-                dh = _field_gradient(ws, block, slot[starts], counts)
-                for k in np.unique(slot):
-                    assert np.array_equal(dh[slot == k], full[k][point[slot == k]])
+                assert np.array_equal(dh, full[rows])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        slots=st.integers(1, 8),
+        n=st.integers(1, 400),
+        share=st.floats(0.0, 1.0),
+        exponents=st.sampled_from([None, (0.1, 0.1), (1.9, 0.1)]),
+    )
+    def test_interleaved_rows_in_any_chunks_are_bitwise_the_full_rows(
+        self, seed, slots, n, share, exponents
+    ):
+        """The fitter hands the active rows of all its slots to the kernel
+        in chunks of at most n rows, cut wherever n falls. Rows of up to
+        eight slots, interleaved in random order and cut into random chunks
+        of at most n rows, must each come out bitwise their slot's one-slot
+        full-row gradient."""
+        rng = np.random.default_rng(seed)
+        sqs = [random_superquadric(rng) for _ in range(slots)]
+        if exponents is not None:
+            sqs = [Superquadric(sq.size, exponents, sq.translation, sq.rotation) for sq in sqs]
+        pts = np.vstack([rng.uniform(-1.2, 1.2, (n, 3)), pinned_points(sqs[:3])])
+        n = len(pts)
+        full = np.array([field_and_gradient(sq, pts)[1] for sq in sqs])
+        ws = FieldWorkspace(pts, k=slots, grad=True)
+        _value_pass(ws, np.array([sq.params() for sq in sqs]))
+        idx = rng.permutation(np.flatnonzero(rng.random(slots * n) < share))
+        start = 0
+        while start < len(idx):
+            chunk = idx[start:start + rng.integers(1, n + 1)]
+            out = np.full((len(chunk), 11), np.nan)
+            assert _field_gradient(ws, chunk, out) is out
+            slot, point = np.divmod(chunk, n)
+            assert np.array_equal(out, full[slot, point])
+            start += len(chunk)
 
     def test_logaddexp_matches_numpy(self):
         """Within 4e-16 max(1, |x|, |y|) of np.logaddexp, on equal arguments,
