@@ -122,7 +122,11 @@ def cmd_eval(args) -> int:
 
 def cmd_export(args) -> int:
     tree, _metadata = load_tree(args.tree)
-    depth = args.level if args.level is not None else tree.fitted_depth
+    depth = args.level
+    if depth is None:
+        depth = tree.fitted_depth
+        if depth == 0:
+            raise TreeFormatError(f"{args.tree}: tree has no complete level")
     if depth < 1:
         raise ConfigError(f"--level must be >= 1, got {depth}")
     out = _out_dir(args)

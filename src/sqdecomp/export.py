@@ -64,10 +64,11 @@ def load_tree(path) -> tuple[SqTree, dict]:
 
     Returns the tree (without sample points or labels) and the metadata
     dict. Raises TreeFormatError for text that is not UTF-8 JSON, missing
-    fields, a ``depth``, ``index`` or ``max_depth`` that is not a JSON
-    integer, a ``degenerate`` that is not a JSON boolean, a ``lambda_a`` or
-    ``lambda_b`` entry that is not a JSON number, or a format version this
-    code does not understand.
+    fields, a ``format_version``, ``depth``, ``index`` or ``max_depth`` that
+    is not a JSON integer, a ``degenerate`` that is not a JSON boolean, a
+    ``lambda_a`` or ``lambda_b`` entry that is not a JSON number, a
+    ``metadata`` that is present but not a JSON object, or a format version
+    this code does not understand.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -77,10 +78,14 @@ def load_tree(path) -> tuple[SqTree, dict]:
     if not isinstance(doc, dict):
         raise TreeFormatError(f"{path}: expected a JSON object at top level")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise TreeFormatError(
-            f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})"
+            f"{path}: unsupported format version {version!r} "
+            f"(expected the JSON integer {FORMAT_VERSION})"
         )
+    metadata = doc.get("metadata", {})
+    if type(metadata) is not dict:
+        raise TreeFormatError(f"{path}: metadata must be a JSON object, got {metadata!r}")
     try:
         tree = SqTree(max_depth=_typed(doc["max_depth"], "max_depth", int))
         for entry in sorted(doc["nodes"], key=lambda e: (e["depth"], e["index"])):
@@ -95,7 +100,7 @@ def load_tree(path) -> tuple[SqTree, dict]:
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeFormatError(f"{path}: malformed tree document: {exc}") from exc
-    return tree, doc.get("metadata", {})
+    return tree, metadata
 
 
 def _typed(value, key: str, kind: type):

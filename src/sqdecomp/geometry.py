@@ -308,70 +308,6 @@ def _require_closed_manifold(triangles: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _TriangleTerms:
-    """Per-triangle Möller–Trumbore quantities for one ray direction, with
-    the ``scale`` L of the mesh that the tolerances are relative to."""
-
-    scale: float
-    a: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    pvec: np.ndarray
-    det: np.ndarray
-    parallel: np.ndarray
-
-    @classmethod
-    def of(cls, corners: np.ndarray, direction: np.ndarray, scale: float) -> "_TriangleTerms":
-        a = corners[:, 0]
-        e1 = corners[:, 1] - a
-        e2 = corners[:, 2] - a
-        pvec = np.cross(direction, e2)
-        det = np.einsum("tk,tk->t", e1, pvec)
-        return cls(scale, a, e1, e2, pvec, det, np.abs(det) < _PARALLEL_EPS * scale * scale)
-
-
-def _classify_pairs(points, pair_point, pair_tri, terms: _TriangleTerms, direction, coplanar):
-    """Ray-parity test of points against the triangles paired with them.
-
-    ``pair_point`` and ``pair_tri`` list (point, triangle) pairs, none with
-    a triangle parallel to the ray; a pair left out must be one whose ray
-    misses. ``coplanar`` marks the points in the plane of a parallel
-    triangle. Returns (resolved mask, inside labels) per point. A point is
-    unresolved when its ray grazes an edge or vertex, or is coplanar, and
-    needs another direction. Points on the surface resolve as inside.
-    """
-    n = len(points)
-    det = terms.det[pair_tri]
-    s = points[pair_point] - terms.a[pair_tri]
-    u = np.einsum("pk,pk->p", s, terms.pvec[pair_tri]) / det
-    qvec = np.cross(s, terms.e1[pair_tri])
-    del s
-    v = np.einsum("pk,k->p", qvec, direction) / det
-    t_hit = np.einsum("pk,pk->p", qvec, terms.e2[pair_tri]) / det
-    del qvec
-
-    bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
-    bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
-
-    on_surface_t = _ON_SURFACE_T * terms.scale
-    on_surface = (np.abs(t_hit) <= on_surface_t) & bary_wide
-    forward = t_hit > on_surface_t
-    counted = forward & bary_strict
-    grazing = forward & bary_wide & ~bary_strict
-
-    def per_point(mask):
-        return np.bincount(pair_point[mask], minlength=n)
-
-    is_on_surface = per_point(on_surface) > 0
-    is_degenerate = ((per_point(grazing) > 0) | coplanar) & ~is_on_surface
-    parity = per_point(counted) & 1
-
-    resolved = is_on_surface | ~is_degenerate
-    labels = np.where(is_on_surface, 1, parity).astype(np.uint8)
-    return resolved, labels
-
-
 def _plane_basis(direction: np.ndarray) -> np.ndarray:
     """Orthonormal basis (3, 2) of the plane orthogonal to a unit direction."""
     b1 = np.cross(direction, np.eye(3)[np.argmin(np.abs(direction))])
@@ -464,33 +400,69 @@ def _classify_along(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
     points leaves the points in its plane for the next direction. Every
     other triangle's projected bounding box, padded far wider than the
     barycentric tolerance, is binned into a uniform grid of about sqrt(t) x
-    sqrt(t) cells, and gets the crossing test only against the points in
-    its cells. Chunks of candidate pairs bound peak memory.
+    sqrt(t) cells, and gets the Möller–Trumbore crossing test only against
+    the points in its cells. Chunks of candidate pairs bound peak memory.
+
+    A point is unresolved when its ray grazes an edge or vertex, or it lies
+    in a parallel triangle's plane, and needs another direction. Points on
+    the surface resolve as inside.
     """
-    terms = _TriangleTerms.of(corners, direction, scale)
+    a = corners[:, 0]
+    e1 = corners[:, 1] - a
+    e2 = corners[:, 2] - a
+    pvec = np.cross(direction, e2)
+    det = np.einsum("tk,tk->t", e1, pvec)
+    is_parallel = np.abs(det) < _PARALLEL_EPS * scale * scale
     margin = _BIN_MARGIN * scale
     basis = _plane_basis(direction)
     projected = corners @ basis
-    binned = np.flatnonzero(~terms.parallel)
+    binned = np.flatnonzero(~is_parallel)
     grid = _BoxGrid.build(
         projected[binned].min(axis=1) - margin,
         projected[binned].max(axis=1) + margin,
         binned,
     )
-    parallel = np.flatnonzero(terms.parallel)
-    normal = np.cross(terms.e1[parallel], terms.e2[parallel])
+    parallel = np.flatnonzero(is_parallel)
+    normal = np.cross(e1[parallel], e2[parallel])
     norm_len = np.linalg.norm(normal, axis=1)
+    on_surface_t = _ON_SURFACE_T * scale
     cells = grid.cells_of(points @ basis)
     load = grid.start[cells + 1] - grid.start[cells] + len(parallel)
     resolved = np.empty(len(points), dtype=bool)
     labels = np.empty(len(points), dtype=np.uint8)
     for part in _chunks(load, _PAIR_CHUNK):
-        s = points[part, None, :] - terms.a[parallel]
+        pts = points[part]
+        s = pts[:, None, :] - a[parallel]
         plane_dist = np.abs(np.einsum("npk,pk->np", s, normal)) / norm_len
         coplanar = (plane_dist < _COPLANAR_DIST * scale).any(axis=1)
-        resolved[part], labels[part] = _classify_pairs(
-            points[part], *grid.pairs(cells[part]), terms, direction, coplanar
-        )
+
+        # The crossing test of each (point, triangle) pair the grid finds.
+        pair_point, pair_tri = grid.pairs(cells[part])
+        pair_det = det[pair_tri]
+        s = pts[pair_point] - a[pair_tri]
+        u = np.einsum("pk,pk->p", s, pvec[pair_tri]) / pair_det
+        qvec = np.cross(s, e1[pair_tri])
+        del s
+        v = np.einsum("pk,k->p", qvec, direction) / pair_det
+        t_hit = np.einsum("pk,pk->p", qvec, e2[pair_tri]) / pair_det
+        del qvec
+
+        bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
+        bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
+        on_surface = (np.abs(t_hit) <= on_surface_t) & bary_wide
+        forward = t_hit > on_surface_t
+        counted = forward & bary_strict
+        grazing = forward & bary_wide & ~bary_strict
+
+        is_on_surface = np.bincount(pair_point[on_surface], minlength=len(pts)) > 0
+        grazed = np.bincount(pair_point[grazing], minlength=len(pts)) > 0
+        is_degenerate = (grazed | coplanar) & ~is_on_surface
+        parity = np.bincount(pair_point[counted], minlength=len(pts)) & 1
+        resolved[part] = is_on_surface | ~is_degenerate
+        labels[part] = np.where(is_on_surface, 1, parity)
+        # Free this chunk's arrays before the next chunk makes its own.
+        del pair_point, pair_tri, pair_det, u, v, t_hit, bary_wide, bary_strict
+        del on_surface, forward, counted, grazing, is_on_surface, grazed, is_degenerate, parity
     return resolved, labels
 
 

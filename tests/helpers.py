@@ -84,6 +84,18 @@ def gradient_corpus(rng: np.random.Generator, n: int):
                 return
 
 
+def triangle_terms(corners: np.ndarray, direction: np.ndarray, scale: float):
+    """Möller–Trumbore terms of each triangle for rays along ``direction``:
+    corner a, edges e1 and e2, pvec, det, and the mask of the triangles
+    parallel to the ray (|det| below _PARALLEL_EPS * scale^2)."""
+    a = corners[:, 0]
+    e1 = corners[:, 1] - a
+    e2 = corners[:, 2] - a
+    pvec = np.cross(direction, e2)
+    det = np.einsum("tk,tk->t", e1, pvec)
+    return a, e1, e2, pvec, det, np.abs(det) < _PARALLEL_EPS * scale * scale
+
+
 def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarray, scale: float):
     """Ray-parity test for one chunk of points against all triangles, with
     the tolerances of a mesh whose vertex box's longest side is ``scale``.
@@ -94,12 +106,7 @@ def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarr
     ran parallel within a triangle's plane) and needs a different direction.
     Points lying on the surface resolve immediately as inside.
     """
-    a = corners[:, 0]
-    e1 = corners[:, 1] - a
-    e2 = corners[:, 2] - a
-    pvec = np.cross(direction, e2)
-    det = np.einsum("tk,tk->t", e1, pvec)
-    parallel = np.abs(det) < _PARALLEL_EPS * scale * scale
+    a, e1, e2, pvec, det, parallel = triangle_terms(corners, direction, scale)
     safe_det = np.where(parallel, 1.0, det)
 
     normal = np.cross(e1, e2)

@@ -1,9 +1,14 @@
 """The package's export list matches what it binds, so a deleted class or
-function cannot leave a stale name behind."""
+function cannot leave a stale name behind, and every private module-level
+name is read somewhere in the package, so no dead helper stays behind."""
 
+import ast
 import types
+from pathlib import Path
 
 import sqdecomp
+
+PACKAGE_DIR = Path(sqdecomp.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +27,36 @@ def test_exports_are_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(sqdecomp.__all__) == public
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    """A module-level private name (function, class or constant) that no
+    code in the package reads is a dead helper. Reads are loaded names,
+    attributes and imports anywhere under ``src/sqdecomp``; tests and demos
+    do not count."""
+    trees = {
+        path.relative_to(PACKAGE_DIR).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+    }
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined |= {(module, n) for n in names if n.startswith("_") and not n.startswith("__")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert len(defined) > 50
+    assert sorted(f"{module}:{name}" for module, name in defined if name not in read) == []

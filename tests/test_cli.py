@@ -392,6 +392,26 @@ class TestExportCommand:
         code, _, _ = run(capsys, ["export", str(bad), "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_export_tree_without_a_complete_level_exits_1(self, capsys, tmp_path):
+        """With no --level, a tree with no complete level is a bad tree
+        (exit 1, as eval gives), not a bad --level; --level 0 stays exit 2."""
+        tree = SqTree(max_depth=2)
+        sq = Superquadric(np.full(3, 0.2), np.ones(2))
+        tree.add_node(SqPairNode(depth=1, index=1, sq_a=sq, sq_b=sq))
+        path = tmp_path / "tree.json"
+        save_tree(tree, None, path)
+        doc = json.loads(path.read_text())
+        doc["nodes"] = []
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["export", str(path), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "tree has no complete level" in err
+        code, _, err = run(
+            capsys, ["export", str(path), "--level", "0", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "--level must be >= 1, got 0" in err
+
     def test_export_repeated_node_exits_1(self, capsys, tmp_path):
         tree = SqTree(max_depth=1)
         sq = Superquadric(np.full(3, 0.2), np.ones(2))

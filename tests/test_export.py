@@ -194,19 +194,27 @@ class TestTreeFormatErrors:
         ("lambda_b", SPHERE_ROW[:3] + [True, True] + SPHERE_ROW[5:],
          "lambda_b must be a list of JSON numbers, got [0.5, 0.5, 0.5, True, True, 0"),
         ("lambda_a", [10**400] + SPHERE_ROW[1:], "int too large to convert to float"),
+        ("format_version", True, "unsupported format version True"),
+        ("format_version", 1.0, "unsupported format version 1.0"),
+        ("format_version", "1", "unsupported format version '1'"),
+        ("metadata", [1, 2], "metadata must be a JSON object, got [1, 2]"),
+        ("metadata", None, "metadata must be a JSON object, got None"),
+        ("metadata", "{}", "metadata must be a JSON object, got '{}'"),
     ])
     def test_field_of_the_wrong_json_type(self, tmp_path, field, value, message):
         """Types are checked, not coerced: "false" is not False, 1.9 is
-        not depth 1, and neither "0.5" nor true is a size or an exponent."""
+        not depth 1, neither "0.5" nor true is a size or an exponent,
+        true and 1.0 are not format version 1, and a metadata block that
+        is present must be a JSON object."""
         good = tmp_path / "good.json"
         save_tree(build_tree(1, seed=17), None, good)
         doc = json.loads(good.read_text())
-        (doc if field == "max_depth" else doc["nodes"][0])[field] = value
+        top_level = ("max_depth", "format_version", "metadata")
+        (doc if field in top_level else doc["nodes"][0])[field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(TreeFormatError, match=re.escape(message)):
             load_tree(bad)
-
 
     def test_integer_parameters_load(self, tmp_path):
         """A parameter row may hold JSON integers, which load as floats."""

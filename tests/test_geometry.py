@@ -11,6 +11,7 @@ from helpers import (
     icosphere_reference,
     mesh_scale,
     point_in_mesh_reference,
+    triangle_terms,
     write_obj_records_reference,
 )
 from sqdecomp import (
@@ -35,7 +36,6 @@ from sqdecomp.geometry import (
     _BoxGrid,
     _classify_along,
     _plane_basis,
-    _TriangleTerms,
     write_obj_records,
 )
 
@@ -584,16 +584,35 @@ class TestBinnedMatchesBruteForce:
     """point_in_mesh tests only the triangles its grid pairs with each
     point; its labels must equal those of testing every triangle."""
 
-    @pytest.mark.parametrize("name", ["box", "dumbbell", "table", "icosphere4"])
+    MESHES = {
+        "box": box,
+        "dumbbell": lambda: normalize(dumbbell()),
+        "table": table_mesh,
+        "icosphere4": lambda: icosphere(subdivisions=4),
+    }
+
+    @pytest.mark.parametrize("name", list(MESHES))
     def test_labels_equal_reference(self, name):
-        mesh = {
-            "box": box,
-            "dumbbell": lambda: normalize(dumbbell()),
-            "table": table_mesh,
-            "icosphere4": lambda: icosphere(subdivisions=4),
-        }[name]()
+        mesh = self.MESHES[name]()
         pts = probe_points(mesh, np.random.default_rng(50))
         np.testing.assert_array_equal(point_in_mesh(mesh, pts), point_in_mesh_reference(mesh, pts))
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_each_direction_equals_reference(self, name, d):
+        """One ray direction at a time, the resolved mask and the labels
+        both equal the brute-force test's, also at the vertices and edge
+        midpoints, whose rays graze."""
+        mesh = self.MESHES[name]()
+        pts = probe_points(mesh, np.random.default_rng(58))
+        corners, scale = mesh.triangle_corners, mesh_scale(mesh)
+        resolved, labels = _classify_along(pts, corners, _DIRECTIONS[d], scale)
+        # The brute-force test holds (points, triangles, 3) arrays: chunk it.
+        step = max(1, 250_000 // len(corners))
+        ref = [_classify_chunk(pts[i:i + step], corners, _DIRECTIONS[d], scale)
+               for i in range(0, len(pts), step)]
+        np.testing.assert_array_equal(resolved, np.concatenate([r for r, _ in ref]))
+        np.testing.assert_array_equal(labels, np.concatenate([lab for _, lab in ref]))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -611,7 +630,7 @@ class TestBinnedMatchesBruteForce:
         mesh = Mesh(np.ldexp(mesh.vertices, j), mesh.triangles)
         corners = mesh.triangle_corners
         scale = mesh_scale(mesh)
-        assert np.count_nonzero(_TriangleTerms.of(corners, _DIRECTIONS[0], scale).parallel) == 6
+        assert np.count_nonzero(triangle_terms(corners, _DIRECTIONS[0], scale)[-1]) == 6
         rng = np.random.default_rng(seed)
         v = mesh.vertices
         coef = rng.uniform(-0.5, 1.5, (300, 2))
@@ -635,7 +654,7 @@ class TestBinnedMatchesBruteForce:
         direction = _DIRECTIONS[0]
         projected = mesh.triangle_corners @ _plane_basis(direction)
         scale = mesh_scale(mesh)
-        ids = np.flatnonzero(~_TriangleTerms.of(mesh.triangle_corners, direction, scale).parallel)
+        ids = np.flatnonzero(~triangle_terms(mesh.triangle_corners, direction, scale)[-1])
         grid = _BoxGrid.build(projected[ids].min(axis=1), projected[ids].max(axis=1), ids)
         assert grid.size < np.ceil(np.sqrt(len(ids)))
         assert len(grid.members) <= 16 * len(ids)
