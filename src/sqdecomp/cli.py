@@ -96,13 +96,13 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     tree, _metadata = load_tree(args.tree)
+    depth = tree.fitted_depth
+    if depth == 0:
+        raise TreeFormatError(f"{args.tree}: tree has no complete level")
     mesh = normalize(load_mesh(args.mesh))
     pointset = sample_labeled_points(
         mesh, args.samples_surface, args.samples_uniform, seed=args.seed
     )
-    depth = tree.fitted_depth
-    if depth == 0:
-        raise TreeFormatError(f"{args.tree}: tree has no complete level")
     rep = IoUReport(
         per_level=level_ious(tree, pointset),
         sample_count=len(pointset),

@@ -68,9 +68,10 @@ def load_tree(path) -> tuple[SqTree, dict]:
     is not a JSON integer, a ``degenerate`` that is not a JSON boolean, a
     ``lambda_a`` or ``lambda_b`` entry that is not a JSON number, a
     ``metadata`` that is present but not a JSON object, or a format version
-    this code does not understand.
+    this code does not understand. A leading UTF-8 byte-order mark is
+    skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -41,9 +41,10 @@ every label is 0, and the pair starts from the inside points, so those
 points are left out of every iteration: at the dumbbell's root the support
 holds about 40% of the samples, at its children about 20%. A pair that
 grows out of the box would meet no negatives there, so at the race's cut
-one gradient-free value pass checks the surviving pairs against the points
-left out: if any pair reaches one of them, with min(h_a, h_b) < 1 +
-``_ESCAPE_MARGIN`` / s (an occupancy above 1/11), the node is fitted again
+the surviving pairs are checked against the points left out, one
+gradient-free value pass per SQ (``superquadric._union_below``): if any
+pair reaches one of them, with min(h_a, h_b) < 1 + ``_ESCAPE_MARGIN`` / s
+(an occupancy above 1/11), the node is fitted again
 on every point from the same starts. The restarts' starts depend only on
 the inside points, which the support always holds. The objective
 still divides by the node's full point count, so it is the full-set loss
@@ -95,6 +96,7 @@ from .superquadric import (
     OccupancyConfig,
     Superquadric,
     _field_gradient,
+    _union_below,
     _value_pass,
     check_parameters,
     is_finite_number,
@@ -179,12 +181,12 @@ class FitConfig:
 
         Keys are exactly the FitConfig field names, each at most once;
         unknown or repeated keys, unparsable values and text that is not
-        UTF-8 raise ConfigError.
+        UTF-8 raise ConfigError. A leading UTF-8 byte-order mark is skipped.
         """
         casters = cls.field_casters()
         overrides: dict[str, object] = {}
         key_lines: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 lines = fh.read().split("\n")
             except UnicodeDecodeError as exc:
@@ -517,16 +519,6 @@ def _support(points: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return (np.abs(points - 0.5 * (lo + hi)) <= half).all(axis=1)
 
 
-def _escapes(rows, outside: np.ndarray, sharpness: float) -> int:
-    """How many of the ``outside`` points, all labeled 0, one of the pairs
-    ``rows`` (L, 2, 12) reaches: min(h_a, h_b) < 1 + _ESCAPE_MARGIN / s.
-    One gradient-free value pass over those points."""
-    ws = FieldWorkspace(outside, 2 * len(rows))
-    _value_pass(ws, rows.reshape(-1, 12))
-    reached = ws.h < 1.0 + _ESCAPE_MARGIN / sharpness
-    return int(np.count_nonzero(reached.any(axis=0)))
-
-
 def _race(pts, y, cfg: FitConfig, node: tuple[int, int], denominator: int, outside=None):
     """Every restart of one node on the points ``pts``, labels ``y``, in
     one lock-step loop with one cut at ``c = iterations // _CUT_DIVISOR``,
@@ -538,11 +530,12 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int], denominator: int, outsi
     every row by one momentum step. At c the ceil(R/2) rows with the lowest
     running best stay (ties to the lower restart id) and the others are
     dropped; if one of the survivors' current pairs then reaches a point
-    of ``outside`` (:func:`_escapes`), the race stops there. With c == 0
-    there is no cut and no check. A last gradient-free pass scores the
-    final iterates. Returns the survivors' restart ids, running-best
-    losses and the pairs (S, 2, 12) that reached them, or None where the
-    escape rule fired, and the iterations run, summed over the rows.
+    of ``outside``, h < 1 + _ESCAPE_MARGIN / s by :func:`_union_below`,
+    the race stops there. With c == 0 there is no cut and no check. A last
+    gradient-free pass scores the final iterates. Returns the survivors'
+    restart ids, running-best losses and the pairs (S, 2, 12) that reached
+    them, or None where the escape rule fired, and the iterations run,
+    summed over the rows.
     """
     starts = []
     for r in range(cfg.restarts):
@@ -565,7 +558,8 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int], denominator: int, outsi
             ids, rows, vel, best_loss, best_rows = (
                 a[kept] for a in (ids, rows, vel, best_loss, best_rows)
             )
-            if outside is not None and _escapes(rows, outside, cfg.sharpness):
+            level = 1.0 + _ESCAPE_MARGIN / cfg.sharpness
+            if outside is not None and _union_below(rows, outside, level).any():
                 return None, spent
         # The pass after the last step only scores the final iterates.
         last = t == cfg.iterations

@@ -145,7 +145,8 @@ def load_mesh(path) -> Mesh:
     Faces with more than three vertices are fan-triangulated around their
     first vertex. Texture/normal references (v/vt/vn forms) are accepted and
     ignored. Raises MeshFormatError for malformed or non-finite records, bad
-    indices or non-UTF-8 text, OSError if the file cannot be read.
+    indices or non-UTF-8 text, OSError if the file cannot be read. A
+    leading UTF-8 byte-order mark is skipped.
 
     The file is read once and each line split once. The coordinate tokens
     of every ``v`` record and the vertex references of every ``f`` record
@@ -154,7 +155,7 @@ def load_mesh(path) -> Mesh:
     lines again, record by record, and raises the error of the first bad
     record in file order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.read().split("\n")
         except UnicodeDecodeError as exc:

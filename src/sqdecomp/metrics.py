@@ -8,7 +8,7 @@ import numpy as np
 
 from .geometry import SAMPLING_DOMAIN, LabeledPointSet, Mesh, as_labels, point_in_mesh
 from .sqtree import SqTree
-from .superquadric import FieldWorkspace, _log_field
+from .superquadric import _union_below
 
 
 class EmptyUnionError(ValueError):
@@ -24,11 +24,7 @@ def predicted_label(sqs, points) -> np.ndarray:
     sqs = list(sqs)
     if not sqs:
         raise ValueError("need at least one superquadric")
-    ws = FieldWorkspace(points)
-    out = np.zeros(ws.n, dtype=bool)
-    for sq in sqs:
-        out |= _log_field(sq, ws)[0] < 1.0
-    return out.astype(np.uint8)
+    return _union_below([sq.params() for sq in sqs], points, 1.0).astype(np.uint8)
 
 
 def label_iou(predicted, truth) -> float:

@@ -42,7 +42,9 @@ def icosphere(radius: float = 1.0, subdivisions: int = 2, center=(0.0, 0.0, 0.0)
     Each level splits face (a, b, c) into (a, ab, ca), (b, bc, ab), (c, ca, bc)
     and (ab, bc, ca); the edge midpoints, pushed out to the unit sphere, are
     numbered in the order their edges first appear (faces in order, edges ab,
-    bc, ca)."""
+    bc, ca). Raises ValueError for a negative ``subdivisions``."""
+    if subdivisions < 0:
+        raise ValueError(f"subdivisions must be >= 0, got {subdivisions}")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [

@@ -36,7 +36,7 @@ def _pair_fields(sq_a: Superquadric, sq_b: Superquadric, points):
     ws = FieldWorkspace(points, 2)
     _value_pass(ws, np.array([sq_a.params(), sq_b.params()]))
     h_a, h_b = ws.h
-    d_a, d_b = _radial(sq_a, ws, 0), _radial(sq_b, ws, 1)
+    d_a, d_b = _radial(ws, 0), _radial(ws, 1)
     in_a, in_b = h_a < 1.0, h_b < 1.0
     # Containment wins outright; the remaining cases compare fields.
     to_a = np.where(in_a == in_b, np.where(in_a, h_a >= h_b, d_a <= d_b), in_a)

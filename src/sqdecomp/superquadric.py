@@ -33,14 +33,16 @@ every ufunc runs over n contiguous values: points as (3, n) and, in a
 (3, K, n) and scalar ones as (K, n). A superquadric moves between the
 kernel, the fitter and the split as one parameter row (12,), the layout of
 :meth:`Superquadric.params`. A value pass fills slots 0 to K-1 from K such
-rows, each slot's scalars broadcast as (K, 1) columns; :func:`_log_field` is
-its one-slot call. A gradient call takes its rows as flat indices k*n + i
+rows, each slot's scalars broadcast as (K, 1) columns; an evaluator
+passes its one row. A gradient call takes its rows as flat indices k*n + i
 (slot k, point i) of any slots in any order, and gathers each row's
-parameters by slot. Each evaluator transposes its points once per call and
-uses one slot per superquadric; the fitter puts all the superquadrics of a
-node's restarts in the slots of one workspace and passes them as rows,
-never as Superquadric objects. :func:`check_parameters` is the one validity
-check, for one row or a batch of rows.
+parameters by slot; :func:`_radial` reads a slot's radial distance from
+that slot alone, its row included. :func:`_union_below`, where some of a
+set of rows is below a level of h, is the one test of a union of
+superquadrics. The fitter puts all the superquadrics of a node's restarts
+in the slots of one workspace and passes them as rows, never as
+Superquadric objects. :func:`check_parameters` is the one validity check,
+for one row or a batch of rows.
 """
 
 from __future__ import annotations
@@ -283,15 +285,16 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     np.exp(h, out=h)
 
 
-def _log_field(sq: Superquadric, ws: FieldWorkspace):
-    """The value pass of one superquadric into slot 0.
-
-    Returns (h, ln_f, local): h = F^e1 (n,), ln F (n,) and the local
-    coordinates (3, n), as views of slot 0 that the next pass overwrites.
-    A pass also overwrites the last gradient block.
-    """
-    _value_pass(ws, sq.params()[None])
-    return ws.h[0], ws.ln_f[0], ws.local[:, 0]
+def _union_below(rows, points, level: float) -> np.ndarray:
+    """Mask (n,) of the points (n, 3) where some parameter row of ``rows``
+    (..., 12) has h = F^e1 < ``level``, from one one-slot value pass per
+    row in one workspace."""
+    ws = FieldWorkspace(points)
+    out = np.zeros(ws.n, dtype=bool)
+    for row in np.reshape(rows, (-1, 12)):
+        _value_pass(ws, row[None])
+        out |= ws.h[0] < level
+    return out
 
 
 def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -424,17 +427,17 @@ def inside_outside(sq: Superquadric, x) -> np.ndarray:
     :func:`inside_outside_stable` for anything quantitative.
     """
     ws = FieldWorkspace(x)
-    _, ln_f, _ = _log_field(sq, ws)
+    _value_pass(ws, sq.params()[None])
     with np.errstate(over="ignore"):
-        f = np.exp(ln_f)
+        f = np.exp(ws.ln_f[0])
     return f[0] if ws.single else f
 
 
 def inside_outside_stable(sq: Superquadric, x) -> np.ndarray:
     """F^e1: same level sets and same side of 1 as F, but bounded growth."""
     ws = FieldWorkspace(x)
-    h, _, _ = _log_field(sq, ws)
-    return h[0] if ws.single else h
+    _value_pass(ws, sq.params()[None])
+    return ws.h[0, 0] if ws.single else ws.h[0]
 
 
 def occupancy(sq: Superquadric, x, cfg: OccupancyConfig = OccupancyConfig()) -> np.ndarray:
@@ -455,17 +458,18 @@ def radial_distance(sq: Superquadric, x) -> np.ndarray:
     this cannot happen.
     """
     ws = FieldWorkspace(x)
-    _log_field(sq, ws)
-    d = _radial(sq, ws, 0)
+    _value_pass(ws, sq.params()[None])
+    d = _radial(ws, 0)
     return d[0] if ws.single else d
 
 
-def _radial(sq: Superquadric, ws: FieldWorkspace, k: int):
+def _radial(ws: FieldWorkspace, k: int):
     """:func:`radial_distance` at the workspace's points, read from slot
-    ``k`` after a value pass of ``sq`` into it."""
+    ``k`` of the last value pass: its local coordinates, ln F, and e1 and
+    the sizes of its parameter column."""
     r = np.linalg.norm(ws.local[:, k], axis=0)
-    d = r * np.abs(1.0 - np.exp(-0.5 * sq.exponents[0] * ws.ln_f[k]))
-    return np.where(r < 1e-12, np.min(sq.size), d)
+    d = r * np.abs(1.0 - np.exp(-0.5 * ws.params[3, k] * ws.ln_f[k]))
+    return np.where(r < 1e-12, np.min(ws.params[0:3, k]), d)
 
 
 def occupancy_gradient(
@@ -478,9 +482,9 @@ def occupancy_gradient(
     for a single point or (n, 11) for a batch.
     """
     ws = FieldWorkspace(x, grad=True)
-    h, _, _ = _log_field(sq, ws)
+    _value_pass(ws, sq.params()[None])
     dh = _field_gradient(ws, np.arange(ws.n), np.empty((ws.n, 11)))
-    g = expit(cfg.sharpness * (1.0 - h))
+    g = expit(cfg.sharpness * (1.0 - ws.h[0]))
     dg_dh = -cfg.sharpness * g * (1.0 - g)
     grad = dg_dh[:, None] * dh
     if not np.all(np.isfinite(grad)):

@@ -14,7 +14,7 @@ from sqdecomp.geometry import (
     _PARALLEL_EPS,
     RayDegeneracyError,
 )
-from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _log_field, _value_pass
+from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _value_pass
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -171,7 +171,12 @@ def reaches(pairs, points, sharpness: float) -> bool:
     the escape rule of ``fitter._race``."""
     ws = FieldWorkspace(points)
     limit = 1.0 + np.log(10.0) / sharpness
-    return any((_log_field(sq, ws)[0] < limit).any() for pair in pairs for sq in pair)
+
+    def below(sq):
+        _value_pass(ws, sq.params()[None])
+        return (ws.h[0] < limit).any()
+
+    return any(below(sq) for pair in pairs for sq in pair)
 
 
 def write_obj_records_reference(fh, vertices, triangles, base: int = 0) -> None:
@@ -187,7 +192,8 @@ def field_and_gradient(sq, points):
     """h at every point and its (n, 11) gradient at every row, computed
     alone: a one-slot workspace and one full-row gradient call."""
     ws = FieldWorkspace(points, grad=True)
-    h = _log_field(sq, ws)[0].copy()
+    _value_pass(ws, sq.params()[None])
+    h = ws.h[0].copy()
     return h, _field_gradient(ws, np.arange(len(points)), np.empty((len(points), 11)))
 
 

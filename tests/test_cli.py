@@ -509,6 +509,23 @@ class TestExitCodeMapping:
         assert code == 1
         assert "error:" in err
 
+    def test_tree_without_a_complete_level_is_refused_before_the_mesh(self, capsys, tmp_path):
+        """eval checks the tree before it reads the mesh: against a missing
+        mesh it used to report the missing file, after an empty tree."""
+        tree = SqTree(max_depth=2)
+        sq = Superquadric(np.full(3, 0.2), np.ones(2))
+        tree.add_node(SqPairNode(depth=1, index=1, sq_a=sq, sq_b=sq))
+        path = tmp_path / "tree.json"
+        save_tree(tree, None, path)
+        doc = json.loads(path.read_text())
+        doc["nodes"] = []
+        path.write_text(json.dumps(doc))
+        missing = tmp_path / "missing.obj"
+        code, _, err = run(capsys, ["eval", str(path), str(missing), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"error: {path}: tree has no complete level" in err
+        assert "No such file" not in err
+
 
 class TestReadme:
     def test_fit_flag_table_names_every_fit_option(self):

@@ -104,6 +104,20 @@ class TestTreeRoundTrip:
         with pytest.raises(OSError):
             load_tree(tmp_path / "nope.json")
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        """A BOM-prefixed tree used to be refused as not valid JSON."""
+        tree = build_tree(2, seed=13)
+        path = tmp_path / "tree.json"
+        save_tree(tree, None, path)
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded, metadata = load_tree(marked)
+        assert metadata == {}
+        assert set(loaded.nodes) == set(tree.nodes)
+        for key, node in tree.nodes.items():
+            np.testing.assert_array_equal(loaded.nodes[key].sq_a.params(), node.sq_a.params())
+            np.testing.assert_array_equal(loaded.nodes[key].sq_b.params(), node.sq_b.params())
+
 
 class TestTreeFormatErrors:
     def test_corrupt_json(self, tmp_path):

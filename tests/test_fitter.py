@@ -37,10 +37,10 @@ from sqdecomp import quaternions as quat
 from sqdecomp.fitter import (
     _ESCAPE_MARGIN,
     _PairBatch,
-    _escapes,
     _pair_rows,
     _race,
     _support,
+    _union_below,
     init_node,
 )
 
@@ -198,6 +198,13 @@ class TestFitConfig:
         p.write_text("iterations 100\n")
         with pytest.raises(ConfigError):
             FitConfig.from_file(p)
+
+    def test_from_file_skips_a_leading_byte_order_mark(self, tmp_path):
+        """The BOM used to stick to the first key: unknown key '\\ufeffmax_depth'."""
+        p = tmp_path / "fit.cfg"
+        p.write_bytes(b"\xef\xbb\xbfmax_depth = 3\niterations = 250\n")
+        cfg = FitConfig.from_file(p)
+        assert (cfg.max_depth, cfg.iterations) == (3, 250)
 
     def test_from_file_rejects_text_that_is_not_utf8(self, tmp_path):
         """A bare UnicodeDecodeError used to escape, without the path."""
@@ -781,16 +788,24 @@ class TestSupport:
         assert fit.loss == ref_loss
 
 
+def escapes(rows, outside, sharpness) -> int:
+    """How many of the ``outside`` points the escape rule of fitter._race
+    finds reached by one of the pairs ``rows`` (L, 2, 12)."""
+    return int(np.count_nonzero(_union_below(rows, outside, 1.0 + _ESCAPE_MARGIN / sharpness)))
+
+
 def escape_counts(monkeypatch) -> list:
-    """Record what every escape check of fitter._race finds."""
+    """Record how many points every escape check of fitter._race finds
+    reached."""
     counts = []
-    check = fitter._escapes
+    check = fitter._union_below
 
-    def counted(rows, outside, sharpness):
-        counts.append(check(rows, outside, sharpness))
-        return counts[-1]
+    def counted(rows, outside, level):
+        mask = check(rows, outside, level)
+        counts.append(int(np.count_nonzero(mask)))
+        return mask
 
-    monkeypatch.setattr(fitter, "_escapes", counted)
+    monkeypatch.setattr(fitter, "_union_below", counted)
     return counts
 
 
@@ -806,9 +821,9 @@ class TestEscapeRule:
         radii = limit * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0])
         outside = (radii[:, None, None] * np.eye(3)).reshape(-1, 3)
         rows = _pair_rows([(far, far), (far, sphere), (sphere, far)])
-        assert _escapes(rows, outside, sharpness) == 6
-        assert _escapes(rows[[0, 2]], outside, sharpness) == 6
-        assert _escapes(rows[[0]], outside, sharpness) == 0
+        assert escapes(rows, outside, sharpness) == 6
+        assert escapes(rows[[0, 2]], outside, sharpness) == 6
+        assert escapes(rows[[0]], outside, sharpness) == 0
 
     def test_reaching_pair_refits_on_every_point(self, monkeypatch):
         """At s = 1 a pair that covers the inside points has an occupancy

@@ -100,6 +100,17 @@ class TestLoadMesh:
         with pytest.raises(OSError):
             load_mesh(tmp_path / "nope.obj")
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        """A UTF-8 BOM used to hide the first vertex record, which shifted
+        every face index by one."""
+        body = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 2 4 3\n"
+        plain = load_mesh(write_obj(tmp_path / "plain.obj", body))
+        marked = tmp_path / "bom.obj"
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        mesh = load_mesh(marked)
+        assert mesh.vertices.tobytes() == plain.vertices.tobytes()
+        np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2], [1, 3, 2]])
+
     def test_save_load_round_trip(self, tmp_path):
         mesh = box(center=(0.1, -0.2, 0.05), size=(0.4, 0.3, 0.6))
         save_mesh(mesh, tmp_path / "b.obj")
@@ -239,6 +250,11 @@ class TestIcosphere:
             assert mesh.vertices.tobytes() == vertices.tobytes()
             assert mesh.triangles.dtype == faces.dtype
             assert np.array_equal(mesh.triangles, faces)
+
+    def test_negative_subdivisions_rejected(self):
+        """A negative count used to return the bare icosahedron."""
+        with pytest.raises(ValueError, match="subdivisions must be >= 0, got -3"):
+            icosphere(subdivisions=-3)
 
 
 class TestNormalize:

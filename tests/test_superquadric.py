@@ -17,12 +17,14 @@ from sqdecomp import (
     world_to_local,
 )
 from sqdecomp import quaternions as quat
+from sqdecomp.fitter import _ESCAPE_MARGIN
 from sqdecomp.superquadric import (
     QUATERNION_NORM_TOL,
     FieldWorkspace,
     _field_gradient,
-    _log_field,
     _logaddexp,
+    _radial,
+    _union_below,
     _value_pass,
     check_parameters,
 )
@@ -30,6 +32,13 @@ from sqdecomp.superquadric import (
 
 def unit_sphere() -> Superquadric:
     return Superquadric(np.ones(3), np.ones(2))
+
+
+def one_slot_pass(sq, ws):
+    """The value pass of ``sq``'s one row into slot 0 of ``ws``: its h, ln F
+    and local coordinates, as views that the next pass overwrites."""
+    _value_pass(ws, sq.params()[None])
+    return ws.h[0], ws.ln_f[0], ws.local[:, 0]
 
 
 def pinned_points(sqs):
@@ -251,12 +260,12 @@ class TestFieldKernel:
             sq = random_superquadric(rng)
             if exponents is not None:
                 sq = Superquadric(sq.size, exponents, sq.translation, sq.rotation)
-            h, ln_f, local = (a.copy() for a in _log_field(sq, FieldWorkspace(pts)))
+            h, ln_f, local = (a.copy() for a in one_slot_pass(sq, FieldWorkspace(pts)))
             assert local.shape == (3, len(pts))
             assert np.array_equal(local, world_to_local(sq, pts).T)
             assert np.array_equal(h, inside_outside_stable(sq, pts))
             ws = FieldWorkspace(pts, grad=True)
-            h_g, ln_f_g, local_g = _log_field(sq, ws)
+            h_g, ln_f_g, local_g = one_slot_pass(sq, ws)
             assert np.shares_memory(h_g, ws.h)
             assert np.array_equal(h, h_g)
             assert np.array_equal(ln_f, ln_f_g)
@@ -277,10 +286,10 @@ class TestFieldKernel:
         n=st.sampled_from([1, 37, 3000, 4500, 20_000]),
         grad=st.booleans(),
     )
-    def test_value_pass_over_slots_is_one_slot_log_field_bitwise(self, seed, slots, n, grad):
+    def test_value_pass_over_slots_is_one_slot_pass_bitwise(self, seed, slots, n, grad):
         """One value pass over up to nine slots (of a workspace of up to
         ten, whose scratch outgrows the gradient block from ten slots on)
-        writes each slot bit for bit what a one-slot ``_log_field`` call
+        writes each slot bit for bit what a one-slot pass of its row
         writes, and the gradient rows that follow are bitwise the one-slot
         ones too."""
         rng = np.random.default_rng(seed)
@@ -290,7 +299,7 @@ class TestFieldKernel:
         _value_pass(ws, np.array([sq.params() for sq in sqs]))
         for k, sq in enumerate(sqs):
             alone = FieldWorkspace(pts, grad=grad)
-            h, ln_f, local = _log_field(sq, alone)
+            h, ln_f, local = one_slot_pass(sq, alone)
             assert np.array_equal(ws.h[k], h)
             assert np.array_equal(ws.ln_f[k], ln_f)
             assert np.array_equal(ws.ln_s[k], alone.ln_s[0])
@@ -300,6 +309,39 @@ class TestFieldKernel:
                 rows = np.flatnonzero(rng.random(n) < 0.5)
                 dh = _field_gradient(ws, k * n + rows, np.empty((len(rows), 11)))
                 assert np.array_equal(dh, _field_gradient(alone, rows, np.empty_like(dh)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 8),
+        n=st.integers(1, 300),
+        sharpness=st.sampled_from([None, 1.0, 10.0, 50.0]),
+    )
+    def test_union_below_is_any_slot_of_one_pass_bitwise(self, seed, rows, n, sharpness):
+        """The union test, one one-slot pass per row, marks exactly the
+        points where one pass over all the rows has some slot below the
+        level: at level 1 (``predicted_label``) and at the escape rule's
+        1 + ln(10) / s, on random points, the SQs' centers and axes, and
+        points on each SQ's surface at that level (h = level there, up to
+        rounding, since h scales as the square of a local scale factor)."""
+        rng = np.random.default_rng(seed)
+        level = 1.0 if sharpness is None else 1.0 + _ESCAPE_MARGIN / sharpness
+        sqs = [random_superquadric(rng) for _ in range(rows)]
+        on_level = [
+            surface_points(
+                Superquadric(np.sqrt(level) * sq.size, sq.exponents, sq.translation, sq.rotation),
+                6,
+                8,
+            ).reshape(-1, 3)
+            for sq in sqs
+        ]
+        pts = np.vstack([rng.uniform(-1.2, 1.2, (n, 3)), pinned_points(sqs), *on_level])
+        params = np.array([sq.params() for sq in sqs])
+        ws = FieldWorkspace(pts, rows)
+        _value_pass(ws, params)
+        expected = (ws.h < level).any(axis=0)
+        assert np.array_equal(_union_below(params, pts, level), expected)
+        assert np.array_equal(_union_below(params[None], pts, level), expected)
 
     def test_workspace_must_fit_the_call(self):
         pts = np.zeros((4, 3))
@@ -424,6 +466,19 @@ class TestRadialDistance:
     def test_center_falls_back_to_smallest_size(self):
         sq = Superquadric(np.array([0.2, 0.5, 0.8]), np.array([0.7, 1.3]))
         assert radial_distance(sq, sq.translation) == pytest.approx(0.2)
+
+    def test_every_slot_of_a_pass_is_its_sq_bitwise(self):
+        """``_radial`` reads e1 and the sizes from its slot's own row, so
+        each slot of a many-slot pass gives its SQ's ``radial_distance`` bit
+        for bit, at the centers (the smallest-size fallback) too."""
+        rng = np.random.default_rng(13)
+        for slots in (1, 2, 5, 8):
+            sqs = [random_superquadric(rng) for _ in range(slots)]
+            pts = np.vstack([rng.uniform(-1.2, 1.2, (500, 3)), pinned_points(sqs)])
+            ws = FieldWorkspace(pts, slots)
+            _value_pass(ws, np.array([sq.params() for sq in sqs]))
+            for k, sq in enumerate(sqs):
+                assert np.array_equal(_radial(ws, k), radial_distance(sq, pts))
 
 
 class TestOccupancy:
