@@ -31,8 +31,8 @@ A restart that survives does exactly the arithmetic of an uncut one, so
 wherever the overall winner survives the result is bit for bit that of
 running every restart to the end; at four restarts the cut saves a quarter
 of the iterations. The best iterate ever seen by the surviving restarts is
-returned, so its objective on the node's support (below) never exceeds
-any restart's initial one.
+returned, so its objective on the node's support (below), as the race
+computes it, never exceeds any restart's initial one.
 
 Each node is fitted on its support: the points inside the axis-aligned box
 of its inside-labeled points, each half-extent scaled by
@@ -72,6 +72,17 @@ them names the node, the restart, the iteration and the step size.
 Superquadric objects are built only for the returned pair. Every value a
 restart gets is bitwise the one it gets run alone.
 
+The race computes in float32 (``_RACE_DTYPE``): its workspace holds the
+points, the kept field values, the parameter columns and the scratch in
+float32, and so are the occupancy, credited-occupancy, residual and label
+arrays of its batch. Whatever is kept, compared against a bound or
+reported stays float64: the parameter rows, velocities and momentum step,
+each restart's loss (its float32 terms summed in float64), and the
+gradient rows, which the kernel writes out as float64, with their
+weighted sums. The loss a fit reports (``node_loss``), the escape check
+and the split are float64 passes. A fit is deterministic, but no longer
+bit for bit a float64 race's.
+
 Nodes without a single inside-labeled point get a degenerate sentinel pair
 (two minimum-size SQs at the point centroid) and are not optimized; their
 children inherit empty label sets and therefore the same treatment.
@@ -109,6 +120,9 @@ ACTIVE_RESIDUAL = 1e-9
 
 # The restarts race to iterations // _CUT_DIVISOR, then half of them stop.
 _CUT_DIVISOR = 2
+# The field and loss arithmetic of the race; parameters, losses and
+# gradient rows stay float64.
+_RACE_DTYPE = np.float32
 
 # A node's support is the box of its inside points, each half-extent times
 # _SUPPORT_SCALE plus _SUPPORT_MARGIN.
@@ -268,7 +282,7 @@ def node_loss(
     max(g_a, g_b); the value is the loss of :meth:`_PairBatch.evaluate`.
     """
     ps = LabeledPointSet(points, labels)
-    batch = _PairBatch(ps.points, ps.labels.astype(np.float64), cfg.sharpness, 1, grad=False)
+    batch = _PairBatch(ps.points, ps.labels, cfg.sharpness, 1, grad=False)
     losses, _ = batch.evaluate(_pair_rows([(sq_a, sq_b)]), grad=False)
     return float(losses[0])
 
@@ -289,23 +303,26 @@ class _PairBatch:
     lives here, so a node's iterations allocate nothing that the allocator
     maps and unmaps. The loss and gradient are sums over the n points
     divided by ``denominator``, n by default: a node fitted on its support
-    passes its full point count.
+    passes its full point count. ``dtype`` is that of the workspace and of
+    the per-point loss arrays, float64 for ``node_loss`` and
+    ``_RACE_DTYPE`` in the race; the losses are summed, and the gradient
+    rows and their sums computed, in float64 either way.
     """
 
     def __init__(
         self, points, y, sharpness: float, pairs: int, grad: bool = True,
-        denominator: int | None = None,
+        denominator: int | None = None, dtype=np.float64,
     ):
         n = len(points)
-        self.field = FieldWorkspace(points, 2 * pairs, grad)
-        self.y, self.sharpness = y, sharpness
+        self.field = FieldWorkspace(points, 2 * pairs, grad, dtype)
+        self.y, self.sharpness = np.asarray(y, dtype), sharpness
         self.denominator = n if denominator is None else denominator
-        self.inside = y == 1.0
-        self.g, self.credited = np.empty((pairs, n)), np.empty((pairs, n))
+        self.inside = self.y == 1.0
+        self.g, self.credited = np.empty((pairs, n), dtype), np.empty((pairs, n), dtype)
         if grad:
             # Pair j's residuals at [j, 0] and a copy at [j, 1]: [j, side, i]
             # is the residual of slot 2j + side at point i.
-            self.residual = np.empty((pairs, 2, n))
+            self.residual = np.empty((pairs, 2, n), dtype)
             self.a_wins, self.flag = (np.empty((pairs, n), dtype=bool) for _ in range(2))
             self.sides = np.empty((pairs, 2, n), dtype=bool)
             # The active rows, on one side of each pair: at most pairs * n.
@@ -363,7 +380,7 @@ class _PairBatch:
         np.maximum(credited, LOG_CLAMP, out=credited)
         np.log(credited, out=credited)
         np.negative(credited, out=credited)
-        losses = credited.sum(axis=1) / self.denominator
+        losses = credited.sum(axis=1, dtype=np.float64) / self.denominator
         if not grad:
             return losses, None
 
@@ -376,14 +393,17 @@ class _PairBatch:
         np.logical_not(a_wins, out=a_wins)
         np.logical_and(flag, a_wins, out=sides[:, 1])
         # The active rows as flat indices k n + i (slot k, point i), in slot
-        # order, each with its residual / denominator.
+        # order, each with its residual / denominator in float64.
         flat = sides.reshape(-1)
         counts = np.count_nonzero(sides, axis=2).ravel()
         ends = np.cumsum(counts)
         idx, weight, dh = self.rows[:ends[-1]], self.weight[:ends[-1]], self.dh[:ends[-1]]
         np.compress(flat, self.index[:flat.size], out=idx)
-        np.compress(flat, self.residual[:pairs].reshape(-1), out=weight)
-        np.divide(weight, self.denominator, out=weight)
+        # np.compress will not cast into the float64 weights, so the
+        # residuals pass through g's buffer, in the batch's dtype.
+        picked = g.reshape(-1)[:ends[-1]]
+        np.compress(flat, self.residual[:pairs].reshape(-1), out=picked)
+        np.divide(picked, self.denominator, out=weight, dtype=np.float64)
         for start in range(0, len(idx), n):
             _field_gradient(ws, idx[start:start + n], dh[start:start + n])
         # dz/dparams = -sharpness * dh/dparams on the winning side only.
@@ -544,7 +564,7 @@ def _race(pts, y, cfg: FitConfig, node: tuple[int, int], denominator: int, outsi
         )
         starts.append(init_node(pts, y, cfg, restart=r, rng=rng))
     batch = _PairBatch(
-        pts, y.astype(np.float64), cfg.sharpness, cfg.restarts, denominator=denominator
+        pts, y, cfg.sharpness, cfg.restarts, denominator=denominator, dtype=_RACE_DTYPE
     )
     rows = _pair_rows(starts)
     ids, vel = np.arange(cfg.restarts), np.zeros((cfg.restarts, 22))

@@ -43,6 +43,11 @@ superquadrics. The fitter puts all the superquadrics of a node's restarts
 in the slots of one workspace and passes them as rows, never as
 Superquadric objects. :func:`check_parameters` is the one validity check,
 for one row or a batch of rows.
+
+A workspace computes in one dtype. The public evaluators, the split and
+the union test use float64; the fitter's race uses float32, and its
+gradient rows are written out as float64 all the same. Within a dtype
+every result is deterministic; float32 results are not float64's bits.
 """
 
 from __future__ import annotations
@@ -198,21 +203,26 @@ class FieldWorkspace:
     and in a scratch that holds all K slots. With ``grad`` set the scratch
     also holds one gradient block of up to n rows of any slots, and
     ``slot_point`` the slot and point of each of its rows.
+
+    ``dtype`` (float64 by default; the fitter's race asks for float32) is
+    that of the points, the kept values, the parameter columns and the
+    scratch, so a pass and a gradient call compute in it; a gradient call
+    writes its rows into the caller's ``out`` in that array's own dtype.
     """
 
-    def __init__(self, points, k: int = 1, grad: bool = False):
+    def __init__(self, points, k: int = 1, grad: bool = False, dtype=np.float64):
         pts, self.single = as_points(points)
         n = len(pts)
-        self.n, self.grad = n, grad
-        self.points = np.ascontiguousarray(pts.T)
-        kept = np.empty((6, k, n))
+        self.n, self.grad, self.dtype = n, grad, dtype
+        self.points = np.ascontiguousarray(pts.T, dtype=dtype)
+        kept = np.empty((6, k, n), dtype)
         self.kept = kept.reshape(6, k * n)
         self.local, self.ln_s, self.ln_f, self.h = kept[0:3], kept[3], kept[4], kept[5]
-        self.params = np.empty((_N_PARAMS, k))
+        self.params = np.empty((_N_PARAMS, k), dtype)
         # A value pass never overlaps a gradient call, so its scratch is
         # the gradient block.
         rows = max(_BLOCK_ROWS, _VALUE_SCRATCH * k) if grad else _VALUE_SCRATCH * k
-        self.scratch = np.empty(rows * n)
+        self.scratch = np.empty(rows * n, dtype)
         if grad:
             self.slot_point = np.empty((2, n), dtype=np.intp)
             self.pinned = np.empty(3 * n, dtype=bool)
@@ -256,7 +266,8 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     np.divide(2.0, prm[4], out=prm[8])
     np.divide(prm[4], prm[3], out=prm[9])
     np.divide(2.0, prm[3], out=prm[10])
-    rot = quat.to_matrix(rows[:, 8:12])
+    # A matmul of mixed dtypes would take a slower loop than either's own.
+    rot = quat.to_matrix(rows[:, 8:12]).astype(ws.dtype, copy=False)
     prm[11:20] = rot.reshape(count, 9).T
     cols = prm[:, :, None]
     a, (e1, e2), t, (c2e2, ce2e1, c2e1) = cols[0:3], cols[3:5], cols[5:8], cols[8:11]

@@ -5,7 +5,14 @@ from scipy.special import expit
 
 from sqdecomp import OccupancyConfig, Superquadric, occupancy
 from sqdecomp import quaternions as quat
-from sqdecomp.fitter import ACTIVE_RESIDUAL, LOG_CLAMP, MOMENTUM, FitConfig, init_node
+from sqdecomp.fitter import (
+    _RACE_DTYPE,
+    ACTIVE_RESIDUAL,
+    LOG_CLAMP,
+    MOMENTUM,
+    FitConfig,
+    init_node,
+)
 from sqdecomp.geometry import (
     _BARY_EPS,
     _COPLANAR_DIST,
@@ -97,14 +104,70 @@ def triangle_terms(corners: np.ndarray, direction: np.ndarray, scale: float):
 
 
 def _classify_chunk(points: np.ndarray, corners: np.ndarray, direction: np.ndarray, scale: float):
+    """:func:`classify_dense`, with the crossing test evaluated only at the
+    (point, triangle) pairs that can pass it.
+
+    A pair counts only where its hit is within the widened triangle
+    (``bary_wide``) and not behind the point by more than the on-surface
+    tolerance. Such a hit is a combination of the triangle's corners with
+    weights of at least -_BARY_EPS, so in a frame of two axes across the ray
+    and one along it the point lies inside the box of the triangle's
+    corners across the ray and not past the box's far end along it. The
+    weights allow 2 _BARY_EPS times the box's extent, at most sqrt(3)
+    scale, past each bound; each is padded by 4 _BARY_EPS scale, which
+    leaves room for rounding, and the far end also by the on-surface
+    tolerance. Triangles parallel to the ray get the dense plane check.
+    """
+    a, e1, e2, pvec, det, parallel = triangle_terms(corners, direction, scale)
+    # Rows: two unit axes across the ray, then the ray's direction.
+    across = np.linalg.svd(direction[None, :])[2][1:]
+    frame = np.vstack([across, direction])
+    p, c = points @ frame.T, corners @ frame.T
+    lo, hi = c.min(axis=1), c.max(axis=1)
+    pad = 4.0 * _BARY_EPS * scale
+    near = ~parallel[None, :] & (p[:, None, 2] <= hi[None, :, 2] + pad + _ON_SURFACE_T * scale)
+    for k in (0, 1):
+        near &= (p[:, None, k] >= lo[None, :, k] - pad) & (p[:, None, k] <= hi[None, :, k] + pad)
+    point, tri = np.nonzero(near)
+
+    s = points[point] - a[tri]
+    u = np.einsum("pk,pk->p", s, pvec[tri]) / det[tri]
+    qvec = np.cross(s, e1[tri])
+    v = qvec @ direction / det[tri]
+    t_hit = np.einsum("pk,pk->p", qvec, e2[tri]) / det[tri]
+    bary_wide = (u > -_BARY_EPS) & (v > -_BARY_EPS) & (u + v < 1.0 + _BARY_EPS)
+    bary_strict = (u > _BARY_EPS) & (v > _BARY_EPS) & (u + v < 1.0 - _BARY_EPS)
+    forward = t_hit > _ON_SURFACE_T * scale
+
+    normal = np.cross(e1[parallel], e2[parallel])
+    norm_len = np.linalg.norm(normal, axis=1)
+    norm_len = np.where(norm_len == 0, 1.0, norm_len)
+    s = points[:, None, :] - a[parallel]
+    plane_dist = np.abs(np.einsum("ntk,tk->nt", s, normal)) / norm_len
+    coplanar = (plane_dist < _COPLANAR_DIST * scale).any(axis=1)
+
+    def some(pairs):
+        return np.bincount(point[pairs], minlength=len(points)) > 0
+
+    is_on_surface = some((np.abs(t_hit) <= _ON_SURFACE_T * scale) & bary_wide)
+    is_degenerate = (some(forward & bary_wide & ~bary_strict) | coplanar) & ~is_on_surface
+    parity = np.bincount(point[forward & bary_strict], minlength=len(points)) & 1
+    resolved = is_on_surface | ~is_degenerate
+    labels = np.where(is_on_surface, 1, parity).astype(np.uint8)
+    return resolved, labels
+
+
+def classify_dense(points: np.ndarray, corners: np.ndarray, direction: np.ndarray, scale: float):
     """Ray-parity test for one chunk of points against all triangles, with
     the tolerances of a mesh whose vertex box's longest side is ``scale``.
 
     The brute-force reference for ``geometry.point_in_mesh``, which tests
-    only the pairs its grid finds. Returns (resolved mask, inside labels). A point is unresolved when its ray
-    produced a degenerate intersection (hit near a triangle edge/vertex, or
-    ran parallel within a triangle's plane) and needs a different direction.
-    Points lying on the surface resolve immediately as inside.
+    only the pairs its grid finds, written over every (point, triangle)
+    pair. Returns (resolved mask, inside labels). A point is unresolved
+    when its ray produced a degenerate intersection (hit near a triangle
+    edge/vertex, or ran parallel within a triangle's plane) and needs a
+    different direction. Points lying on the surface resolve immediately as
+    inside.
     """
     a, e1, e2, pvec, det, parallel = triangle_terms(corners, direction, scale)
     safe_det = np.where(parallel, 1.0, det)
@@ -197,34 +260,41 @@ def field_and_gradient(sq, points):
     return h, _field_gradient(ws, np.arange(len(points)), np.empty((len(points), 11)))
 
 
-def pair_loss_and_grad(sq_a, sq_b, points, y, sharpness, ws=None, denominator=None):
+def pair_loss_and_grad(
+    sq_a, sq_b, points, y, sharpness, ws=None, denominator=None, dtype=_RACE_DTYPE
+):
     """Loss plus its (11,) gradients for both SQs of one pair.
 
     The one-pair reference for ``fitter._PairBatch.evaluate``, which runs
     the pairs of all restarts together: the same arithmetic written for one
     pair, as the fitter ran it before its restarts were batched (one value
     pass over the pair, the loss over 1-D arrays, and one gradient call and
-    one matrix-vector product per SQ over its own active rows). ``ws`` is an
-    optional two-slot gradient workspace at ``points``. The loss and the
-    gradient sum over the points and divide by ``denominator``, by default
-    their count, which makes the loss their mean.
+    one matrix-vector product per SQ over its own active rows). The field
+    and loss terms are computed in ``dtype``, by default the race's, and
+    summed in float64; the gradient rows and their weights are float64.
+    ``ws`` is an optional two-slot gradient workspace at ``points`` of that
+    dtype. The loss and the gradient sum over the points and divide by
+    ``denominator``, by default their count, which makes the loss their
+    mean.
     """
     n = len(points)
     denominator = n if denominator is None else denominator
-    ws = FieldWorkspace(points, 2, grad=True) if ws is None else ws
+    ws = FieldWorkspace(points, 2, grad=True, dtype=dtype) if ws is None else ws
+    y = np.asarray(y, ws.dtype)
     _value_pass(ws, np.array([sq_a.params(), sq_b.params()]))
     ha, hb = ws.h[0], ws.h[1]
     a_wins = ha <= hb
     g = expit(sharpness * (1.0 - np.minimum(ha, hb)))
     credited = np.where(y == 1.0, g, 1.0 - g)
-    loss = -np.log(np.maximum(credited, LOG_CLAMP)).sum() / denominator
+    loss = -np.log(np.maximum(credited, LOG_CLAMP)).sum(dtype=np.float64) / denominator
     residual = np.where(credited < LOG_CLAMP, 0.0, g - y)
     active = np.abs(residual) >= ACTIVE_RESIDUAL
     grads = []
     for k, wins in ((0, a_wins), (1, ~a_wins)):
         rows = np.flatnonzero(active & wins)
         dh = _field_gradient(ws, k * n + rows, np.empty((len(rows), 11)))
-        grads.append(-sharpness * ((residual[rows] / denominator) @ dh))
+        weight = residual[rows].astype(np.float64) / denominator
+        grads.append(-sharpness * (weight @ dh))
     return loss, grads[0], grads[1]
 
 
@@ -269,12 +339,13 @@ def optimize_pair_reference(
     """Momentum descent from one start, every iteration to the end.
 
     The loop ``fitter.fit_node`` ran per restart before its restarts raced,
-    on the loss of :func:`pair_loss_and_grad` with ``denominator``.
+    on the loss of :func:`pair_loss_and_grad` with ``denominator``, in the
+    race's dtype.
     Returns the best iterate seen, its loss, and the loss of every
     iteration in order (the post-loop evaluation of the last iterate not
     included). A list ``iterates`` receives the pair of every iteration.
     """
-    ws = FieldWorkspace(points, 2, grad=True)
+    ws = FieldWorkspace(points, 2, grad=True, dtype=_RACE_DTYPE)
     pa = np.concatenate([sq_a.size, sq_a.exponents, sq_a.translation])
     pb = np.concatenate([sq_b.size, sq_b.exponents, sq_b.translation])
     qa, qb = sq_a.rotation, sq_b.rotation
@@ -318,7 +389,7 @@ def fit_node_reference(
     Runs each restart in ``restarts`` (default: all of ``cfg.restarts``) to
     the end, in order, on the points selected by the mask ``support``
     (default: every point) with the loss divided by the count of all the
-    points, and keeps the best by strict ``<``. Returns that (sq_a, sq_b,
+    points, in the race's dtype, and keeps the best by strict ``<``. Returns that (sq_a, sq_b,
     objective) and a dict of each run restart's per-iteration objectives.
     A dict ``iterates`` receives each run restart's list of per-iteration
     pairs. The labels must hold at least one inside point.
@@ -328,7 +399,6 @@ def fit_node_reference(
     denominator = len(pts)
     if support is not None:
         pts, y = pts[support], y[support]
-    yf = y.astype(np.float64)
     best = None
     losses = {}
     for r in range(cfg.restarts) if restarts is None else restarts:
@@ -337,7 +407,7 @@ def fit_node_reference(
         )
         start_a, start_b = init_node(pts, y, cfg, restart=r, rng=rng)
         *result, losses[r] = optimize_pair_reference(
-            start_a, start_b, pts, yf, cfg, denominator,
+            start_a, start_b, pts, y, cfg, denominator,
             None if iterates is None else iterates.setdefault(r, []),
         )
         if best is None or result[2] < best[2]:

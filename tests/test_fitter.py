@@ -36,6 +36,7 @@ from sqdecomp import fitter
 from sqdecomp import quaternions as quat
 from sqdecomp.fitter import (
     _ESCAPE_MARGIN,
+    _RACE_DTYPE,
     _PairBatch,
     _pair_rows,
     _race,
@@ -360,22 +361,26 @@ class TestPairGradient:
     def test_batch_is_each_pair_alone_bitwise(self, sharpness):
         """Up to five pairs evaluated together, their active rows spread
         over several gradient chunks, give each pair bitwise the loss and
-        gradients of the one-pair reference; so does a value-only call."""
+        gradients of the one-pair reference; so does a value-only call. This
+        holds in float64, the dtype of ``node_loss``, and in the race's."""
         rng = np.random.default_rng(76)
         pts = rng.uniform(-0.6, 0.6, (500, 3))
         gt = random_superquadric(rng)
         y = (inside_outside_stable(gt, pts) < 1.0).astype(np.float64)
         pairs = [(random_superquadric(rng), random_superquadric(rng)) for _ in range(4)]
         pairs.append((pairs[0][0], pairs[0][0]))  # coincident: every point a tie
-        batch = _PairBatch(pts, y, sharpness, 5)
-        for live in (5, 3, 1):
-            losses, grads = batch.evaluate(_pair_rows(pairs[-live:]))
-            values, _ = batch.evaluate(_pair_rows(pairs[-live:]), grad=False)
-            for j, (sq_a, sq_b) in enumerate(pairs[-live:]):
-                loss, grad_a, grad_b = pair_loss_and_grad(sq_a, sq_b, pts, y, sharpness)
-                assert losses[j] == loss and values[j] == loss
-                assert np.array_equal(grads[2 * j], grad_a)
-                assert np.array_equal(grads[2 * j + 1], grad_b)
+        for dtype in (np.float64, _RACE_DTYPE):
+            batch = _PairBatch(pts, y, sharpness, 5, dtype=dtype)
+            for live in (5, 3, 1):
+                losses, grads = batch.evaluate(_pair_rows(pairs[-live:]))
+                values, _ = batch.evaluate(_pair_rows(pairs[-live:]), grad=False)
+                for j, (sq_a, sq_b) in enumerate(pairs[-live:]):
+                    loss, grad_a, grad_b = pair_loss_and_grad(
+                        sq_a, sq_b, pts, y, sharpness, dtype=dtype
+                    )
+                    assert losses[j] == loss and values[j] == loss
+                    assert np.array_equal(grads[2 * j], grad_a)
+                    assert np.array_equal(grads[2 * j + 1], grad_b)
 
 
 class TestFitNode:
@@ -785,7 +790,9 @@ class TestSupport:
         fit = fit_node(pts, labels, cfg)
         np.testing.assert_array_equal(fit.sq_a.params(), ref_a.params())
         np.testing.assert_array_equal(fit.sq_b.params(), ref_b.params())
-        assert fit.loss == ref_loss
+        (_, best_loss, _), _ = race_on_support(pts, labels, cfg)
+        assert best_loss.min() == ref_loss
+        assert fit.loss == node_loss(ref_a, ref_b, pts, labels, OccupancyConfig(cfg.sharpness))
 
 
 def escapes(rows, outside, sharpness) -> int:

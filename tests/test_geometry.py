@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _classify_chunk,
+    classify_dense,
     icosphere_reference,
     mesh_scale,
     point_in_mesh_reference,
@@ -629,6 +630,21 @@ class TestBinnedMatchesBruteForce:
                for i in range(0, len(pts), step)]
         np.testing.assert_array_equal(resolved, np.concatenate([r for r, _ in ref]))
         np.testing.assert_array_equal(labels, np.concatenate([lab for _, lab in ref]))
+
+    @pytest.mark.parametrize("name", ["box", "dumbbell", "table"])
+    def test_prefiltered_reference_is_the_dense_one(self, name):
+        """The reference tests only the pairs its box prefilter keeps; for
+        every retry direction its resolved mask and labels equal those of
+        testing every pair, at the probe points and the far points."""
+        mesh = self.MESHES[name]()
+        rng = np.random.default_rng(59)
+        pts = np.vstack([probe_points(mesh, rng, 300), far_points(mesh, rng, 300)])
+        corners, scale = mesh.triangle_corners, mesh_scale(mesh)
+        for direction in _DIRECTIONS:
+            resolved, labels = _classify_chunk(pts, corners, direction, scale)
+            dense_resolved, dense_labels = classify_dense(pts, corners, direction, scale)
+            np.testing.assert_array_equal(resolved, dense_resolved)
+            np.testing.assert_array_equal(labels, dense_labels)
 
     @settings(max_examples=25, deadline=None)
     @given(

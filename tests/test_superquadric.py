@@ -19,7 +19,9 @@ from sqdecomp import (
 from sqdecomp import quaternions as quat
 from sqdecomp.fitter import _ESCAPE_MARGIN
 from sqdecomp.superquadric import (
+    EXPONENT_BOUNDS,
     QUATERNION_NORM_TOL,
+    SIZE_BOUNDS,
     FieldWorkspace,
     _field_gradient,
     _logaddexp,
@@ -421,6 +423,41 @@ class TestFieldKernel:
             slot, point = np.divmod(chunk, n)
             assert np.array_equal(out, full[slot, point])
             start += len(chunk)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.lists(st.one_of(st.sampled_from(SIZE_BOUNDS), st.floats(*SIZE_BOUNDS)),
+                      min_size=3, max_size=3),
+        exponents=st.lists(
+            st.one_of(st.sampled_from(EXPONENT_BOUNDS), st.floats(*EXPONENT_BOUNDS)),
+            min_size=2, max_size=2,
+        ),
+    )
+    def test_float32_kernel_is_finite_and_near_float64(self, seed, size, exponents):
+        """The race's float32 field kernel, at rows on the size and exponent
+        bounds and at points in [-1.7, 1.7]^3 with the SQ's center and axes
+        (where the clamp pins the local coordinates): the value pass and
+        every gradient row are finite and raise no overflow, invalid or
+        divide warning, and h is within a relative 1e-4 of float64's. The
+        error comes from rounding the points and the log-space terms to
+        float32 (about 3e-5 at worst over 3,000 such rows); h itself stays
+        below about 4 (1.7 sqrt(3) / 0.005)^2, far from float32's range."""
+        rng = np.random.default_rng(seed)
+        sq = Superquadric(np.array(size), np.array(exponents), rng.uniform(-0.5, 0.5, 3),
+                          quat.normalize(rng.normal(size=4)))
+        pts = np.vstack([rng.uniform(-1.7, 1.7, (300, 3)), pinned_points([sq])])
+        rows = np.arange(len(pts))
+        h = {}
+        for dtype in (np.float64, np.float32):
+            ws = FieldWorkspace(pts, grad=True, dtype=dtype)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                _value_pass(ws, sq.params()[None])
+                dh = _field_gradient(ws, rows, np.empty((len(rows), 11)))
+            assert ws.h.dtype == dtype
+            assert np.isfinite(ws.kept).all() and np.isfinite(dh).all()
+            h[dtype] = ws.h[0].astype(np.float64)
+        np.testing.assert_allclose(h[np.float32], h[np.float64], rtol=1e-4, atol=0)
 
     def test_logaddexp_matches_numpy(self):
         """Within 4e-16 max(1, |x|, |y|) of np.logaddexp, on equal arguments,
