@@ -150,15 +150,17 @@ def export_level_obj(tree: SqTree, depth: int, path, resolution: int = 32) -> No
     quad-strip lattice (fan caps at the poles). ``resolution`` is the number
     of parametric samples per direction (>= 3).
     """
-    sqs = []
-    for node in tree.level_nodes(depth):
-        sqs.append((f"sq_{node.depth}_{node.index}_a", node.sq_a))
-        sqs.append((f"sq_{node.depth}_{node.index}_b", node.sq_b))
+    # Every lattice is built before the file is opened, so a resolution
+    # that surface_points refuses leaves no file behind.
+    meshes = [
+        (f"sq_{node.depth}_{node.index}_{side}",
+         _triangulate_grid(surface_points(sq, resolution, resolution)))
+        for node in tree.level_nodes(depth)
+        for side, sq in (("a", node.sq_a), ("b", node.sq_b))
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         base = 0
-        for name, sq in sqs:
-            grid = surface_points(sq, resolution, resolution)
-            vertices, faces = _triangulate_grid(grid)
+        for name, (vertices, faces) in meshes:
             fh.write(f"g {name}\n")
             write_obj_records(fh, vertices, faces, base)
             base += len(vertices)

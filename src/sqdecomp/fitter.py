@@ -7,8 +7,9 @@ one node is
 
     L = mean_x BCE(max(g_a(x), g_b(x)), label(x))
 
-Since expit is monotone, max(g_a, g_b) = expit(s (1 - min(h_a, h_b))) with
-h = F^e1, so each iteration takes one field value pass per SQ and one expit.
+Since the sigmoid is monotone, max(g_a, g_b) = sigmoid(s (1 - min(h_a, h_b)))
+with h = F^e1, so each iteration takes one field value pass per SQ and one
+sigmoid (``superquadric._expit``).
 Gradient rows are computed only at the active set: for each point, its
 winning side (the smaller h, ties to a), and only where the BCE residual
 g - y is at least ``ACTIVE_RESIDUAL`` in size.
@@ -94,7 +95,6 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import expit
 
 from . import quaternions as quat
 from .geometry import LabeledPointSet
@@ -106,6 +106,7 @@ from .superquadric import (
     FieldWorkspace,
     OccupancyConfig,
     Superquadric,
+    _expit,
     _field_gradient,
     _union_below,
     _value_pass,
@@ -278,7 +279,7 @@ def node_loss(
 ) -> float:
     """Mean clamped BCE between the pair's occupancy and the labels.
 
-    The occupancy is ``expit(s (1 - min(h_a, h_b)))``, which is
+    The occupancy is ``sigmoid(s (1 - min(h_a, h_b)))``, which is
     max(g_a, g_b); the value is the loss of :meth:`_PairBatch.evaluate`.
     """
     ps = LabeledPointSet(points, labels)
@@ -337,8 +338,8 @@ class _PairBatch:
         Pair j is given by ``rows[j]`` (2, 12), each SQ's parameter row, as
         from :func:`_pair_rows`. One value pass over all 2L slots gives
         h_a, h_b; a pair's occupancy is one
-        ``g = expit(s (1 - min(h_a, h_b)))``, which equals max(g_a, g_b)
-        because expit is monotone. Each point's max differentiates through
+        ``g = sigmoid(s (1 - min(h_a, h_b)))``, which equals max(g_a, g_b)
+        because the sigmoid is monotone. Each point's max differentiates through
         its winning side, the smaller h (ties to a). Points where the BCE
         log clamp is active contribute zero gradient, which keeps the
         analytic gradient equal to the derivative of the clamped loss
@@ -360,11 +361,11 @@ class _PairBatch:
         _value_pass(ws, rows.reshape(2 * pairs, 12))
         ha, hb = ws.h[0:2 * pairs:2], ws.h[1:2 * pairs:2]
         g, credited = self.g[:pairs], self.credited[:pairs]
-        # g = expit(s (1 - min(h_a, h_b)))
+        # g = sigmoid(s (1 - min(h_a, h_b)))
         np.minimum(ha, hb, out=g)
         np.subtract(1.0, g, out=g)
         np.multiply(self.sharpness, g, out=g)
-        expit(g, out=g)
+        _expit(g, g)
         # The occupancy the BCE credits: g for inside labels, 1 - g for outside.
         np.subtract(1.0, g, out=credited)
         np.copyto(credited, g, where=self.inside)

@@ -69,6 +69,9 @@ class SliceSpec:
     def __post_init__(self) -> None:
         if self.axis not in (0, 1, 2):
             raise ValueError(f"axis must be 0, 1 or 2, got {self.axis}")
+        for name in ("offset", "u_min", "u_max", "v_min", "v_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("slice extents must satisfy min < max")
         if self.nu < 2 or self.nv < 2:

@@ -42,7 +42,7 @@ set of rows is below a level of h, is the one test of a union of
 superquadrics. The fitter puts all the superquadrics of a node's restarts
 in the slots of one workspace and passes them as rows, never as
 Superquadric objects. :func:`check_parameters` is the one validity check,
-for one row or a batch of rows.
+for one row or a batch of rows, and :func:`_expit` the one logistic sigmoid.
 
 A workspace computes in one dtype. The public evaluators, the split and
 the union test use float64; the fitter's race uses float32, and its
@@ -56,7 +56,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import quaternions as quat
 from .geometry import as_points
@@ -242,6 +241,20 @@ def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, gap: np.ndarray) -
     np.exp(gap, out=gap)
     np.log1p(gap, out=gap)
     np.add(out, gap, out=out)
+
+
+def _expit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = 1 / (1 + exp(-x)), the logistic sigmoid, as whole-array ufuncs.
+
+    Where exp(-x) overflows (x below about -88.7 in float32, -709.8 in
+    float64) the result is exactly 0. The exp runs in float64 even for
+    float32, whose own numpy exp is not monotone. ``out`` may be ``x``.
+    """
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out, dtype=np.float64)
+    np.add(out, 1.0, out=out)
+    return np.reciprocal(out, out=out)
 
 
 def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
@@ -453,8 +466,10 @@ def inside_outside_stable(sq: Superquadric, x) -> np.ndarray:
 
 def occupancy(sq: Superquadric, x, cfg: OccupancyConfig = OccupancyConfig()) -> np.ndarray:
     """Soft occupancy g = sigmoid(s * (1 - F^e1)), in (0, 1), 0.5 on the surface."""
-    h = inside_outside_stable(sq, x)
-    return expit(cfg.sharpness * (1.0 - h))
+    ws = FieldWorkspace(x)
+    _value_pass(ws, sq.params()[None])
+    g = _expit(cfg.sharpness * (1.0 - ws.h[0]), ws.h[0])
+    return g[0] if ws.single else g
 
 
 def radial_distance(sq: Superquadric, x) -> np.ndarray:
@@ -495,7 +510,7 @@ def occupancy_gradient(
     ws = FieldWorkspace(x, grad=True)
     _value_pass(ws, sq.params()[None])
     dh = _field_gradient(ws, np.arange(ws.n), np.empty((ws.n, 11)))
-    g = expit(cfg.sharpness * (1.0 - ws.h[0]))
+    g = _expit(cfg.sharpness * (1.0 - ws.h[0]), ws.h[0])
     dg_dh = -cfg.sharpness * g * (1.0 - g)
     grad = dg_dh[:, None] * dh
     if not np.all(np.isfinite(grad)):

@@ -21,7 +21,7 @@ from sqdecomp.geometry import (
     _PARALLEL_EPS,
     RayDegeneracyError,
 )
-from sqdecomp.superquadric import FieldWorkspace, _field_gradient, _value_pass
+from sqdecomp.superquadric import FieldWorkspace, _expit, _field_gradient, _value_pass
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -284,7 +284,8 @@ def pair_loss_and_grad(
     _value_pass(ws, np.array([sq_a.params(), sq_b.params()]))
     ha, hb = ws.h[0], ws.h[1]
     a_wins = ha <= hb
-    g = expit(sharpness * (1.0 - np.minimum(ha, hb)))
+    g = sharpness * (1.0 - np.minimum(ha, hb))
+    _expit(g, g)
     credited = np.where(y == 1.0, g, 1.0 - g)
     loss = -np.log(np.maximum(credited, LOG_CLAMP)).sum(dtype=np.float64) / denominator
     residual = np.where(credited < LOG_CLAMP, 0.0, g - y)

@@ -1,8 +1,12 @@
 """The package's export list matches what it binds, so a deleted class or
-function cannot leave a stale name behind, and every private module-level
-name is read somewhere in the package, so no dead helper stays behind."""
+function cannot leave a stale name behind, every private module-level
+name is read somewhere in the package, so no dead helper stays behind,
+and the package imports nothing but the standard library and numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -60,3 +64,30 @@ def test_every_private_module_name_is_read_in_the_package():
                 read.add(node.name)
     assert len(defined) > 50
     assert sorted(f"{module}:{name}" for module, name in defined if name not in read) == []
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    """Every import in ``src/sqdecomp``, function bodies included, names a
+    standard-library module, numpy or the package itself, and a fresh
+    interpreter that imports the package has loaded no scipy module."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "sqdecomp"}
+    foreign = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {m}" for m in modules
+                        if m.split(".")[0] not in allowed]
+    assert foreign == []
+    paths = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sqdecomp; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
+    assert probe.stdout.strip() == "[]"

@@ -386,6 +386,16 @@ class TestExportCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_export_tiny_resolution_exits_2_without_a_file(self, capsys, fitted_dir, tmp_path):
+        code, _, err = run(
+            capsys,
+            ["export", str(fitted_dir / "tree.json"), "--level", "1",
+             "--resolution", "2", "--out-dir", str(tmp_path)],
+        )
+        assert code == 2
+        assert "need n_eta >= 3 and n_omega >= 3, got 2, 2" in err
+        assert not (tmp_path / "level_1.obj").exists()
+
     def test_export_corrupt_tree_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "tree.json"
         bad.write_text('{"format_version": 7}')
@@ -475,6 +485,14 @@ class TestSplitDemoCommand:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("flag", ["--offset", "--slice-min", "--slice-max"])
+    def test_non_finite_slice_exits_2_before_making_the_out_dir(self, capsys, tmp_path, flag):
+        out = tmp_path / "demo"
+        code, _, err = run(capsys, ["split-demo", flag, "nan", "--out-dir", str(out)])
+        assert code == 2
+        assert "must be finite, got nan" in err
+        assert not out.exists()
 
     def test_half_specified_pair_exits_2(self, capsys, tmp_path):
         code, _, _ = run(

@@ -333,6 +333,7 @@ class TestLevelObjExport:
     def test_tiny_resolution_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_level_obj(build_tree(1, seed=26), 1, tmp_path / "x.obj", resolution=2)
+        assert not (tmp_path / "x.obj").exists()
 
 
 class TestSplitCsv:

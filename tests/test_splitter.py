@@ -174,6 +174,12 @@ class TestSliceSpec:
         with pytest.raises(ValueError):
             SliceSpec(nu=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["offset", "u_min", "u_max", "v_min", "v_max"])
+    def test_rejects_non_finite_coordinate(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SliceSpec(**{name: value})
+
     def test_grid_geometry(self):
         spec = SliceSpec(axis=2, offset=0.25, nu=5, nv=3)
         u, v, pts = spec.grid()

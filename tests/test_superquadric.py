@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from sqdecomp.superquadric import (
     QUATERNION_NORM_TOL,
     SIZE_BOUNDS,
     FieldWorkspace,
+    _expit,
     _field_gradient,
     _logaddexp,
     _radial,
@@ -477,6 +480,43 @@ class TestFieldKernel:
         _logaddexp(x, y, out, scratch)
         bound = 4e-16 * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
         assert np.all(np.abs(out - np.logaddexp(x, y)) <= bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_expit_matches_scipy(self, data, dtype):
+        """Within rtol 1e-6 (float32) or 1e-14 (float64), plus the smallest
+        normal, of ``scipy.special.expit`` over [-1e4, 1e4], and 0 exactly
+        where it is 0. The draws include both sides of the edge where
+        exp(-x) overflows (about -88.7 in float32, -709.8 in float64). The
+        result lies in [0, 1], does not decrease on sorted input, is written
+        into ``out`` and returned, and raises no RuntimeWarning."""
+        info = np.finfo(dtype)
+        edge = dtype(-np.log(info.max))
+        values = st.one_of(
+            st.floats(-1e4, 1e4, width=info.bits),
+            st.floats(float(edge) - 2.0, float(edge) + 2.0, width=info.bits),
+        )
+        drawn = data.draw(st.lists(values, min_size=1, max_size=300))
+        near_edge = [np.nextafter(edge, dtype(-np.inf)), edge, np.nextafter(edge, dtype(0.0))]
+        x = np.sort(np.array(drawn + near_edge, dtype))
+        out = np.empty_like(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _expit(x, out) is out
+        ref = expit(x)
+        rtol = 1e-6 if dtype is np.float32 else 1e-14
+        assert np.all(np.abs(out - ref) <= rtol * ref + info.tiny)
+        assert np.all(out[ref == 0.0] == 0.0)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert np.all(np.diff(out) >= 0.0)
+
+    def test_float32_expit_does_not_decrease(self):
+        """On the 2^20 consecutive float32 values from 0.234, where a
+        sigmoid built on numpy's float32 exp decreases 1,224 times (on an
+        AVX-512 build), the float32 sigmoid never decreases."""
+        start = np.float32(0.234).view(np.int32)
+        x = np.arange(start, start + 2**20, dtype=np.int32).view(np.float32)
+        assert np.all(np.diff(_expit(x, np.empty_like(x))) >= 0.0)
 
 
 class TestRadialDistance:
