@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .metrics import IoUReport, level_ious
 from .splitter import SliceSpec
-from .superquadric import Superquadric
+from .superquadric import Superquadric, _check_lattice
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -129,6 +129,10 @@ def cmd_export(args) -> int:
             raise TreeFormatError(f"{args.tree}: tree has no complete level")
     if depth < 1:
         raise ConfigError(f"--level must be >= 1, got {depth}")
+    # The level and the lattice are checked before --out-dir is made, so a
+    # refused export leaves no new directory behind.
+    tree.level_nodes(depth)
+    _check_lattice(args.resolution, args.resolution)
     out = _out_dir(args)
     path = os.path.join(out, f"level_{depth}.obj")
     export_level_obj(tree, depth, path, resolution=args.resolution)

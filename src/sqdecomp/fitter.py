@@ -62,11 +62,12 @@ loss and the pair that reached it; the cut drops the rows of the restarts
 it stops. Each iteration makes one value pass over the slots of all
 running SQs in the node's one field workspace, computes every restart's
 loss at once over (restarts, points) arrays, and differentiates the active
-rows of all the SQs in gradient calls of at most n rows each, cut wherever
-n falls, inside one SQ's rows too: in practice about one call per running
-pair (fit-dumbbell: 4 per iteration before the cut, 2 after). Then one
-momentum step moves every row: the velocity and parameter updates and both
-clips as array operations, and one retraction of all the rotations. The
+rows of all the SQs in one feature call (``superquadric._field_gradient``).
+Each SQ's rows are contiguous there, in slot order: their residual-weighted
+feature sum, 13 numbers, goes through the SQ's 11 x 13 map
+(``superquadric._gradient_map``) once. Then one momentum step moves every
+row: the velocity and parameter updates and both clips as array
+operations, and one retraction of all the rotations. The
 new rows pass the checks of a Superquadric (``check_parameters``) every
 iteration; a step that fails
 them names the node, the restart, the iteration and the step size.
@@ -78,10 +79,10 @@ points, the kept field values, the parameter columns and the scratch in
 float32, and so are the occupancy, credited-occupancy, residual and label
 arrays of its batch. Whatever is kept, compared against a bound or
 reported stays float64: the parameter rows, velocities and momentum step,
-each restart's loss (its float32 terms summed in float64), and the
-gradient rows, which the kernel writes out as float64, with their
-weighted sums. The loss a fit reports (``node_loss``), the escape check
-and the split are float64 passes. A fit is deterministic, but no longer
+each restart's loss (its float32 terms summed in float64), the gradient
+features, which the kernel writes out as float64, with their weighted
+sums, and the maps. The loss a fit reports (``node_loss``), the escape
+check and the split are float64 passes. A fit is deterministic, but no longer
 bit for bit a float64 race's.
 
 Nodes without a single inside-labeled point get a degenerate sentinel pair
@@ -101,6 +102,7 @@ from .geometry import LabeledPointSet
 from .metrics import level_ious
 from .sqtree import SqPairNode, SqTree, split_node
 from .superquadric import (
+    _N_FEATURES,
     EXPONENT_BOUNDS,
     SIZE_BOUNDS,
     FieldWorkspace,
@@ -108,6 +110,7 @@ from .superquadric import (
     Superquadric,
     _expit,
     _field_gradient,
+    _gradient_map,
     _union_below,
     _value_pass,
     check_parameters,
@@ -121,8 +124,8 @@ ACTIVE_RESIDUAL = 1e-9
 
 # The restarts race to iterations // _CUT_DIVISOR, then half of them stop.
 _CUT_DIVISOR = 2
-# The field and loss arithmetic of the race; parameters, losses and
-# gradient rows stay float64.
+# The field and loss arithmetic of the race; parameters, losses, gradient
+# features and maps stay float64.
 _RACE_DTYPE = np.float32
 
 # A node's support is the box of its inside points, each half-extent times
@@ -307,7 +310,7 @@ class _PairBatch:
     passes its full point count. ``dtype`` is that of the workspace and of
     the per-point loss arrays, float64 for ``node_loss`` and
     ``_RACE_DTYPE`` in the race; the losses are summed, and the gradient
-    rows and their sums computed, in float64 either way.
+    features, their sums and the maps computed, in float64 either way.
     """
 
     def __init__(
@@ -321,15 +324,14 @@ class _PairBatch:
         self.inside = self.y == 1.0
         self.g, self.credited = np.empty((pairs, n), dtype), np.empty((pairs, n), dtype)
         if grad:
-            # Pair j's residuals at [j, 0] and a copy at [j, 1]: [j, side, i]
-            # is the residual of slot 2j + side at point i.
+            # Pair j's residuals at [j, 0] and [j, 1]: [j, side, i] is the
+            # residual of slot 2j + side at point i.
             self.residual = np.empty((pairs, 2, n), dtype)
             self.a_wins, self.flag = (np.empty((pairs, n), dtype=bool) for _ in range(2))
             self.sides = np.empty((pairs, 2, n), dtype=bool)
             # The active rows, on one side of each pair: at most pairs * n.
-            self.index = np.arange(2 * pairs * n)
             self.rows, self.weight = np.empty(pairs * n, dtype=np.intp), np.empty(pairs * n)
-            self.dh = np.empty((pairs * n, 11))
+            self.features = np.empty(_N_FEATURES * pairs * n)
 
     def evaluate(self, rows, grad: bool = True):
         """Losses (L,) of L pairs and, with ``grad``, their (2L, 11)
@@ -345,19 +347,20 @@ class _PairBatch:
         analytic gradient equal to the derivative of the clamped loss
         actually being reported. Gradient rows are computed only for the
         active set: each point's winning side, where the residual g - y is
-        at least ``ACTIVE_RESIDUAL`` in size (about a third of the points
-        in a typical fit). The rows left out are saturated points, each of
-        which would change the gradient by less than
+        at least ``ACTIVE_RESIDUAL`` in size (pooled over a run on the
+        support, 97.5% of the pairs' points on the benchmark's fit-dumbbell
+        and 40% on its recover-sq). The rows left out are saturated points,
+        each of which would change the gradient by less than
         ``s * ACTIVE_RESIDUAL / denominator`` times its field derivative.
 
-        The active rows of all 2L SQs, found in one pass as flat indices
-        k n + i in slot order, go through :func:`_field_gradient` in chunks
-        of at most n rows, cut wherever n falls, into one (m, 11) buffer;
-        each SQ's rows, contiguous there, are summed by their own
-        matrix-vector product. Every value a pair gets is bitwise the one it
-        gets evaluated alone.
+        The active rows of all 2L SQs, found as flat indices k n + i in
+        slot order, go through one :func:`_field_gradient` call into one
+        (13, m) block of features. Each SQ's rows, contiguous there, are
+        summed by one matrix-vector product with their weights, and the
+        sum goes through the SQ's map from :func:`_gradient_map`. Every
+        value a pair gets is bitwise the one it gets evaluated alone.
         """
-        ws, n, pairs = self.field, self.field.n, len(rows)
+        ws, pairs = self.field, len(rows)
         _value_pass(ws, rows.reshape(2 * pairs, 12))
         ha, hb = ws.h[0:2 * pairs:2], ws.h[1:2 * pairs:2]
         g, credited = self.g[:pairs], self.credited[:pairs]
@@ -370,12 +373,14 @@ class _PairBatch:
         np.subtract(1.0, g, out=credited)
         np.copyto(credited, g, where=self.inside)
         if grad:
-            residual, flag = self.residual[:pairs, 0], self.flag[:pairs]
-            # residual = where(credited < LOG_CLAMP, 0, g - y)
+            flag = self.flag[:pairs]
+            # residual = where(credited < LOG_CLAMP, 0, g - y) in g's place
+            # (g is not needed any more), then on both sides at once: a copy
+            # from one side to the other would pass through a temporary.
             np.less(credited, LOG_CLAMP, out=flag)
-            np.subtract(g, self.y, out=residual)
-            np.copyto(residual, 0.0, where=flag)
-            np.copyto(self.residual[:pairs, 1], residual)
+            np.subtract(g, self.y, out=g)
+            np.copyto(g, 0.0, where=flag)
+            np.copyto(self.residual[:pairs], g[:, None, :])
         # loss = sum(-log(max(credited, LOG_CLAMP))) / denominator, which
         # at denominator n is bitwise the mean
         np.maximum(credited, LOG_CLAMP, out=credited)
@@ -387,30 +392,41 @@ class _PairBatch:
 
         # The active set, split by winning side: sides[j, 0] for a, [j, 1] for b.
         a_wins, sides = self.a_wins[:pairs], self.sides[:pairs]
-        np.abs(residual, out=g)  # g is not needed any more
+        np.abs(g, out=g)
         np.greater_equal(g, ACTIVE_RESIDUAL, out=flag)
         np.less_equal(ha, hb, out=a_wins)
         np.logical_and(flag, a_wins, out=sides[:, 0])
         np.logical_not(a_wins, out=a_wins)
         np.logical_and(flag, a_wins, out=sides[:, 1])
         # The active rows as flat indices k n + i (slot k, point i), in slot
-        # order, each with its residual / denominator in float64.
+        # order, each with its residual / denominator in float64. They are
+        # found np.getbufsize() flags at a time, so the index array that
+        # np.flatnonzero allocates is no larger than numpy's own ufunc
+        # buffers at any point count.
         flat = sides.reshape(-1)
         counts = np.count_nonzero(sides, axis=2).ravel()
         ends = np.cumsum(counts)
-        idx, weight, dh = self.rows[:ends[-1]], self.weight[:ends[-1]], self.dh[:ends[-1]]
-        np.compress(flat, self.index[:flat.size], out=idx)
-        # np.compress will not cast into the float64 weights, so the
-        # residuals pass through g's buffer, in the batch's dtype.
-        picked = g.reshape(-1)[:ends[-1]]
-        np.compress(flat, self.residual[:pairs].reshape(-1), out=picked)
+        m = ends[-1]
+        idx, weight = self.rows[:m], self.weight[:m]
+        step, found = np.getbufsize(), 0
+        for lo in range(0, flat.size, step):
+            part = np.flatnonzero(flat[lo:lo + step])
+            np.add(part, lo, out=idx[found:found + len(part)])
+            found += len(part)
+        # np.take will not cast into the float64 weights, so the residuals
+        # pass through g's buffer, in the batch's dtype.
+        picked = g.reshape(-1)[:m]
+        np.take(self.residual[:pairs].reshape(-1), idx, out=picked, mode="clip")
         np.divide(picked, self.denominator, out=weight, dtype=np.float64)
-        for start in range(0, len(idx), n):
-            _field_gradient(ws, idx[start:start + n], dh[start:start + n])
-        # dz/dparams = -sharpness * dh/dparams on the winning side only.
+        features = self.features[:_N_FEATURES * m].reshape(_N_FEATURES, m)
+        _field_gradient(ws, idx, features)
+        # dz/dparams = -sharpness * dh/dparams on the winning side only:
+        # each slot's weighted feature sum through its map.
+        maps = _gradient_map(rows.reshape(2 * pairs, 12))
         grads = np.empty((2 * pairs, 11))
         for k, (lo, hi) in enumerate(zip(ends - counts, ends)):
-            grads[k] = -self.sharpness * (weight[lo:hi] @ dh[lo:hi])
+            grads[k] = maps[k] @ (features[:, lo:hi] @ weight[lo:hi])
+        grads *= -self.sharpness
         return losses, grads
 
 

@@ -34,9 +34,7 @@ every ufunc runs over n contiguous values: points as (3, n) and, in a
 kernel, the fitter and the split as one parameter row (12,), the layout of
 :meth:`Superquadric.params`. A value pass fills slots 0 to K-1 from K such
 rows, each slot's scalars broadcast as (K, 1) columns; an evaluator
-passes its one row. A gradient call takes its rows as flat indices k*n + i
-(slot k, point i) of any slots in any order, and gathers each row's
-parameters by slot; :func:`_radial` reads a slot's radial distance from
+passes its one row. :func:`_radial` reads a slot's radial distance from
 that slot alone, its row included. :func:`_union_below`, where some of a
 set of rows is below a level of h, is the one test of a union of
 superquadrics. The fitter puts all the superquadrics of a node's restarts
@@ -44,10 +42,21 @@ in the slots of one workspace and passes them as rows, never as
 Superquadric objects. :func:`check_parameters` is the one validity check,
 for one row or a batch of rows, and :func:`_expit` the one logistic sigmoid.
 
+A row's gradient of h is linear in 13 numbers of its own, with
+coefficients that depend only on its superquadric: grad = M_k f. A
+gradient call takes its rows as flat indices k*n + i (slot k, point i) of
+any slots in any order and writes each row's 13 features f, from the
+values its slot's pass kept at that point; :func:`_gradient_map` builds
+each superquadric's 11 x 13 map M_k from its parameter row. A weighted sum
+of rows' gradients is therefore M_k applied to the weighted sum of their
+features: the fitter sums each superquadric's features and applies its map
+once, and :func:`occupancy_gradient` applies the map row by row.
+
 A workspace computes in one dtype. The public evaluators, the split and
 the union test use float64; the fitter's race uses float32, and its
-gradient rows are written out as float64 all the same. Within a dtype
-every result is deterministic; float32 results are not float64's bits.
+features are written out as float64 all the same; the maps are float64.
+Within a dtype every result is deterministic; float32 results are not
+float64's bits.
 """
 
 from __future__ import annotations
@@ -165,23 +174,24 @@ def world_to_local(sq: Superquadric, x) -> np.ndarray:
     return local[0] if single else local
 
 
-# FieldWorkspace.params holds one column per slot: what the gradient needs
-# of the slot's superquadric, with the value pass's own coefficients: the
-# first eight numbers of its parameter row, size (3), e1, e2 and translation
-# (3), then 2/e2, e2/e1, 2/e1 and the rotation matrix (9, row-major).
-_N_PARAMS = 20
-# One gradient block as rows of m values: the parameters, offset (3), the
-# kept local (3), ln_s, ln_f and h, abs_local (3), ln_u (3), w1, w2,
-# term_xy, term_z and two temporaries, dh_dlnu (3), and the 11 gradient
-# components.
-_BLOCK_PARTS = (_N_PARAMS, 3, 6, 3, 3, 6, 3, 11)
+# FieldWorkspace.params holds one column per slot: the first eight numbers
+# of its parameter row, size (3), e1, e2 and translation (3), then the value
+# pass's coefficients 2/e2, e2/e1 and 2/e1, which a gradient row also reads.
+_N_PARAMS = 11
+# One gradient block as rows of m values: the coefficients (3), and later
+# G = dh/dlocal in their place, the values a slot keeps per point (9: local
+# (3), ln_u (3), ln_s, ln_f, h), alpha, beta, aw1, aw2, 2h and a temporary,
+# and D = dh/dln_u (3).
+_BLOCK_PARTS = (3, 9, 6, 3)
 _BLOCK_ROWS = sum(_BLOCK_PARTS)
 _BLOCK_SLICES = tuple(
     slice(end - part, end) for part, end in zip(_BLOCK_PARTS, np.cumsum(_BLOCK_PARTS))
 )
-# A value pass keeps six scratch values per point and slot (vec (3), w1,
-# w2, gap) and writes six (local (3), ln_s, ln_f, h).
-_VALUE_SCRATCH = 6
+# A value pass keeps three scratch values per point and slot: w1, w2, gap.
+_VALUE_SCRATCH = 3
+# The features of one gradient row, in order: D (3), h ln_f, 2 h alpha ln_s,
+# D_z ln_u_z, D_x ln_u_x + D_y ln_u_y, G (3) and C = G x local (3).
+_N_FEATURES = 13
 
 
 class FieldWorkspace:
@@ -194,19 +204,18 @@ class FieldWorkspace:
     faults back in. The points, checked by :func:`geometry.as_points`, are
     stored once as (3, n); ``single`` says they were given as one point
     (3,). Slot k holds the last value pass of some superquadric: ``local``
-    (3, K, n) and ``ln_s``, ``ln_f``, ``h`` (K, n), which is all a gradient
-    keeps per point, plus what the gradient needs of that superquadric's
-    parameter row (``params``, one column per slot). The value pass's
-    other intermediates (offset, abs_local, ln_u, w1, w2, term_xy, term_z)
-    live in scratch and are recomputed, bitwise the same, at gradient rows,
-    and in a scratch that holds all K slots. With ``grad`` set the scratch
-    also holds one gradient block of up to n rows of any slots, and
-    ``slot_point`` the slot and point of each of its rows.
+    and ``ln_u`` (3, K, n) and ``ln_s``, ``ln_f``, ``h`` (K, n), which is
+    all a gradient row reads of its point, plus the slot's parameter
+    column (``params``). The value pass's other intermediates (w1, w2,
+    term_xy, term_z) live in scratch; a gradient row recomputes them,
+    bitwise the same, from its slot's coefficients. With ``grad`` the
+    scratch also holds one gradient block of up to K n rows of any slots,
+    and ``slot`` the slot of each of its rows.
 
     ``dtype`` (float64 by default; the fitter's race asks for float32) is
     that of the points, the kept values, the parameter columns and the
     scratch, so a pass and a gradient call compute in it; a gradient call
-    writes its rows into the caller's ``out`` in that array's own dtype.
+    writes its features into the caller's ``out`` in that array's own dtype.
     """
 
     def __init__(self, points, k: int = 1, grad: bool = False, dtype=np.float64):
@@ -214,17 +223,17 @@ class FieldWorkspace:
         n = len(pts)
         self.n, self.grad, self.dtype = n, grad, dtype
         self.points = np.ascontiguousarray(pts.T, dtype=dtype)
-        kept = np.empty((6, k, n), dtype)
-        self.kept = kept.reshape(6, k * n)
-        self.local, self.ln_s, self.ln_f, self.h = kept[0:3], kept[3], kept[4], kept[5]
+        kept = np.empty((9, k, n), dtype)
+        self.kept = kept.reshape(9, k * n)
+        self.local, self.ln_u = kept[0:3], kept[3:6]
+        self.ln_s, self.ln_f, self.h = kept[6], kept[7], kept[8]
         self.params = np.empty((_N_PARAMS, k), dtype)
         # A value pass never overlaps a gradient call, so its scratch is
         # the gradient block.
-        rows = max(_BLOCK_ROWS, _VALUE_SCRATCH * k) if grad else _VALUE_SCRATCH * k
-        self.scratch = np.empty(rows * n, dtype)
+        self.scratch = np.empty((_BLOCK_ROWS if grad else _VALUE_SCRATCH) * k * n, dtype)
         if grad:
-            self.slot_point = np.empty((2, n), dtype=np.intp)
-            self.pinned = np.empty(3 * n, dtype=bool)
+            self.slot = np.empty(k * n, dtype=np.intp)
+            self.pinned = np.empty(3 * k * n, dtype=bool)
 
 
 def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, gap: np.ndarray) -> None:
@@ -273,7 +282,7 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     """
     count = len(rows)
     # The slots' parameter columns, which the coefficients below are read
-    # from: size, e1, e2, translation, 2/e2, e2/e1, 2/e1, rotation matrix.
+    # from: size, e1, e2, translation, 2/e2, e2/e1, 2/e1.
     prm = ws.params[:, :count]
     prm[0:8] = rows[:, 0:8].T
     np.divide(2.0, prm[4], out=prm[8])
@@ -281,28 +290,28 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     np.divide(2.0, prm[3], out=prm[10])
     # A matmul of mixed dtypes would take a slower loop than either's own.
     rot = quat.to_matrix(rows[:, 8:12]).astype(ws.dtype, copy=False)
-    prm[11:20] = rot.reshape(count, 9).T
     cols = prm[:, :, None]
     a, (e1, e2), t, (c2e2, ce2e1, c2e1) = cols[0:3], cols[3:5], cols[5:8], cols[8:11]
     scratch = ws.scratch[:_VALUE_SCRATCH * count * ws.n].reshape(_VALUE_SCRATCH, count, ws.n)
-    vec, (w1, w2, gap) = scratch[0:3], scratch[3:6]
-    local, ln_s, ln_f, h = ws.local[:, :count], ws.ln_s[:count], ws.ln_f[:count], ws.h[:count]
+    w1, w2, gap = scratch
+    local, ln_u = ws.local[:, :count], ws.ln_u[:, :count]
+    ln_s, ln_f, h = ws.ln_s[:count], ws.ln_f[:count], ws.h[:count]
 
-    # local = R^T (x - t)
-    np.subtract(ws.points[:, None, :], t, out=vec)
-    np.matmul(rot.transpose(0, 2, 1), vec.transpose(1, 0, 2), out=local.transpose(1, 0, 2))
-    # vec = ln_u = log(max(|local|, COORD_CLAMP) / a)
-    np.abs(local, out=vec)
-    np.maximum(vec, COORD_CLAMP, out=vec)
-    np.divide(vec, a, out=vec)
-    np.log(vec, out=vec)
+    # local = R^T (x - t), with x - t in ln_u's place
+    np.subtract(ws.points[:, None, :], t, out=ln_u)
+    np.matmul(rot.transpose(0, 2, 1), ln_u.transpose(1, 0, 2), out=local.transpose(1, 0, 2))
+    # ln_u = log(max(|local|, COORD_CLAMP) / a)
+    np.abs(local, out=ln_u)
+    np.maximum(ln_u, COORD_CLAMP, out=ln_u)
+    np.divide(ln_u, a, out=ln_u)
+    np.log(ln_u, out=ln_u)
     # ln_s = logaddexp(w1, w2), w = (2 / e2) ln_u_xy
-    np.multiply(c2e2, vec[0], out=w1)
-    np.multiply(c2e2, vec[1], out=w2)
+    np.multiply(c2e2, ln_u[0], out=w1)
+    np.multiply(c2e2, ln_u[1], out=w2)
     _logaddexp(w1, w2, ln_s, gap)
     # ln_f = logaddexp(term_xy, term_z), term_xy = (e2 / e1) ln_s, term_z = (2 / e1) ln_u_z
     np.multiply(ce2e1, ln_s, out=w1)
-    np.multiply(c2e1, vec[2], out=w2)
+    np.multiply(c2e1, ln_u[2], out=w2)
     _logaddexp(w1, w2, ln_f, gap)
     # h = exp(e1 ln_f)
     np.multiply(e1, ln_f, out=h)
@@ -322,125 +331,114 @@ def _union_below(rows, points, level: float) -> np.ndarray:
 
 
 def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gradient of h over the 11 DOF at rows of the slots' last value passes.
+    """The features of h's gradient at rows of the slots' last value passes.
 
     ``idx`` holds flat indices ``k * n + i`` (slot k, point i; in range,
-    not bounds-checked), at most n of them, of any slots in any order.
-    Writes row j, the gradient at ``idx[j]``, into ``out`` (m, 11) and
-    returns it. Each row's slot and point come from one divmod of its
-    index and its superquadric's parameters from one gather by slot; the
-    block is computed as (rows, m) arrays in the workspace and copied to
-    row-major once at the end.
+    not bounds-checked), at most K n of them, of any slots in any order.
+    Writes the ``_N_FEATURES`` features of row j, the gradient at
+    ``idx[j]``, into column j of ``out`` (13, m) and returns it. Row j's
+    gradient over the 11 DOF is ``M_k @ out[:, j]``, with its slot's map M_k
+    from :func:`_gradient_map`, so a caller that sums rows weighted sums
+    their features and applies each slot's map once.
 
-    Derivatives of h pass through the log-space intermediates; the softmax
-    weights alpha, beta (and aw1, aw2 inside the xy term) fall out of
-    differentiating logaddexp. Coordinates pinned by the clamp contribute
-    zero positional derivative. Each row depends only on its own point and
-    slot, by elementwise operations alone, so a row comes out bitwise the
-    same whichever rows share the call.
+    The features are D = dh/dln_u (3), h ln_f, 2 h alpha ln_s, D_z ln_u_z,
+    D_x ln_u_x + D_y ln_u_y, G = dh/dlocal = D / local (3), zero where the
+    clamp pins a coordinate, and C = G x local (3); the softmax weights
+    alpha, beta (and aw1, aw2 inside the xy term) fall out of
+    differentiating logaddexp. A row reads its point's kept values and
+    three coefficients of its slot, gathered by index, and nothing else:
+    its slot's sizes, translation and rotation enter only through the map.
+    Each row depends only on its own point and slot, by elementwise
+    operations alone, so a row comes out bitwise the same whichever rows
+    share the call.
     """
     if not ws.grad:
         raise ValueError("workspace has no gradient buffers")
-    n, m = ws.n, len(idx)
-    if m > n:
-        raise ValueError(f"{m} gradient rows exceed the block size {n}")
+    m = len(idx)
+    if m > len(ws.slot):
+        raise ValueError(f"{m} gradient rows exceed the block size {len(ws.slot)}")
     blk = ws.scratch[:_BLOCK_ROWS * m].reshape(_BLOCK_ROWS, m)
-    prm, offset, kept, abs_local, ln_u, scalars, dh_dlnu, dh_t = (blk[s] for s in _BLOCK_SLICES)
-    slot, point = ws.slot_point[:, :m]
-    np.divmod(idx, n, out=(slot, point))
+    coeffs, kept, scalars, dh_dlnu = (blk[s] for s in _BLOCK_SLICES)
+    slot = ws.slot[:m]
+    np.floor_divide(idx, ws.n, out=slot)
     # mode="clip" writes straight into the buffer; "raise" would copy
     # through a temporary.
-    np.take(ws.params, slot, axis=1, out=prm, mode="clip")
-    np.take(ws.points, point, axis=1, out=offset, mode="clip")
+    np.take(ws.params[8:11], slot, axis=1, out=coeffs, mode="clip")
     np.take(ws.kept, idx, axis=1, out=kept, mode="clip")
-    a, (e1, e2), t, (c2e2, ce2e1, c2e1), rot = (
-        prm[0:3], prm[3:5], prm[5:8], prm[8:11], prm[11:20]
-    )
-    local, (ln_s, ln_f, h) = kept[0:3], kept[3:6]
-    w1, w2, term_xy, term_z, tmp_a, tmp_b = scalars
+    c2e2, ce2e1, c2e1 = coeffs
+    local, ln_u, (ln_s, ln_f, h) = kept[0:3], kept[3:6], kept[6:9]
+    alpha, beta, aw1, aw2, two_h, tmp = scalars
 
-    # The value pass again: offset = x - t, abs_local, ln_u, w1, w2, term_xy, term_z
-    np.subtract(offset, t, out=offset)
-    np.abs(local, out=abs_local)
-    np.maximum(abs_local, COORD_CLAMP, out=abs_local)
-    np.divide(abs_local, a, out=ln_u)
-    np.log(ln_u, out=ln_u)
-    np.multiply(c2e2, ln_u[0], out=w1)
-    np.multiply(c2e2, ln_u[1], out=w2)
-    np.multiply(ce2e1, ln_s, out=term_xy)
-    np.multiply(c2e1, ln_u[2], out=term_z)
-
-    # alpha, beta, aw1, aw2 in place of term_xy, term_z, w1, w2
-    for num, den in ((term_xy, ln_f), (term_z, ln_f), (w1, ln_s), (w2, ln_s)):
+    # The value pass again: term_xy, term_z, w1, w2, in place of alpha, beta, aw1, aw2
+    np.multiply(ce2e1, ln_s, out=alpha)
+    np.multiply(c2e1, ln_u[2], out=beta)
+    np.multiply(c2e2, ln_u[0], out=aw1)
+    np.multiply(c2e2, ln_u[1], out=aw2)
+    # alpha = exp(term_xy - ln_f), beta = exp(term_z - ln_f), aw = exp(w - ln_s)
+    for num, den in ((alpha, ln_f), (beta, ln_f), (aw1, ln_s), (aw2, ln_s)):
         np.subtract(num, den, out=num)
         np.exp(num, out=num)
-    alpha, beta, aw1, aw2 = term_xy, term_z, w1, w2
 
-    # dh_dlnu = [2h alpha aw1, 2h alpha aw2, 2h beta]
-    np.multiply(2.0, h, out=tmp_a)
-    np.multiply(tmp_a, alpha, out=dh_dlnu[0])
-    np.multiply(dh_dlnu[0], aw1, out=dh_dlnu[0])
-    np.multiply(tmp_a, alpha, out=dh_dlnu[1])
-    np.multiply(dh_dlnu[1], aw2, out=dh_dlnu[1])
-    np.multiply(tmp_a, beta, out=dh_dlnu[2])
+    # D = [2h alpha aw1, 2h alpha aw2, 2h beta]; 2h alpha in place of alpha
+    np.multiply(2.0, h, out=two_h)
+    np.multiply(two_h, alpha, out=alpha)
+    np.multiply(alpha, aw1, out=dh_dlnu[0])
+    np.multiply(alpha, aw2, out=dh_dlnu[1])
+    np.multiply(two_h, beta, out=dh_dlnu[2])
+    np.copyto(out[0:3], dh_dlnu)
+    np.multiply(h, ln_f, out=out[3])
+    np.multiply(alpha, ln_s, out=out[4])
+    np.multiply(dh_dlnu[2], ln_u[2], out=out[5])
+    np.multiply(dh_dlnu[0], ln_u[0], out=tmp)
+    np.multiply(dh_dlnu[1], ln_u[1], out=two_h)
+    np.add(tmp, two_h, out=out[6])
 
-    # dh_dsize = -dh_dlnu / a
-    dh_dsize = dh_t[0:3]
-    np.negative(dh_dlnu, out=dh_dsize)
-    np.divide(dh_dsize, a, out=dh_dsize)
-
-    # dh_de1 = h ln_f - (h / e1) (alpha e2 ln_s + 2 beta ln_u_z)
-    dh_de1 = dh_t[3]
-    np.multiply(h, ln_f, out=dh_de1)
-    np.multiply(alpha, e2, out=tmp_a)
-    np.multiply(tmp_a, ln_s, out=tmp_a)
-    np.multiply(2.0, beta, out=tmp_b)
-    np.multiply(tmp_b, ln_u[2], out=tmp_b)
-    np.add(tmp_a, tmp_b, out=tmp_a)
-    np.divide(h, e1, out=tmp_b)
-    np.multiply(tmp_b, tmp_a, out=tmp_b)
-    np.subtract(dh_de1, tmp_b, out=dh_de1)
-
-    # dh_de2 = h alpha (ln_s - (2 / e2) (aw1 ln_u_x + aw2 ln_u_y))
-    dh_de2 = dh_t[4]
-    np.multiply(h, alpha, out=dh_de2)
-    np.multiply(aw1, ln_u[0], out=tmp_a)
-    np.multiply(aw2, ln_u[1], out=tmp_b)
-    np.add(tmp_a, tmp_b, out=tmp_a)
-    np.multiply(c2e2, tmp_a, out=tmp_a)
-    np.subtract(ln_s, tmp_a, out=tmp_a)
-    np.multiply(dh_de2, tmp_a, out=dh_de2)
-
-    # dh_dlocal = dh_dlnu * where(|local| > clamp, sign(local) / abs_local, 0),
-    # in place of ln_u; |local| > clamp exactly where abs_local > clamp.
-    dh_dlocal = ln_u
+    # G = D * where(|local| > clamp, sign(local) / max(|local|, clamp), 0),
+    # in place of the coefficients, with max(|local|, clamp) in place of
+    # alpha, beta, aw1
+    dh_dlocal, abs_local = coeffs, scalars[0:3]
     pinned = ws.pinned[:3 * m].reshape(3, m)
+    np.abs(local, out=abs_local)
+    np.less_equal(abs_local, COORD_CLAMP, out=pinned)
+    np.maximum(abs_local, COORD_CLAMP, out=abs_local)
     np.sign(local, out=dh_dlocal)
     np.divide(dh_dlocal, abs_local, out=dh_dlocal)
-    np.greater(abs_local, COORD_CLAMP, out=pinned)
-    np.logical_not(pinned, out=pinned)
     np.copyto(dh_dlocal, 0.0, where=pinned)
     np.multiply(dh_dlnu, dh_dlocal, out=dh_dlocal)
-    # world_grad = rot dh_dlocal, in place of abs_local, term by term in
-    # the order of the row-major sum
-    world_grad = abs_local
-    for i in range(3):
-        np.multiply(dh_dlocal[0], rot[3 * i], out=world_grad[i])
-        for j in (1, 2):
-            np.multiply(dh_dlocal[j], rot[3 * i + j], out=tmp_a)
-            np.add(world_grad[i], tmp_a, out=world_grad[i])
-
-    # dh_dt = -world_grad
-    np.negative(world_grad, out=dh_t[5:8])
-    # dh_du = world_grad x offset, in np.cross's order of operations
-    g0, g1, g2 = world_grad
-    o0, o1, o2 = offset
-    for k, (p, q, r, s) in enumerate(((g1, o2, g2, o1), (g2, o0, g0, o2), (g0, o1, g1, o0))):
-        np.multiply(p, q, out=dh_t[8 + k])
-        np.multiply(r, s, out=tmp_a)
-        np.subtract(dh_t[8 + k], tmp_a, out=dh_t[8 + k])
-    np.copyto(out, dh_t.T)
+    np.copyto(out[7:10], dh_dlocal)
+    # C = G x local, in np.cross's order of operations
+    g0, g1, g2 = dh_dlocal
+    l0, l1, l2 = local
+    for k, (p, q, r, s) in enumerate(((g1, l2, g2, l1), (g2, l0, g0, l2), (g0, l1, g1, l0))):
+        np.multiply(p, q, out=tmp)
+        np.multiply(r, s, out=two_h)
+        np.subtract(tmp, two_h, out=out[10 + k])
     return out
+
+
+def _gradient_map(rows) -> np.ndarray:
+    """The maps (K, 11, 13) from a row's features to its gradient of h over
+    the 11 DOF, one per parameter row of ``rows`` (K, 12), in float64.
+
+    With the features of :func:`_field_gradient`: dsize = -D / a; de1 =
+    h ln_f - (e2 / (2 e1)) 2 h alpha ln_s - D_z ln_u_z / e1; de2 = (1/2) 2 h
+    alpha ln_s - (D_x ln_u_x + D_y ln_u_y) / e2; dt = -R G; and du = R C,
+    since x - t = R local and (R a) x (R b) = R (a x b).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    a, e1, e2 = rows[:, 0:3], rows[:, 3], rows[:, 4]
+    rot = quat.to_matrix(rows[:, 8:12])
+    maps = np.zeros((len(rows), 11, _N_FEATURES))
+    axes = np.arange(3)
+    maps[:, axes, axes] = -1.0 / a
+    maps[:, 3, 3] = 1.0
+    maps[:, 3, 4] = -0.5 * e2 / e1
+    maps[:, 3, 5] = -1.0 / e1
+    maps[:, 4, 4] = 0.5
+    maps[:, 4, 6] = -1.0 / e2
+    maps[:, 5:8, 7:10] = -rot
+    maps[:, 8:11, 10:13] = rot
+    return maps
 
 
 def inside_outside(sq: Superquadric, x) -> np.ndarray:
@@ -508,8 +506,10 @@ def occupancy_gradient(
     for a single point or (n, 11) for a batch.
     """
     ws = FieldWorkspace(x, grad=True)
-    _value_pass(ws, sq.params()[None])
-    dh = _field_gradient(ws, np.arange(ws.n), np.empty((ws.n, 11)))
+    row = sq.params()[None]
+    _value_pass(ws, row)
+    features = _field_gradient(ws, np.arange(ws.n), np.empty((_N_FEATURES, ws.n)))
+    dh = features.T @ _gradient_map(row)[0].T
     g = _expit(cfg.sharpness * (1.0 - ws.h[0]), ws.h[0])
     dg_dh = -cfg.sharpness * g * (1.0 - g)
     grad = dg_dh[:, None] * dh
@@ -519,6 +519,13 @@ def occupancy_gradient(
             "are outside the numerically supported range"
         )
     return grad[0] if ws.single else grad
+
+
+def _check_lattice(n_eta: int, n_omega: int) -> None:
+    """Raise ValueError unless :func:`surface_points` can sweep an n_eta by
+    n_omega grid."""
+    if n_eta < 3 or n_omega < 3:
+        raise ValueError(f"need n_eta >= 3 and n_omega >= 3, got {n_eta}, {n_omega}")
 
 
 def surface_points(sq: Superquadric, n_eta: int, n_omega: int) -> np.ndarray:
@@ -531,8 +538,7 @@ def surface_points(sq: Superquadric, n_eta: int, n_omega: int) -> np.ndarray:
     (and row n_eta-1) entry is an identical point; consumers that need a
     watertight mesh can deduplicate them.
     """
-    if n_eta < 3 or n_omega < 3:
-        raise ValueError(f"need n_eta >= 3 and n_omega >= 3, got {n_eta}, {n_omega}")
+    _check_lattice(n_eta, n_omega)
     e1, e2 = sq.exponents
     eta = np.linspace(-np.pi / 2, np.pi / 2, n_eta)
     omega = np.linspace(-np.pi, np.pi, n_omega, endpoint=False)

@@ -21,7 +21,15 @@ from sqdecomp.geometry import (
     _PARALLEL_EPS,
     RayDegeneracyError,
 )
-from sqdecomp.superquadric import FieldWorkspace, _expit, _field_gradient, _value_pass
+from sqdecomp.superquadric import (
+    _N_FEATURES,
+    COORD_CLAMP,
+    FieldWorkspace,
+    _expit,
+    _field_gradient,
+    _gradient_map,
+    _value_pass,
+)
 
 
 def random_superquadric(rng: np.random.Generator, margin: float = 0.05) -> Superquadric:
@@ -251,13 +259,42 @@ def write_obj_records_reference(fh, vertices, triangles, base: int = 0) -> None:
         fh.write(f"f {base + t[0] + 1} {base + t[1] + 1} {base + t[2] + 1}\n")
 
 
+def field_gradient_reference(sq, points):
+    """The (n, 11) gradient of h at every point, each row by the chain rule
+    through the log-space field written out in plain float64 numpy: the
+    per-row formula the field kernel used before it split a row's gradient
+    into features and a per-SQ map."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    a, (e1, e2), rot = sq.size, sq.exponents, sq.rotation_matrix()
+    offset = pts - sq.translation
+    local = offset @ rot
+    abs_local = np.maximum(np.abs(local), COORD_CLAMP)
+    ln_u = np.log(abs_local / a)
+    w = (2.0 / e2) * ln_u[:, :2]
+    ln_s = np.logaddexp(w[:, 0], w[:, 1])
+    term_xy, term_z = (e2 / e1) * ln_s, (2.0 / e1) * ln_u[:, 2]
+    ln_f = np.logaddexp(term_xy, term_z)
+    h = np.exp(e1 * ln_f)
+    alpha, beta = np.exp(term_xy - ln_f), np.exp(term_z - ln_f)
+    aw = np.exp(w - ln_s[:, None])
+    dh_dlnu = np.column_stack([2 * h * alpha * aw[:, 0], 2 * h * alpha * aw[:, 1], 2 * h * beta])
+    dh_de1 = h * ln_f - (h / e1) * (alpha * e2 * ln_s + 2 * beta * ln_u[:, 2])
+    dh_de2 = h * alpha * (ln_s - (2.0 / e2) * (aw[:, 0] * ln_u[:, 0] + aw[:, 1] * ln_u[:, 1]))
+    # A coordinate the clamp pins contributes no positional derivative.
+    dh_dlocal = np.where(np.abs(local) > COORD_CLAMP, dh_dlnu * np.sign(local) / abs_local, 0.0)
+    world = dh_dlocal @ rot.T
+    return np.column_stack([-dh_dlnu / a, dh_de1, dh_de2, -world, np.cross(world, offset)])
+
+
 def field_and_gradient(sq, points):
     """h at every point and its (n, 11) gradient at every row, computed
-    alone: a one-slot workspace and one full-row gradient call."""
+    alone: a one-slot workspace, one full-row feature call and the SQ's
+    map."""
     ws = FieldWorkspace(points, grad=True)
     _value_pass(ws, sq.params()[None])
     h = ws.h[0].copy()
-    return h, _field_gradient(ws, np.arange(len(points)), np.empty((len(points), 11)))
+    features = _field_gradient(ws, np.arange(len(points)), np.empty((_N_FEATURES, len(points))))
+    return h, features.T @ _gradient_map(sq.params()[None])[0].T
 
 
 def pair_loss_and_grad(
@@ -268,10 +305,10 @@ def pair_loss_and_grad(
     The one-pair reference for ``fitter._PairBatch.evaluate``, which runs
     the pairs of all restarts together: the same arithmetic written for one
     pair, as the fitter ran it before its restarts were batched (one value
-    pass over the pair, the loss over 1-D arrays, and one gradient call and
-    one matrix-vector product per SQ over its own active rows). The field
-    and loss terms are computed in ``dtype``, by default the race's, and
-    summed in float64; the gradient rows and their weights are float64.
+    pass over the pair, the loss over 1-D arrays, and per SQ one feature
+    call over its own active rows, their weighted sum and its map). The
+    field and loss terms are computed in ``dtype``, by default the race's,
+    and summed in float64; the features and their weights are float64.
     ``ws`` is an optional two-slot gradient workspace at ``points`` of that
     dtype. The loss and the gradient sum over the points and divide by
     ``denominator``, by default their count, which makes the loss their
@@ -290,12 +327,13 @@ def pair_loss_and_grad(
     loss = -np.log(np.maximum(credited, LOG_CLAMP)).sum(dtype=np.float64) / denominator
     residual = np.where(credited < LOG_CLAMP, 0.0, g - y)
     active = np.abs(residual) >= ACTIVE_RESIDUAL
+    maps = _gradient_map([sq_a.params(), sq_b.params()])
     grads = []
     for k, wins in ((0, a_wins), (1, ~a_wins)):
         rows = np.flatnonzero(active & wins)
-        dh = _field_gradient(ws, k * n + rows, np.empty((len(rows), 11)))
+        features = _field_gradient(ws, k * n + rows, np.empty((_N_FEATURES, len(rows))))
         weight = residual[rows].astype(np.float64) / denominator
-        grads.append(-sharpness * (weight @ dh))
+        grads.append(-sharpness * (maps[k] @ (features @ weight)))
     return loss, grads[0], grads[1]
 
 

@@ -396,6 +396,20 @@ class TestExportCommand:
         assert "need n_eta >= 3 and n_omega >= 3, got 2, 2" in err
         assert not (tmp_path / "level_1.obj").exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--resolution", "2"], ["--level", "5"]], ids=["resolution", "level"]
+    )
+    def test_refused_export_makes_no_out_dir(self, capsys, fitted_dir, tmp_path, flags):
+        """The level and the lattice are checked before --out-dir is made:
+        both refusals used to leave an empty new directory behind."""
+        out_dir = tmp_path / "new"
+        code, _, err = run(
+            capsys, ["export", str(fitted_dir / "tree.json"), *flags, "--out-dir", str(out_dir)]
+        )
+        assert code == 2
+        assert "error:" in err
+        assert not out_dir.exists()
+
     def test_export_corrupt_tree_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "tree.json"
         bad.write_text('{"format_version": 7}')

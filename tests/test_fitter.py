@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,10 +360,10 @@ class TestPairGradient:
 
     @pytest.mark.parametrize("sharpness", [10.0, 50.0])
     def test_batch_is_each_pair_alone_bitwise(self, sharpness):
-        """Up to five pairs evaluated together, their active rows spread
-        over several gradient chunks, give each pair bitwise the loss and
-        gradients of the one-pair reference; so does a value-only call. This
-        holds in float64, the dtype of ``node_loss``, and in the race's."""
+        """Up to five pairs evaluated together, their active rows in one
+        feature call, give each pair bitwise the loss and gradients of the
+        one-pair reference; so does a value-only call. This holds in
+        float64, the dtype of ``node_loss``, and in the race's."""
         rng = np.random.default_rng(76)
         pts = rng.uniform(-0.6, 0.6, (500, 3))
         gt = random_superquadric(rng)
@@ -505,6 +506,31 @@ class TestFitNode:
             assert faults < 10_000, (
                 f"{faults} minor faults in a fresh interpreter's first fit at {restarts} restarts"
             )
+
+    def test_warm_evaluation_allocates_nothing_per_point(self):
+        """Every per-point array of an iteration lives in the batch: a warm
+        evaluation of four float32 pairs, with or without the gradient,
+        has the same tracemalloc peak at 5,000 points as at 20,000. One
+        float32 temporary per point would add 60 KB at the larger size.
+        The start pairs leave about half of the points active."""
+        peaks = {}
+        for n in (5000, 20_000):
+            rng = np.random.default_rng(69)
+            pts = rng.uniform(-0.6, 0.6, (n, 3))
+            labels = (np.linalg.norm(pts, axis=1) < 0.4).astype(np.uint8)
+            cfg = FitConfig()
+            rows = _pair_rows([init_node(pts, labels, cfg, restart=r) for r in range(4)])
+            batch = _PairBatch(pts, labels, cfg.sharpness, 4, dtype=_RACE_DTYPE)
+            for grad in (True, False):
+                batch.evaluate(rows, grad)
+                tracemalloc.start()
+                try:
+                    batch.evaluate(rows, grad)
+                    peaks[grad, n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[True, 5000] == peaks[True, 20_000], peaks
+        assert peaks[False, 5000] == peaks[False, 20_000], peaks
 
     def test_diverging_fit_names_node_restart_iteration_and_step_size(self):
         """A step size that makes every restart diverge used to fail with the
@@ -660,22 +686,22 @@ class TestRace:
         (_, best_loss, _), _ = race_on_support(pts, labels, cfg)
         assert best_loss.min() > ref_objective
 
-    def test_gradient_blocks_cut_between_restarts(self, monkeypatch):
-        """Four restarts carry more active rows than one chunk of n holds,
-        so iterations split their gradient rows over several chunks, cut
-        wherever n falls: at least one chunk ends inside one slot's rows,
-        which blocks of whole slots never did. The fit is still the
+    def test_one_feature_call_per_iteration_over_every_slot(self, monkeypatch):
+        """Each gradient evaluation hands the active rows of all running
+        SQs to the kernel in one feature call, in slot order, and a
+        value-only one makes none. At four restarts a call holds rows of
+        several slots, more rows than the points. The fit is still the
         reference's over the survivors, bitwise."""
         pts, labels = race_problem(81, 300)
         cfg = FitConfig(iterations=40, restarts=4, seed=5)
         calls = []
 
         def counted(ws, idx, out):
-            calls[-1].append(idx // ws.n)
+            calls[-1][1].append((ws.n, idx // ws.n))
             return field_gradient(ws, idx, out)
 
         def evaluate(batch, rows, grad=True):
-            calls.append([])
+            calls.append((grad, []))
             return batch_evaluate(batch, rows, grad)
 
         field_gradient, batch_evaluate = fitter._field_gradient, fitter._PairBatch.evaluate
@@ -683,13 +709,11 @@ class TestRace:
             patch.setattr(fitter, "_field_gradient", counted)
             patch.setattr(fitter._PairBatch, "evaluate", evaluate)
             fit_node(pts, labels, cfg)
-        chunks = [slots for call in calls for slots in call]
-        assert max(map(len, chunks)) <= len(pts)
-        assert len(chunks) > cfg.iterations
-        assert any(
-            len(before) and len(after) and before[-1] == after[0]
-            for call in calls for before, after in zip(call, call[1:])
-        )
+        assert sum(grad for grad, _ in calls) >= cfg.iterations
+        assert all(len(features) == grad for grad, features in calls)
+        slots = [(n, slot) for _, features in calls for n, slot in features]
+        assert all((np.diff(slot) >= 0).all() for _, slot in slots)
+        assert any(len(np.unique(slot)) > 2 and len(slot) > n for n, slot in slots)
         check_race_against_reference(pts, labels, cfg)
 
     @settings(max_examples=30, deadline=None)

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from helpers import field_and_gradient, gradient_corpus, occupancy_fd, random_superquadric
+from helpers import (
+    field_gradient_reference,
+    gradient_corpus,
+    occupancy_fd,
+    random_superquadric,
+)
 from sqdecomp import (
     OccupancyConfig,
     Superquadric,
@@ -21,12 +26,14 @@ from sqdecomp import (
 from sqdecomp import quaternions as quat
 from sqdecomp.fitter import _ESCAPE_MARGIN
 from sqdecomp.superquadric import (
+    _N_FEATURES,
     EXPONENT_BOUNDS,
     QUATERNION_NORM_TOL,
     SIZE_BOUNDS,
     FieldWorkspace,
     _expit,
     _field_gradient,
+    _gradient_map,
     _logaddexp,
     _radial,
     _union_below,
@@ -44,6 +51,14 @@ def one_slot_pass(sq, ws):
     and local coordinates, as views that the next pass overwrites."""
     _value_pass(ws, sq.params()[None])
     return ws.h[0], ws.ln_f[0], ws.local[:, 0]
+
+
+def full_features(sq, pts):
+    """The (13, n) gradient features of ``sq`` at every point, computed
+    alone: a one-slot workspace and one full-row call."""
+    ws = FieldWorkspace(pts, grad=True)
+    _value_pass(ws, sq.params()[None])
+    return _field_gradient(ws, np.arange(len(pts)), np.empty((_N_FEATURES, len(pts))))
 
 
 def pinned_points(sqs):
@@ -275,7 +290,7 @@ class TestFieldKernel:
             assert np.array_equal(h, h_g)
             assert np.array_equal(ln_f, ln_f_g)
             assert np.array_equal(local, local_g)
-            out = np.empty((len(pts), 11))
+            out = np.empty((_N_FEATURES, len(pts)))
             dh = _field_gradient(ws, np.arange(len(pts)), out)
             assert dh is out
             k = trial % 3
@@ -293,8 +308,7 @@ class TestFieldKernel:
     )
     def test_value_pass_over_slots_is_one_slot_pass_bitwise(self, seed, slots, n, grad):
         """One value pass over up to nine slots (of a workspace of up to
-        ten, whose scratch outgrows the gradient block from ten slots on)
-        writes each slot bit for bit what a one-slot pass of its row
+        ten) writes each slot bit for bit what a one-slot pass of its row
         writes, and the gradient rows that follow are bitwise the one-slot
         ones too."""
         rng = np.random.default_rng(seed)
@@ -308,11 +322,12 @@ class TestFieldKernel:
             assert np.array_equal(ws.h[k], h)
             assert np.array_equal(ws.ln_f[k], ln_f)
             assert np.array_equal(ws.ln_s[k], alone.ln_s[0])
+            assert np.array_equal(ws.ln_u[:, k], alone.ln_u[:, 0])
             assert np.array_equal(ws.local[:, k], local)
             assert np.array_equal(ws.params[:, k], alone.params[:, 0])
             if grad:
                 rows = np.flatnonzero(rng.random(n) < 0.5)
-                dh = _field_gradient(ws, k * n + rows, np.empty((len(rows), 11)))
+                dh = _field_gradient(ws, k * n + rows, np.empty((_N_FEATURES, len(rows))))
                 assert np.array_equal(dh, _field_gradient(alone, rows, np.empty_like(dh)))
 
     @settings(max_examples=30, deadline=None)
@@ -354,13 +369,14 @@ class TestFieldKernel:
         with pytest.raises(ValueError):
             _value_pass(FieldWorkspace(pts, k=2), rows)
         with pytest.raises(ValueError):
-            _field_gradient(FieldWorkspace(pts), np.arange(4), np.empty((4, 11)))
+            _field_gradient(FieldWorkspace(pts), np.arange(4), np.empty((_N_FEATURES, 4)))
         ws = FieldWorkspace(pts, k=2, grad=True)
         _value_pass(ws, rows[:2])
+        _field_gradient(ws, np.arange(8), np.empty((_N_FEATURES, 8)))
         with pytest.raises(ValueError, match="block"):
-            _field_gradient(ws, np.arange(5), np.empty((5, 11)))
+            _field_gradient(ws, np.arange(9), np.empty((_N_FEATURES, 9)))
         with pytest.raises(ValueError):
-            _field_gradient(ws, np.arange(4), np.empty((3, 11)))
+            _field_gradient(ws, np.arange(4), np.empty((_N_FEATURES, 3)))
         with pytest.raises(ValueError, match="shape"):
             FieldWorkspace(np.zeros((4, 2)))
 
@@ -378,7 +394,7 @@ class TestFieldKernel:
                        for sq in sqs]
             pts = np.vstack([rng.uniform(-1.2, 1.2, (2000, 3)), pinned_points(sqs[:3])])
             n = len(pts)
-            full = field_and_gradient(sqs[-1], pts)[1]
+            full = full_features(sqs[-1], pts)
             ws = FieldWorkspace(pts, k=len(sqs), grad=True)
             _value_pass(ws, np.array([sq.params() for sq in sqs]))
             for rows in (
@@ -388,9 +404,9 @@ class TestFieldKernel:
                 np.flatnonzero(rng.random(n) < 0.3),
                 rng.permutation(n)[:700],
             ):
-                dh = _field_gradient(ws, (len(sqs) - 1) * n + rows, np.empty((len(rows), 11)))
-                assert dh.shape == (len(rows), 11)
-                assert np.array_equal(dh, full[rows])
+                out = np.empty((_N_FEATURES, len(rows)))
+                dh = _field_gradient(ws, (len(sqs) - 1) * n + rows, out)
+                assert np.array_equal(dh, full[:, rows])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -404,27 +420,26 @@ class TestFieldKernel:
         self, seed, slots, n, share, exponents
     ):
         """The fitter hands the active rows of all its slots to the kernel
-        in chunks of at most n rows, cut wherever n falls. Rows of up to
-        eight slots, interleaved in random order and cut into random chunks
-        of at most n rows, must each come out bitwise their slot's one-slot
-        full-row gradient."""
+        in one call. Rows of up to eight slots, interleaved in random order
+        and cut into random calls of up to the block's K n rows, must each
+        come out bitwise their slot's one-slot full-row features."""
         rng = np.random.default_rng(seed)
         sqs = [random_superquadric(rng) for _ in range(slots)]
         if exponents is not None:
             sqs = [Superquadric(sq.size, exponents, sq.translation, sq.rotation) for sq in sqs]
         pts = np.vstack([rng.uniform(-1.2, 1.2, (n, 3)), pinned_points(sqs[:3])])
         n = len(pts)
-        full = np.array([field_and_gradient(sq, pts)[1] for sq in sqs])
+        full = np.array([full_features(sq, pts) for sq in sqs])
         ws = FieldWorkspace(pts, k=slots, grad=True)
         _value_pass(ws, np.array([sq.params() for sq in sqs]))
         idx = rng.permutation(np.flatnonzero(rng.random(slots * n) < share))
         start = 0
         while start < len(idx):
-            chunk = idx[start:start + rng.integers(1, n + 1)]
-            out = np.full((len(chunk), 11), np.nan)
+            chunk = idx[start:start + rng.integers(1, slots * n + 1)]
+            out = np.full((_N_FEATURES, len(chunk)), np.nan)
             assert _field_gradient(ws, chunk, out) is out
             slot, point = np.divmod(chunk, n)
-            assert np.array_equal(out, full[slot, point])
+            assert np.array_equal(out, full[slot, :, point].T)
             start += len(chunk)
 
     @settings(max_examples=60, deadline=None)
@@ -441,26 +456,35 @@ class TestFieldKernel:
         """The race's float32 field kernel, at rows on the size and exponent
         bounds and at points in [-1.7, 1.7]^3 with the SQ's center and axes
         (where the clamp pins the local coordinates): the value pass and
-        every gradient row are finite and raise no overflow, invalid or
+        every gradient feature are finite and raise no overflow, invalid or
         divide warning, and h is within a relative 1e-4 of float64's. The
         error comes from rounding the points and the log-space terms to
         float32 (about 3e-5 at worst over 3,000 such rows); h itself stays
-        below about 4 (1.7 sqrt(3) / 0.005)^2, far from float32's range."""
+        below about 4 (1.7 sqrt(3) / 0.005)^2, far from float32's range.
+        Each feature is within 1e-3 of float64's, relative to its largest
+        float64 value, at the rows whose local coordinates are all at least
+        1e-3 in size (about 2e-4 at worst over 90,000 such rows). Nearer a
+        coordinate plane a float32 local coordinate carries a large
+        relative error, which G = D / local passes on."""
         rng = np.random.default_rng(seed)
         sq = Superquadric(np.array(size), np.array(exponents), rng.uniform(-0.5, 0.5, 3),
                           quat.normalize(rng.normal(size=4)))
         pts = np.vstack([rng.uniform(-1.7, 1.7, (300, 3)), pinned_points([sq])])
         rows = np.arange(len(pts))
-        h = {}
+        h, features = {}, {}
         for dtype in (np.float64, np.float32):
             ws = FieldWorkspace(pts, grad=True, dtype=dtype)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 _value_pass(ws, sq.params()[None])
-                dh = _field_gradient(ws, rows, np.empty((len(rows), 11)))
+                features[dtype] = _field_gradient(ws, rows, np.empty((_N_FEATURES, len(rows))))
             assert ws.h.dtype == dtype
-            assert np.isfinite(ws.kept).all() and np.isfinite(dh).all()
+            assert np.isfinite(ws.kept).all() and np.isfinite(features[dtype]).all()
             h[dtype] = ws.h[0].astype(np.float64)
         np.testing.assert_allclose(h[np.float32], h[np.float64], rtol=1e-4, atol=0)
+        away = (np.abs(world_to_local(sq, pts)) >= 1e-3).all(axis=1)
+        exact, rounded = features[np.float64][:, away], features[np.float32][:, away]
+        scale = np.abs(exact).max(axis=1, initial=0.0)
+        assert (np.abs(rounded - exact).max(axis=1, initial=0.0) <= 1e-3 * scale).all()
 
     def test_logaddexp_matches_numpy(self):
         """Within 4e-16 max(1, |x|, |y|) of np.logaddexp, on equal arguments,
@@ -517,6 +541,64 @@ class TestFieldKernel:
         start = np.float32(0.234).view(np.int32)
         x = np.arange(start, start + 2**20, dtype=np.int32).view(np.float32)
         assert np.all(np.diff(_expit(x, np.empty_like(x))) >= 0.0)
+
+
+def bounded(bounds):
+    """A number in ``bounds``, often one of its two ends."""
+    return st.one_of(st.sampled_from(bounds), st.floats(*bounds))
+
+
+class TestGradientMap:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        shapes=st.lists(
+            st.tuples(
+                st.lists(bounded(SIZE_BOUNDS), min_size=3, max_size=3),
+                st.lists(bounded(EXPONENT_BOUNDS), min_size=2, max_size=2),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_features_through_the_map_are_the_per_row_gradient(self, seed, shapes):
+        """In float64, each row's features times its slot's map are the
+        per-row chain rule of ``field_gradient_reference`` within 1e-12 of
+        the terms each component sums, and a weighted sum of rows'
+        gradients is the map applied to the weighted sum of their
+        features. One to eight slots share a workspace, with sizes and
+        exponents on their bounds or between, at points in [-1.7, 1.7]^3
+        and at each SQ's center and a point on each local axis, where the
+        clamp pins coordinates. The terms: the map's products, and inside
+        them the two of D_x ln_u_x + D_y ln_u_y and the cross product's
+        |G| |local|, where cancellation leaves a small result."""
+        rng = np.random.default_rng(seed)
+        sqs = [
+            Superquadric(np.array(size), np.array(exponents), rng.uniform(-0.5, 0.5, 3),
+                         quat.normalize(rng.normal(size=4)))
+            for size, exponents in shapes
+        ]
+        pts = np.vstack([rng.uniform(-1.7, 1.7, (200, 3)), pinned_points(sqs)])
+        n, slots = len(pts), len(sqs)
+        params = np.array([sq.params() for sq in sqs])
+        ws = FieldWorkspace(pts, slots, grad=True)
+        _value_pass(ws, params)
+        maps = _gradient_map(params)
+        assert maps.shape == (slots, 11, _N_FEATURES)
+        out = np.empty((_N_FEATURES, slots * n))
+        features = _field_gradient(ws, np.arange(slots * n), out).reshape(_N_FEATURES, slots, n)
+        for k, sq in enumerate(sqs):
+            f, local, ln_u = features[:, k], ws.local[:, k], ws.ln_u[:, k]
+            grad = f.T @ maps[k].T
+            terms = np.abs(f.T) @ np.abs(maps[k].T)
+            terms[:, 4] += (np.abs(f[0] * ln_u[0]) + np.abs(f[1] * ln_u[1])) / sq.exponents[1]
+            cross = np.linalg.norm(f[7:10], axis=0) * np.linalg.norm(local, axis=0)
+            terms[:, 8:11] += cross[:, None]
+            reference = field_gradient_reference(sq, pts)
+            assert (np.abs(grad - reference) <= 1e-12 * (np.abs(reference) + terms)).all()
+            weight = rng.normal(size=n)
+            summed = maps[k] @ (f @ weight)
+            assert (np.abs(weight @ grad - summed) <= 1e-12 * (np.abs(weight) @ terms)).all()
 
 
 class TestRadialDistance:
