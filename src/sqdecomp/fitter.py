@@ -66,8 +66,8 @@ rows of all the SQs in one feature call (``superquadric._field_gradient``).
 Each SQ's rows are contiguous there, in slot order: their residual-weighted
 feature sum, 13 numbers, goes through the SQ's 11 x 13 map
 (``superquadric._gradient_map``) once. Then one momentum step moves every
-row: the velocity and parameter updates and both clips as array
-operations, and one retraction of all the rotations. The
+row: the velocity and parameter updates and one clip of the sizes and
+exponents as array operations, and one retraction of all the rotations. The
 new rows pass the checks of a Superquadric (``check_parameters``) every
 iteration; a step that fails
 them names the node, the restart, the iteration and the step size.
@@ -321,7 +321,7 @@ class _PairBatch:
         self.field = FieldWorkspace(points, 2 * pairs, grad, dtype)
         self.y, self.sharpness = np.asarray(y, dtype), sharpness
         self.denominator = n if denominator is None else denominator
-        self.inside = self.y == 1.0
+        self.outside = 1.0 - self.y
         self.g, self.credited = np.empty((pairs, n), dtype), np.empty((pairs, n), dtype)
         if grad:
             # Pair j's residuals at [j, 0] and [j, 1]: [j, side, i] is the
@@ -353,12 +353,14 @@ class _PairBatch:
         each of which would change the gradient by less than
         ``s * ACTIVE_RESIDUAL / denominator`` times its field derivative.
 
-        The active rows of all 2L SQs, found as flat indices k n + i in
-        slot order, go through one :func:`_field_gradient` call into one
-        (13, m) block of features. Each SQ's rows, contiguous there, are
-        summed by one matrix-vector product with their weights, and the
-        sum goes through the SQ's map from :func:`_gradient_map`. Every
-        value a pair gets is bitwise the one it gets evaluated alone.
+        The active rows of all 2L SQs, found once as flat indices k n + i
+        in slot order, go through one :func:`_field_gradient` call into
+        one (13, m) block of features. Each SQ's rows are contiguous there
+        and end where a search of the sorted indices for (k + 1) n says;
+        they are summed by one matrix-vector product with their weights,
+        and all 2L sums go through their maps from :func:`_gradient_map`
+        in one stacked product. Every value a pair gets is bitwise the one
+        it gets evaluated alone.
         """
         ws, pairs = self.field, len(rows)
         _value_pass(ws, rows.reshape(2 * pairs, 12))
@@ -369,9 +371,10 @@ class _PairBatch:
         np.subtract(1.0, g, out=g)
         np.multiply(self.sharpness, g, out=g)
         _expit(g, g)
-        # The occupancy the BCE credits: g for inside labels, 1 - g for outside.
-        np.subtract(1.0, g, out=credited)
-        np.copyto(credited, g, where=self.inside)
+        # The occupancy the BCE credits, |g - outside|: exactly g for inside
+        # labels and 1 - g for outside ones.
+        np.subtract(g, self.outside, out=credited)
+        np.abs(credited, out=credited)
         if grad:
             flag = self.flag[:pairs]
             # residual = where(credited < LOG_CLAMP, 0, g - y) in g's place
@@ -381,12 +384,12 @@ class _PairBatch:
             np.subtract(g, self.y, out=g)
             np.copyto(g, 0.0, where=flag)
             np.copyto(self.residual[:pairs], g[:, None, :])
-        # loss = sum(-log(max(credited, LOG_CLAMP))) / denominator, which
-        # at denominator n is bitwise the mean
+        # loss = -sum(log(max(credited, LOG_CLAMP))) / denominator, which at
+        # denominator n is bitwise the mean; 0 - sum, like a sum of negated
+        # terms, is never -0.
         np.maximum(credited, LOG_CLAMP, out=credited)
         np.log(credited, out=credited)
-        np.negative(credited, out=credited)
-        losses = credited.sum(axis=1, dtype=np.float64) / self.denominator
+        losses = np.subtract(0.0, credited.sum(axis=1, dtype=np.float64)) / self.denominator
         if not grad:
             return losses, None
 
@@ -404,15 +407,14 @@ class _PairBatch:
         # np.flatnonzero allocates is no larger than numpy's own ufunc
         # buffers at any point count.
         flat = sides.reshape(-1)
-        counts = np.count_nonzero(sides, axis=2).ravel()
-        ends = np.cumsum(counts)
-        m = ends[-1]
-        idx, weight = self.rows[:m], self.weight[:m]
-        step, found = np.getbufsize(), 0
+        step, m = np.getbufsize(), 0
         for lo in range(0, flat.size, step):
             part = np.flatnonzero(flat[lo:lo + step])
-            np.add(part, lo, out=idx[found:found + len(part)])
-            found += len(part)
+            np.add(part, lo, out=self.rows[m:m + len(part)])
+            m += len(part)
+        idx, weight = self.rows[:m], self.weight[:m]
+        # Slot k's rows end before the first index at or past (k + 1) n.
+        ends = np.searchsorted(idx, ws.n * np.arange(1, 2 * pairs + 1))
         # np.take will not cast into the float64 weights, so the residuals
         # pass through g's buffer, in the batch's dtype.
         picked = g.reshape(-1)[:m]
@@ -421,11 +423,12 @@ class _PairBatch:
         features = self.features[:_N_FEATURES * m].reshape(_N_FEATURES, m)
         _field_gradient(ws, idx, features)
         # dz/dparams = -sharpness * dh/dparams on the winning side only:
-        # each slot's weighted feature sum through its map.
-        maps = _gradient_map(rows.reshape(2 * pairs, 12))
-        grads = np.empty((2 * pairs, 11))
-        for k, (lo, hi) in enumerate(zip(ends - counts, ends)):
-            grads[k] = maps[k] @ (features[:, lo:hi] @ weight[lo:hi])
+        # each slot's weighted feature sum, all through their maps at once.
+        sums, lo = np.empty((2 * pairs, _N_FEATURES, 1)), 0
+        for k, hi in enumerate(ends):
+            np.matmul(features[:, lo:hi], weight[lo:hi], out=sums[k, :, 0])
+            lo = hi
+        grads = np.matmul(_gradient_map(rows.reshape(2 * pairs, 12)), sums)[:, :, 0]
         grads *= -self.sharpness
         return losses, grads
 
@@ -520,8 +523,8 @@ def _step(cfg: FitConfig, node: tuple[int, int], t: int, ids, rows, vel, grads):
         move = vel.reshape(len(ids), 2, 11)
         new = rows.copy()
         new[..., 0:8] += move[..., 0:8]
-        new[..., 0:3] = np.clip(new[..., 0:3], cfg.a_min, cfg.a_max)
-        new[..., 3:5] = np.clip(new[..., 3:5], cfg.e_min, cfg.e_max)
+        lo, hi = [cfg.a_min] * 3 + [cfg.e_min] * 2, [cfg.a_max] * 3 + [cfg.e_max] * 2
+        np.clip(new[..., 0:5], lo, hi, out=new[..., 0:5])
         turned = quat.multiply(quat.from_rotation_vector(move[..., 8:11]), rows[..., 8:12])
         try:
             new[..., 8:12] = quat.normalize(turned)

@@ -45,12 +45,14 @@ for one row or a batch of rows, and :func:`_expit` the one logistic sigmoid.
 A row's gradient of h is linear in 13 numbers of its own, with
 coefficients that depend only on its superquadric: grad = M_k f. A
 gradient call takes its rows as flat indices k*n + i (slot k, point i) of
-any slots in any order and writes each row's 13 features f, from the
-values its slot's pass kept at that point; :func:`_gradient_map` builds
-each superquadric's 11 x 13 map M_k from its parameter row. A weighted sum
-of rows' gradients is therefore M_k applied to the weighted sum of their
-features: the fitter sums each superquadric's features and applies its map
-once, and :func:`occupancy_gradient` applies the map row by row.
+any slots in any order and writes each row's 13 features f from the 13
+values its slot's pass kept at that point, and from nothing else: the
+pass keeps its log-sum-exp operands, so no row recomputes them or reads
+its slot's parameters. :func:`_gradient_map` builds each superquadric's
+11 x 13 map M_k from its parameter row. A weighted sum of rows' gradients
+is therefore M_k applied to the weighted sum of their features: the
+fitter sums each superquadric's features and applies its map once, and
+:func:`occupancy_gradient` applies the map row by row.
 
 A workspace computes in one dtype. The public evaluators, the split and
 the union test use float64; the fitter's race uses float32, and its
@@ -176,19 +178,19 @@ def world_to_local(sq: Superquadric, x) -> np.ndarray:
 
 # FieldWorkspace.params holds one column per slot: the first eight numbers
 # of its parameter row, size (3), e1, e2 and translation (3), then the value
-# pass's coefficients 2/e2, e2/e1 and 2/e1, which a gradient row also reads.
+# pass's coefficients 2/e2, e2/e1 and 2/e1, which only the value pass reads.
 _N_PARAMS = 11
-# One gradient block as rows of m values: the coefficients (3), and later
-# G = dh/dlocal in their place, the values a slot keeps per point (9: local
-# (3), ln_u (3), ln_s, ln_f, h), alpha, beta, aw1, aw2, 2h and a temporary,
-# and D = dh/dln_u (3).
+# One gradient block as rows of m values: G = dh/dlocal (3), the values a
+# slot keeps per point as its first nine kept rows (local (3), ln_u (3),
+# ln_s, ln_f, h), alpha, beta, aw1, aw2 (read in as the last four kept
+# rows, term_xy, term_z, w1, w2), 2h and a temporary, and D = dh/dln_u (3).
 _BLOCK_PARTS = (3, 9, 6, 3)
 _BLOCK_ROWS = sum(_BLOCK_PARTS)
 _BLOCK_SLICES = tuple(
     slice(end - part, end) for part, end in zip(_BLOCK_PARTS, np.cumsum(_BLOCK_PARTS))
 )
-# A value pass keeps three scratch values per point and slot: w1, w2, gap.
-_VALUE_SCRATCH = 3
+# A value pass keeps one scratch value per point and slot: the log-sum-exp gap.
+_VALUE_SCRATCH = 1
 # The features of one gradient row, in order: D (3), h ln_f, 2 h alpha ln_s,
 # D_z ln_u_z, D_x ln_u_x + D_y ln_u_y, G (3) and C = G x local (3).
 _N_FEATURES = 13
@@ -203,14 +205,14 @@ class FieldWorkspace:
     allocating short-lived arrays that the allocator returns to the OS and
     faults back in. The points, checked by :func:`geometry.as_points`, are
     stored once as (3, n); ``single`` says they were given as one point
-    (3,). Slot k holds the last value pass of some superquadric: ``local``
-    and ``ln_u`` (3, K, n) and ``ln_s``, ``ln_f``, ``h`` (K, n), which is
-    all a gradient row reads of its point, plus the slot's parameter
-    column (``params``). The value pass's other intermediates (w1, w2,
-    term_xy, term_z) live in scratch; a gradient row recomputes them,
-    bitwise the same, from its slot's coefficients. With ``grad`` the
-    scratch also holds one gradient block of up to K n rows of any slots,
-    and ``slot`` the slot of each of its rows.
+    (3,). Slot k holds the last value pass of some superquadric, 13 kept
+    values per point (``kept``, (13, K n)): ``local`` and ``ln_u`` (3, K,
+    n), ``ln_s``, ``ln_f``, ``h`` (K, n) and ``terms`` (4, K, n), the
+    log-sum-exp operands term_xy, term_z, w1 and w2. They are all a
+    gradient row reads. The slot's parameter column (``params``) is read
+    by the value pass and :func:`_radial`, never by a gradient row. With
+    ``grad`` the scratch holds one gradient block of up to K n rows of
+    any slots.
 
     ``dtype`` (float64 by default; the fitter's race asks for float32) is
     that of the points, the kept values, the parameter columns and the
@@ -223,16 +225,16 @@ class FieldWorkspace:
         n = len(pts)
         self.n, self.grad, self.dtype = n, grad, dtype
         self.points = np.ascontiguousarray(pts.T, dtype=dtype)
-        kept = np.empty((9, k, n), dtype)
-        self.kept = kept.reshape(9, k * n)
+        kept = np.empty((13, k, n), dtype)
+        self.kept = kept.reshape(13, k * n)
         self.local, self.ln_u = kept[0:3], kept[3:6]
         self.ln_s, self.ln_f, self.h = kept[6], kept[7], kept[8]
+        self.terms = kept[9:13]
         self.params = np.empty((_N_PARAMS, k), dtype)
         # A value pass never overlaps a gradient call, so its scratch is
         # the gradient block.
         self.scratch = np.empty((_BLOCK_ROWS if grad else _VALUE_SCRATCH) * k * n, dtype)
         if grad:
-            self.slot = np.empty(k * n, dtype=np.intp)
             self.pinned = np.empty(3 * k * n, dtype=bool)
 
 
@@ -272,13 +274,14 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
 
     ``rows`` holds one parameter row (K, 12) per superquadric, in the
     layout of :meth:`Superquadric.params`: size (3), exponents (2),
-    translation (3) and unit quaternion (4). Slot k receives h = F^e1, ln F
-    and the local coordinates, and the parameters its gradient needs. The
-    operations and their order are those of the plain expressions in the
-    comments, with each slot's scalars broadcast as (K, 1) columns. Every
-    one but the rotation is elementwise, and the rotation is one 3x3 matrix
-    product per slot, so a point's values do not depend on the other
-    points, the slot, the workspace or which slots share the pass.
+    translation (3) and unit quaternion (4). Slot k receives its parameter
+    column, h = F^e1, ln F, the local coordinates and every other value its
+    gradient rows read. The operations and their order are those of the
+    plain expressions in the comments, with each slot's scalars broadcast
+    as (K, 1) columns. Every one but the rotation is elementwise, and the
+    rotation is one 3x3 matrix product per slot, so a point's values do
+    not depend on the other points, the slot, the workspace or which slots
+    share the pass.
     """
     count = len(rows)
     # The slots' parameter columns, which the coefficients below are read
@@ -292,10 +295,10 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     rot = quat.to_matrix(rows[:, 8:12]).astype(ws.dtype, copy=False)
     cols = prm[:, :, None]
     a, (e1, e2), t, (c2e2, ce2e1, c2e1) = cols[0:3], cols[3:5], cols[5:8], cols[8:11]
-    scratch = ws.scratch[:_VALUE_SCRATCH * count * ws.n].reshape(_VALUE_SCRATCH, count, ws.n)
-    w1, w2, gap = scratch
+    gap = ws.scratch[:_VALUE_SCRATCH * count * ws.n].reshape(count, ws.n)
     local, ln_u = ws.local[:, :count], ws.ln_u[:, :count]
     ln_s, ln_f, h = ws.ln_s[:count], ws.ln_f[:count], ws.h[:count]
+    term_xy, term_z, w1, w2 = ws.terms[:, :count]
 
     # local = R^T (x - t), with x - t in ln_u's place
     np.subtract(ws.points[:, None, :], t, out=ln_u)
@@ -310,9 +313,9 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     np.multiply(c2e2, ln_u[1], out=w2)
     _logaddexp(w1, w2, ln_s, gap)
     # ln_f = logaddexp(term_xy, term_z), term_xy = (e2 / e1) ln_s, term_z = (2 / e1) ln_u_z
-    np.multiply(ce2e1, ln_s, out=w1)
-    np.multiply(c2e1, ln_u[2], out=w2)
-    _logaddexp(w1, w2, ln_f, gap)
+    np.multiply(ce2e1, ln_s, out=term_xy)
+    np.multiply(c2e1, ln_u[2], out=term_z)
+    _logaddexp(term_xy, term_z, ln_f, gap)
     # h = exp(e1 ln_f)
     np.multiply(e1, ln_f, out=h)
     np.exp(h, out=h)
@@ -345,35 +348,28 @@ def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, out: np.ndarray) -> np.
     D_x ln_u_x + D_y ln_u_y, G = dh/dlocal = D / local (3), zero where the
     clamp pins a coordinate, and C = G x local (3); the softmax weights
     alpha, beta (and aw1, aw2 inside the xy term) fall out of
-    differentiating logaddexp. A row reads its point's kept values and
-    three coefficients of its slot, gathered by index, and nothing else:
-    its slot's sizes, translation and rotation enter only through the map.
-    Each row depends only on its own point and slot, by elementwise
-    operations alone, so a row comes out bitwise the same whichever rows
-    share the call.
+    differentiating logaddexp. A row reads its point's 13 kept values,
+    gathered by index, and nothing else, not even its slot's parameter
+    column: its slot's sizes, translation and rotation enter only through
+    the map. Each row depends only on its own point and slot, by
+    elementwise operations alone, so a row comes out bitwise the same
+    whichever rows share the call.
     """
     if not ws.grad:
         raise ValueError("workspace has no gradient buffers")
-    m = len(idx)
-    if m > len(ws.slot):
-        raise ValueError(f"{m} gradient rows exceed the block size {len(ws.slot)}")
+    m, capacity = len(idx), ws.kept.shape[1]
+    if m > capacity:
+        raise ValueError(f"{m} gradient rows exceed the block size {capacity}")
     blk = ws.scratch[:_BLOCK_ROWS * m].reshape(_BLOCK_ROWS, m)
-    coeffs, kept, scalars, dh_dlnu = (blk[s] for s in _BLOCK_SLICES)
-    slot = ws.slot[:m]
-    np.floor_divide(idx, ws.n, out=slot)
-    # mode="clip" writes straight into the buffer; "raise" would copy
-    # through a temporary.
-    np.take(ws.params[8:11], slot, axis=1, out=coeffs, mode="clip")
-    np.take(ws.kept, idx, axis=1, out=kept, mode="clip")
-    c2e2, ce2e1, c2e1 = coeffs
+    dh_dlocal, kept, scalars, dh_dlnu = (blk[s] for s in _BLOCK_SLICES)
+    # The kept values fill kept and, as term_xy, term_z, w1 and w2, the
+    # rows of alpha, beta, aw1 and aw2 that follow it. mode="clip" writes
+    # straight into the block; "raise" would copy through a temporary.
+    start = _BLOCK_SLICES[1].start
+    np.take(ws.kept, idx, axis=1, out=blk[start:start + len(ws.kept)], mode="clip")
     local, ln_u, (ln_s, ln_f, h) = kept[0:3], kept[3:6], kept[6:9]
     alpha, beta, aw1, aw2, two_h, tmp = scalars
 
-    # The value pass again: term_xy, term_z, w1, w2, in place of alpha, beta, aw1, aw2
-    np.multiply(ce2e1, ln_s, out=alpha)
-    np.multiply(c2e1, ln_u[2], out=beta)
-    np.multiply(c2e2, ln_u[0], out=aw1)
-    np.multiply(c2e2, ln_u[1], out=aw2)
     # alpha = exp(term_xy - ln_f), beta = exp(term_z - ln_f), aw = exp(w - ln_s)
     for num, den in ((alpha, ln_f), (beta, ln_f), (aw1, ln_s), (aw2, ln_s)):
         np.subtract(num, den, out=num)
@@ -393,16 +389,15 @@ def _field_gradient(ws: FieldWorkspace, idx: np.ndarray, out: np.ndarray) -> np.
     np.multiply(dh_dlnu[1], ln_u[1], out=two_h)
     np.add(tmp, two_h, out=out[6])
 
-    # G = D * where(|local| > clamp, sign(local) / max(|local|, clamp), 0),
-    # in place of the coefficients, with max(|local|, clamp) in place of
-    # alpha, beta, aw1
-    dh_dlocal, abs_local = coeffs, scalars[0:3]
+    # G = D * where(|local| > clamp, 1 / local, 0), with |local| in place of
+    # alpha, beta, aw1: above the clamp 1 / local rounds +-1 / |local| once,
+    # so G has the bits of D * sign(local) / max(|local|, clamp).
+    abs_local = scalars[0:3]
     pinned = ws.pinned[:3 * m].reshape(3, m)
     np.abs(local, out=abs_local)
     np.less_equal(abs_local, COORD_CLAMP, out=pinned)
-    np.maximum(abs_local, COORD_CLAMP, out=abs_local)
-    np.sign(local, out=dh_dlocal)
-    np.divide(dh_dlocal, abs_local, out=dh_dlocal)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, local, out=dh_dlocal)
     np.copyto(dh_dlocal, 0.0, where=pinned)
     np.multiply(dh_dlnu, dh_dlocal, out=dh_dlocal)
     np.copyto(out[7:10], dh_dlocal)

@@ -286,6 +286,31 @@ def field_gradient_reference(sq, points):
     return np.column_stack([-dh_dlnu / a, dh_de1, dh_de2, -world, np.cross(world, offset)])
 
 
+def dh_dlocal_reference(local, dh_dlnu):
+    """G = dh/dlocal from the local coordinates and D = dh/dln_u (3, m), in
+    their dtype, as the field kernel computed it before it took 1 / local:
+    sign(local) / max(|local|, COORD_CLAMP), zeroed where |local| <=
+    COORD_CLAMP, times D."""
+    abs_local = np.abs(local)
+    g = np.sign(local) / np.maximum(abs_local, COORD_CLAMP)
+    g[abs_local <= COORD_CLAMP] = 0.0
+    return dh_dlnu * g
+
+
+def credited_reference(g, y):
+    """The occupancy the BCE credits, g at inside labels and 1 - g at
+    outside ones, as ``fitter._PairBatch`` computed it before it took |g -
+    (1 - y)|."""
+    return np.where(y == 1.0, g, 1.0 - g)
+
+
+def segment_ends_reference(sides):
+    """The end of each slot's rows among a batch's active rows, from its
+    (pairs, 2, n) active flags, as ``fitter._PairBatch`` found them before it
+    searched the rows' flat indices: the running count of each slot's flags."""
+    return np.cumsum(np.count_nonzero(sides, axis=2).ravel())
+
+
 def field_and_gradient(sq, points):
     """h at every point and its (n, 11) gradient at every row, computed
     alone: a one-slot workspace, one full-row feature call and the SQ's
@@ -323,7 +348,7 @@ def pair_loss_and_grad(
     a_wins = ha <= hb
     g = sharpness * (1.0 - np.minimum(ha, hb))
     _expit(g, g)
-    credited = np.where(y == 1.0, g, 1.0 - g)
+    credited = credited_reference(g, y)
     loss = -np.log(np.maximum(credited, LOG_CLAMP)).sum(dtype=np.float64) / denominator
     residual = np.where(credited < LOG_CLAMP, 0.0, g - y)
     active = np.abs(residual) >= ACTIVE_RESIDUAL

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    credited_reference,
     fit_node_reference,
     pair_loss_and_grad,
     pair_loss_and_grad_reference,
     perturbed,
     random_superquadric,
     reaches,
+    segment_ends_reference,
 )
 from sqdecomp import (
     ConfigError,
@@ -37,6 +39,7 @@ from sqdecomp import fitter
 from sqdecomp import quaternions as quat
 from sqdecomp.fitter import (
     _ESCAPE_MARGIN,
+    LOG_CLAMP,
     _RACE_DTYPE,
     _PairBatch,
     _pair_rows,
@@ -382,6 +385,70 @@ class TestPairGradient:
                     assert losses[j] == loss and values[j] == loss
                     assert np.array_equal(grads[2 * j], grad_a)
                     assert np.array_equal(grads[2 * j + 1], grad_b)
+
+    def test_credited_occupancy_is_the_where_form_bitwise(self, monkeypatch):
+        """The batch credits |g - (1 - y)|, bitwise ``credited_reference``'s
+        where(y == 1, g, 1 - g), and its loss, the negated sum of the
+        clamped logs, is bitwise the sum of the negated logs, +0 where
+        every log is 0. The race's float32 occupancy is set to values in
+        [0, 1] (0, 1, subnormals, the smallest normal, 1 - ulp and uniform
+        draws) under both labels; the batch keeps the clamped logs of what
+        it credited, or their negations."""
+        rng = np.random.default_rng(95)
+        tiny = np.finfo(_RACE_DTYPE).smallest_subnormal
+        special = [0.0, 1.0, tiny, 7 * tiny, np.finfo(_RACE_DTYPE).tiny,
+                   np.nextafter(_RACE_DTYPE(1), _RACE_DTYPE(0)), 0.5]
+        occupancy_values = np.concatenate([special, rng.random(300)]).astype(_RACE_DTYPE)
+        sq = Superquadric(np.ones(3), np.ones(2))
+        cases = (
+            (np.tile(occupancy_values, 2), np.repeat([1.0, 0.0], len(occupancy_values))),
+            (np.array([1.0, 0.0], _RACE_DTYPE), np.array([1.0, 0.0])),
+        )
+        for g, y in cases:
+            monkeypatch.setattr(fitter, "_expit", lambda x, out: np.copyto(out, g))
+            batch = _PairBatch(rng.uniform(-1, 1, (len(g), 3)), y, 10.0, 1, grad=False,
+                               dtype=_RACE_DTYPE)
+            losses, _ = batch.evaluate(_pair_rows([(sq, sq)]), grad=False)
+            logs = np.log(np.maximum(credited_reference(g, y.astype(_RACE_DTYPE)), LOG_CLAMP))
+            assert logs.dtype == _RACE_DTYPE
+            kept = np.abs(batch.credited[0])
+            assert np.array_equal(kept.view(np.uint32), np.abs(logs).view(np.uint32))
+            expected = (-logs).sum(dtype=np.float64) / len(g)
+            assert np.array_equal(losses.view(np.uint64), np.array([expected]).view(np.uint64))
+        assert expected == 0.0 and not np.signbit(losses[0])
+
+    def test_slot_segments_are_the_flag_counts(self, monkeypatch):
+        """Each slot's active rows, contiguous in the one feature call, end
+        where ``segment_ends_reference`` (the running count of each slot's
+        flags) says, and each SQ's gradient is its map applied to the
+        weighted feature sum of those rows alone, bitwise. Four pairs, one
+        of them coincident, so that side b has no rows."""
+        rng = np.random.default_rng(96)
+        pts = rng.uniform(-0.6, 0.6, (400, 3))
+        y = (inside_outside_stable(random_superquadric(rng), pts) < 1.0).astype(np.float64)
+        pairs = [(random_superquadric(rng), random_superquadric(rng)) for _ in range(3)]
+        pairs.insert(1, (pairs[0][0], pairs[0][0]))
+        calls = []
+
+        def spy(ws, idx, out):
+            field_gradient(ws, idx, out)
+            calls.append((idx.copy(), out.copy()))
+            return out
+
+        field_gradient = fitter._field_gradient
+        monkeypatch.setattr(fitter, "_field_gradient", spy)
+        batch = _PairBatch(pts, y, 10.0, len(pairs), dtype=_RACE_DTYPE)
+        rows = _pair_rows(pairs)
+        _, grads = batch.evaluate(rows)
+        (idx, features), = calls
+        ends = segment_ends_reference(batch.sides[:len(pairs)])
+        assert ends[-1] == len(idx) and ends[3] == ends[2]
+        weight = batch.weight[:len(idx)]
+        maps = fitter._gradient_map(rows.reshape(-1, 12))
+        for k, (lo, hi) in enumerate(zip(np.concatenate([[0], ends[:-1]]), ends)):
+            assert ((idx[lo:hi] // len(pts)) == k).all()
+            expected = -10.0 * (maps[k] @ (features[:, lo:hi] @ weight[lo:hi]))
+            assert np.array_equal(grads[k].view(np.uint64), expected.view(np.uint64))
 
 
 class TestFitNode:
