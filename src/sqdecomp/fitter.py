@@ -142,6 +142,10 @@ _JITTER_ROTATION = 0.3
 _INIT_SIZE_FACTOR = 2.0
 _INIT_OFFSET_FACTOR = 0.25
 
+# Each step clips a row's sizes and exponents, columns 0:5, to this box.
+_BOX_LO = np.array([SIZE_BOUNDS[0]] * 3 + [EXPONENT_BOUNDS[0]] * 2)
+_BOX_HI = np.array([SIZE_BOUNDS[1]] * 3 + [EXPONENT_BOUNDS[1]] * 2)
+
 
 class ConfigError(ValueError):
     """A fit configuration value or config-file entry is invalid."""
@@ -158,10 +162,6 @@ class FitConfig:
     restarts: int = 4
     sharpness: float = 10.0
     seed: int = 0
-    a_min: float = SIZE_BOUNDS[0]
-    a_max: float = SIZE_BOUNDS[1]
-    e_min: float = EXPONENT_BOUNDS[0]
-    e_max: float = EXPONENT_BOUNDS[1]
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -180,12 +180,6 @@ class FitConfig:
             raise ConfigError(f"sharpness must be positive, got {self.sharpness}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not (0 < self.a_min <= self.a_max):
-            raise ConfigError(f"size bounds must satisfy 0 < a_min <= a_max, got "
-                              f"{self.a_min}, {self.a_max}")
-        if not (0 < self.e_min <= self.e_max):
-            raise ConfigError(f"exponent bounds must satisfy 0 < e_min <= e_max, got "
-                              f"{self.e_min}, {self.e_max}")
 
     @classmethod
     def field_casters(cls) -> dict:
@@ -476,7 +470,7 @@ def init_node(
 
     The loss comparison across restarts then selects the right regime for the
     shape at hand. ``points`` and ``labels`` pass the checks of
-    :class:`LabeledPointSet`.
+    :class:`LabeledPointSet`. ``cfg`` is not read.
     """
     ps = LabeledPointSet(points, labels)
     inside = ps.points[ps.labels == 1]
@@ -490,7 +484,7 @@ def init_node(
     # x, y, z axes; cyclic permutation keeps the frame right-handed.
     perm = np.roll(np.arange(3), -role)  # role 0: (0,1,2), 1: (1,2,0), 2: (2,0,1)
     rot = dirs[:, perm]
-    sizes = np.clip(_INIT_SIZE_FACTOR * stds[perm], cfg.a_min, cfg.a_max)
+    sizes = np.clip(_INIT_SIZE_FACTOR * stds[perm], *SIZE_BOUNDS)
     q = quat.from_matrix(rot)
 
     offset = np.zeros(3) if coincident else _INIT_OFFSET_FACTOR * extent * dirs[:, 0]
@@ -523,8 +517,7 @@ def _step(cfg: FitConfig, node: tuple[int, int], t: int, ids, rows, vel, grads):
         move = vel.reshape(len(ids), 2, 11)
         new = rows.copy()
         new[..., 0:8] += move[..., 0:8]
-        lo, hi = [cfg.a_min] * 3 + [cfg.e_min] * 2, [cfg.a_max] * 3 + [cfg.e_max] * 2
-        np.clip(new[..., 0:5], lo, hi, out=new[..., 0:5])
+        np.clip(new[..., 0:5], _BOX_LO, _BOX_HI, out=new[..., 0:5])
         turned = quat.multiply(quat.from_rotation_vector(move[..., 8:11]), rows[..., 8:12])
         try:
             new[..., 8:12] = quat.normalize(turned)
@@ -641,7 +634,7 @@ def fit_node(
 
     if int(y.sum()) == 0:
         centroid = pts.mean(axis=0)
-        sentinel = Superquadric(np.full(3, cfg.a_min), np.ones(2), centroid)
+        sentinel = Superquadric(np.full(3, SIZE_BOUNDS[0]), np.ones(2), centroid)
         return NodeFit(
             sq_a=sentinel,
             sq_b=sentinel,

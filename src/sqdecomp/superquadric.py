@@ -73,6 +73,7 @@ from .geometry import as_points
 
 COORD_CLAMP = 1e-9
 
+# The fixed box that the fitter clips every step's sizes and exponents to.
 SIZE_BOUNDS = (0.005, 1.0)
 EXPONENT_BOUNDS = (0.1, 1.9)
 
@@ -189,8 +190,9 @@ _BLOCK_ROWS = sum(_BLOCK_PARTS)
 _BLOCK_SLICES = tuple(
     slice(end - part, end) for part, end in zip(_BLOCK_PARTS, np.cumsum(_BLOCK_PARTS))
 )
-# A value pass keeps one scratch value per point and slot: the log-sum-exp gap.
-_VALUE_SCRATCH = 1
+# A value-only workspace's scratch rows per point and slot: the log-sum-exp
+# gap, then w1 and w2, which term_xy and term_z overwrite once ln_s is written.
+_VALUE_SCRATCH = 3
 # The features of one gradient row, in order: D (3), h ln_f, 2 h alpha ln_s,
 # D_z ln_u_z, D_x ln_u_x + D_y ln_u_y, G (3) and C = G x local (3).
 _N_FEATURES = 13
@@ -205,14 +207,15 @@ class FieldWorkspace:
     allocating short-lived arrays that the allocator returns to the OS and
     faults back in. The points, checked by :func:`geometry.as_points`, are
     stored once as (3, n); ``single`` says they were given as one point
-    (3,). Slot k holds the last value pass of some superquadric, 13 kept
-    values per point (``kept``, (13, K n)): ``local`` and ``ln_u`` (3, K,
-    n), ``ln_s``, ``ln_f``, ``h`` (K, n) and ``terms`` (4, K, n), the
-    log-sum-exp operands term_xy, term_z, w1 and w2. They are all a
-    gradient row reads. The slot's parameter column (``params``) is read
-    by the value pass and :func:`_radial`, never by a gradient row. With
-    ``grad`` the scratch holds one gradient block of up to K n rows of
-    any slots.
+    (3,). Slot k holds the last value pass of some superquadric, its kept
+    values per point (``kept``, (13, K n) with ``grad``, else (9, K n)):
+    ``local`` and ``ln_u`` (3, K, n), ``ln_s``, ``ln_f``, ``h`` (K, n) and,
+    with ``grad``, ``terms`` (4, K, n), the log-sum-exp operands term_xy,
+    term_z, w1 and w2. They are all a gradient row reads. Without ``grad``,
+    ``terms`` (2, K, n) is two scratch rows, w1 and w2 and then term_xy and
+    term_z. The slot's parameter column (``params``) is read by the value
+    pass and :func:`_radial`, never by a gradient row. With ``grad`` the
+    scratch holds one gradient block of up to K n rows of any slots.
 
     ``dtype`` (float64 by default; the fitter's race asks for float32) is
     that of the points, the kept values, the parameter columns and the
@@ -225,15 +228,15 @@ class FieldWorkspace:
         n = len(pts)
         self.n, self.grad, self.dtype = n, grad, dtype
         self.points = np.ascontiguousarray(pts.T, dtype=dtype)
-        kept = np.empty((13, k, n), dtype)
-        self.kept = kept.reshape(13, k * n)
+        kept = np.empty((13 if grad else 9, k, n), dtype)
+        self.kept = kept.reshape(len(kept), k * n)
         self.local, self.ln_u = kept[0:3], kept[3:6]
         self.ln_s, self.ln_f, self.h = kept[6], kept[7], kept[8]
-        self.terms = kept[9:13]
         self.params = np.empty((_N_PARAMS, k), dtype)
         # A value pass never overlaps a gradient call, so its scratch is
         # the gradient block.
         self.scratch = np.empty((_BLOCK_ROWS if grad else _VALUE_SCRATCH) * k * n, dtype)
+        self.terms = kept[9:13] if grad else self.scratch[k * n:].reshape(2, k, n)
         if grad:
             self.pinned = np.empty(3 * k * n, dtype=bool)
 
@@ -295,10 +298,10 @@ def _value_pass(ws: FieldWorkspace, rows: np.ndarray):
     rot = quat.to_matrix(rows[:, 8:12]).astype(ws.dtype, copy=False)
     cols = prm[:, :, None]
     a, (e1, e2), t, (c2e2, ce2e1, c2e1) = cols[0:3], cols[3:5], cols[5:8], cols[8:11]
-    gap = ws.scratch[:_VALUE_SCRATCH * count * ws.n].reshape(count, ws.n)
+    gap = ws.scratch[:count * ws.n].reshape(count, ws.n)
     local, ln_u = ws.local[:, :count], ws.ln_u[:, :count]
     ln_s, ln_f, h = ws.ln_s[:count], ws.ln_f[:count], ws.h[:count]
-    term_xy, term_z, w1, w2 = ws.terms[:, :count]
+    (term_xy, term_z), (w1, w2) = ws.terms[:2, :count], ws.terms[-2:, :count]
 
     # local = R^T (x - t), with x - t in ln_u's place
     np.subtract(ws.points[:, None, :], t, out=ln_u)

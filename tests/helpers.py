@@ -24,6 +24,8 @@ from sqdecomp.geometry import (
 from sqdecomp.superquadric import (
     _N_FEATURES,
     COORD_CLAMP,
+    EXPONENT_BOUNDS,
+    SIZE_BOUNDS,
     FieldWorkspace,
     _expit,
     _field_gradient,
@@ -434,8 +436,8 @@ def optimize_pair_reference(
         pa = pa + vel[0:8]
         pb = pb + vel[11:19]
         for p in (pa, pb):
-            p[0:3] = np.clip(p[0:3], cfg.a_min, cfg.a_max)
-            p[3:5] = np.clip(p[3:5], cfg.e_min, cfg.e_max)
+            p[0:3] = np.clip(p[0:3], *SIZE_BOUNDS)
+            p[3:5] = np.clip(p[3:5], *EXPONENT_BOUNDS)
         qa = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[8:11]), qa))
         qb = quat.normalize(quat.multiply(quat.from_rotation_vector(vel[19:22]), qb))
         cur_a, cur_b = build(pa, qa), build(pb, qb)

@@ -42,10 +42,6 @@ FLAG_VALUES = {
     "restarts": 1,
     "sharpness": 12.5,
     "seed": 3,
-    "a_min": 0.01,
-    "a_max": 0.8,
-    "e_min": 0.2,
-    "e_max": 1.7,
 }
 
 
@@ -236,13 +232,16 @@ class TestFitCommand:
         )
 
     def test_bad_config_file_exits_2(self, capsys, mesh_dir, tmp_path):
+        """An unknown key is refused, a key of the fixed parameter box
+        (a_min) among them."""
         cfg = tmp_path / "fit.cfg"
-        cfg.write_text("warp_factor = 9\n")
-        code, _, err = run(
-            capsys, ["fit", str(mesh_dir / "sphere.obj"), "--config", str(cfg)]
-        )
-        assert code == 2
-        assert "error:" in err
+        for key in ("warp_factor = 9", "a_min = 0.01"):
+            cfg.write_text(key + "\n")
+            code, _, err = run(
+                capsys, ["fit", str(mesh_dir / "sphere.obj"), "--config", str(cfg)]
+            )
+            assert code == 2
+            assert f"error: {cfg}:1: unknown config key {key.split()[0]!r}" in err
 
     def test_flags_override_config_file(self, capsys, mesh_dir, tmp_path):
         cfg = tmp_path / "fit.cfg"
@@ -559,17 +558,34 @@ class TestExitCodeMapping:
         assert "No such file" not in err
 
 
+def readme_section(command: str) -> str:
+    """README's section on ``sqdecomp <command>``, up to the next heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"^### `sqdecomp {command}[ `].*?(?=^#)", readme, re.M | re.S)[0]
+
+
+def parser_options(command: str) -> set:
+    """Every option string the parser gives ``command``, -h and --help aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        flag for action in sub.choices[command]._actions for flag in action.option_strings
+    } - {"-h", "--help"}
+
+
 class TestReadme:
     def test_fit_flag_table_names_every_fit_option(self):
         """README's `fit` flag table lists exactly the options the parser
-        gives `fit`; a row such as `--a-min/--a-max X` names two."""
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("### `sqdecomp fit MESH`", 1)[1].split("\n### ", 1)[0]
-        rows = re.findall(r"^\| `(--[^` ]+)", section, flags=re.MULTILINE)
+        gives `fit`; a row `--x-min/--x-max X` would name two."""
+        rows = re.findall(r"^\| `(--[^` ]+)", readme_section("fit"), flags=re.MULTILINE)
         documented = [flag for row in rows for flag in row.split("/")]
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        options = {
-            flag for action in sub.choices["fit"]._actions for flag in action.option_strings
-        } - {"-h", "--help"}
         assert len(documented) == len(set(documented))
-        assert set(documented) == options
+        assert set(documented) == parser_options("fit")
+
+    @pytest.mark.parametrize("command", ["fit", "eval", "export", "split-demo"])
+    def test_every_flag_a_section_names_exists(self, command):
+        """Every `--flag` in a subcommand's section, prose included, is an
+        option of that subcommand, so a removed flag cannot linger in the
+        text."""
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", readme_section(command)))
+        assert named
+        assert named <= parser_options(command)

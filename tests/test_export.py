@@ -87,6 +87,22 @@ class TestTreeRoundTrip:
         assert len(metadata["node_losses"]) == len(tree.nodes)
         np.testing.assert_allclose(metadata["loss_sum"], report.loss_sum, rtol=1e-15)
 
+    def test_config_with_the_removed_bound_keys_loads(self, dumbbell_fit, tmp_path):
+        """A tree.json written while the parameter box was a FitConfig
+        setting echoes a_min, a_max, e_min and e_max in its config; it still
+        loads, with its metadata returned as written."""
+        tree, report, _ = dumbbell_fit
+        path = tmp_path / "tree.json"
+        save_tree(tree, report, path)
+        doc = json.loads(path.read_text())
+        doc["metadata"]["config"].update(a_min=0.005, a_max=1.0, e_min=0.1, e_max=1.9)
+        path.write_text(json.dumps(doc, indent=2))
+        loaded, metadata = load_tree(path)
+        assert metadata == doc["metadata"]
+        for key, node in tree.nodes.items():
+            np.testing.assert_array_equal(loaded.nodes[key].sq_a.params(), node.sq_a.params())
+            np.testing.assert_array_equal(loaded.nodes[key].sq_b.params(), node.sq_b.params())
+
     def test_degenerate_flag_serialized(self, tmp_path):
         tree = SqTree(max_depth=1)
         sq = Superquadric(np.full(3, 0.01), np.ones(2))

@@ -48,6 +48,7 @@ from sqdecomp.fitter import (
     _union_below,
     init_node,
 )
+from sqdecomp.superquadric import EXPONENT_BOUNDS, SIZE_BOUNDS
 
 
 class TestNodeLoss:
@@ -122,9 +123,9 @@ class TestFitConfig:
             {"step_size": -0.1},
             {"sharpness": 0.0},
             {"seed": -1},
-            {"a_min": 0.0},
-            {"a_min": 0.5, "a_max": 0.1},
-            {"e_min": 1.0, "e_max": 0.5},
+            {"sharpness": float("nan")},
+            {"step_size": float("nan")},
+            {"seed": 10**400},
             {"iterations": 2.5},
             {"restarts": 1.5},
             {"seed": 0.5},
@@ -135,8 +136,8 @@ class TestFitConfig:
             {"step_size": np.float32(0.01)},
             {"sharpness": "10"},
             {"step_size": 10**400},
-            {"e_max": float("inf")},
-            {"a_max": float("inf")},
+            {"sharpness": float("inf")},
+            {"step_size": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -146,8 +147,8 @@ class TestFitConfig:
         "iterations": true, and an int64 failed save_tree's JSON. A float
         field takes only a finite Python float or int: True was written as
         "sharpness": true, a float32 failed save_tree's JSON, '10' and
-        10**400 failed with numpy's bare TypeError, and an infinite bound
-        clipped nothing."""
+        10**400 failed with numpy's bare TypeError. NaN and inf pass every
+        sign check, so only the finiteness check refuses them."""
         with pytest.raises(ConfigError):
             FitConfig(**kwargs)
 
@@ -236,7 +237,7 @@ class TestInitNode:
         cfg = FitConfig()
         a, b = init_node(pts, labels, cfg)
         for sq in (a, b):
-            np.testing.assert_array_equal(sq.size, np.full(3, cfg.a_min))
+            np.testing.assert_array_equal(sq.size, np.full(3, SIZE_BOUNDS[0]))
             np.testing.assert_allclose(sq.translation, [0.2, -0.1, 0.3], atol=1e-12)
 
     def test_symmetric_cloud_gives_symmetric_pair(self):
@@ -459,7 +460,7 @@ class TestFitNode:
         fit = fit_node(pts, np.zeros(200, dtype=np.uint8), cfg)
         assert fit.degenerate
         assert fit.iterations == 0
-        np.testing.assert_array_equal(fit.sq_a.size, np.full(3, cfg.a_min))
+        np.testing.assert_array_equal(fit.sq_a.size, np.full(3, SIZE_BOUNDS[0]))
         np.testing.assert_allclose(fit.sq_a.translation, pts.mean(axis=0), atol=1e-12)
 
     def test_final_loss_not_above_canonical_start(self):
@@ -970,8 +971,11 @@ class TestEscapeRule:
 
     def test_criterion_six_shape_ten_recovers(self, monkeypatch):
         """Criterion 6's shape 10 (truth from seed 42, points from seed 110)
-        grows out of its support: cropped, it recovered at IoU 0.860; the
-        rule refits it on every point, which recovers it."""
+        grew out of its support: cropped, it recovered at IoU 0.860, and the
+        rule's refit on every point recovers it. Whether its survivors cross
+        the support at the cut turns on the last bits of the race, so the
+        rule is checked on the same points from start pairs built outside
+        the support, where it fires for any rounding."""
         gt_rng = np.random.default_rng(42)
         for _ in range(11):
             gt = Superquadric(
@@ -987,14 +991,23 @@ class TestEscapeRule:
         pts = np.vstack([pts, grid[idx] + pt_rng.normal(0, 0.05, (3000, 3))])
         labels = (inside_outside_stable(gt, pts) < 1.0).astype(np.uint8)
         cfg = FitConfig(max_depth=1, iterations=400, restarts=4, sharpness=50.0, step_size=0.005)
-        counts = escape_counts(monkeypatch)
         fit = fit_node(pts, labels, cfg)
-        assert counts[0] > 0
         iou = max(
             label_iou((inside_outside_stable(sq, pts) < 1.0).astype(np.uint8), labels)
             for sq in (fit.sq_a, fit.sq_b)
         )
         assert iou >= 0.95
+        # Every restart starts as two small spheres centred on a point left
+        # out of the support, so h = 0 there, far below the rule's level.
+        left_out = pts[~_support(pts, labels == 1)]
+        assert len(left_out)
+        start = Superquadric(np.full(3, 0.05), np.ones(2), left_out[0])
+        monkeypatch.setattr(fitter, "init_node", lambda *args, **kwargs: (start, start))
+        counts = escape_counts(monkeypatch)
+        fit = fit_node(pts, labels, dataclasses.replace(cfg, iterations=2))
+        assert len(counts) == 1 and counts[0] > 0
+        # The discarded race's 4 x 1 iterations, then the refit's 4 x 1 + 2 x 1.
+        assert fit.iterations == 10
 
 
 class TestFitTree:
@@ -1059,13 +1072,12 @@ class TestFitTree:
             assert v is None or 0.0 <= v <= 1.0
 
     def test_fitted_trees_respect_parameter_bounds(self, dumbbell_fit):
-        tree, report, _ = dumbbell_fit
-        cfg = report.config
+        tree, _, _ = dumbbell_fit
         for node in tree.nodes.values():
             for sq in (node.sq_a, node.sq_b):
-                assert np.all(sq.size >= cfg.a_min) and np.all(sq.size <= cfg.a_max)
-                assert np.all(sq.exponents >= cfg.e_min)
-                assert np.all(sq.exponents <= cfg.e_max)
+                assert np.all(sq.size >= SIZE_BOUNDS[0]) and np.all(sq.size <= SIZE_BOUNDS[1])
+                assert np.all(sq.exponents >= EXPONENT_BOUNDS[0])
+                assert np.all(sq.exponents <= EXPONENT_BOUNDS[1])
                 assert abs(np.linalg.norm(sq.rotation) - 1.0) <= 1e-9
 
     def test_dumbbell_root_pair_claims_one_box_each(self, dumbbell_fit):

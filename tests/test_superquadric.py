@@ -76,9 +76,10 @@ def pinned_points(sqs):
 
 class TestConstruction:
     def test_sizes_must_be_positive(self):
-        """Construction rejects non-positive sizes; the optimizer's bound
-        box (a_min..a_max etc.) is enforced by the fitter's projection, not
-        here, so out-of-box but positive shapes remain representable."""
+        """Construction rejects non-positive sizes; the fixed parameter box
+        (SIZE_BOUNDS, EXPONENT_BOUNDS) is enforced by the fitter's
+        projection, not here, so out-of-box but positive shapes remain
+        representable."""
         with pytest.raises(ValueError):
             Superquadric(np.array([0.0, 1.0, 1.0]), np.ones(2))
         with pytest.raises(ValueError):
@@ -331,6 +332,25 @@ class TestFieldKernel:
                 rows = np.flatnonzero(rng.random(n) < 0.5)
                 dh = _field_gradient(ws, k * n + rows, np.empty((_N_FEATURES, len(rows))))
                 assert np.array_equal(dh, _field_gradient(alone, rows, np.empty_like(dh)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_value_only_workspace_keeps_nine_rows_bitwise(self, dtype):
+        """A workspace with no gradient keeps 9 rows per slot and point and
+        3 of scratch, where a gradient one keeps 13; its log-sum-exp
+        operands share two scratch rows. Its kept values and its last
+        term_xy and term_z are bitwise a gradient workspace's."""
+        rng = np.random.default_rng(91)
+        pts = rng.uniform(-1.2, 1.2, (500, 3))
+        rows = np.array([random_superquadric(rng).params() for _ in range(3)])
+        value, grad = (FieldWorkspace(pts, 4, grad=g, dtype=dtype) for g in (False, True))
+        for ws in (value, grad):
+            _value_pass(ws, rows)
+        assert value.kept.shape == (9, 4 * 500) and grad.kept.shape == (13, 4 * 500)
+        assert value.scratch.size == 3 * 4 * 500 and value.terms.shape == (2, 4, 500)
+        assert np.shares_memory(value.terms, value.scratch)
+        passed = value.kept.reshape(9, 4, 500)[:, :3]
+        assert np.array_equal(passed, grad.kept.reshape(13, 4, 500)[:9, :3])
+        assert np.array_equal(value.terms[:, :3], grad.terms[:2, :3])
 
     @settings(max_examples=30, deadline=None)
     @given(
