@@ -45,7 +45,6 @@ from .superquadric import (
 from .export import (
     TreeFormatError,
     export_level_obj,
-    export_split_csv,
     export_split_demo_csvs,
     load_tree,
     save_tree,
@@ -75,7 +74,6 @@ __all__ = [
     "box",
     "dumbbell",
     "export_level_obj",
-    "export_split_csv",
     "export_split_demo_csvs",
     "fit_node",
     "fit_tree",

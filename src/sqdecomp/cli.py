@@ -1,14 +1,13 @@
 """Command-line interface: fit, eval, export, split-demo.
 
 Exit codes: 0 success, 1 input errors (missing/corrupt files, bad meshes,
-unsupported tree versions), 2 configuration errors (bad flag or config-file
-values, invalid SQ specs), 3 internal errors.
+unsupported tree versions), 2 configuration errors (bad flag values, invalid
+SQ specs), 3 internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -38,23 +37,19 @@ from .superquadric import Superquadric, _check_lattice
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """--config plus one --field-name flag per FitConfig field."""
-    p.add_argument("--config", help="key = value config file; flags override it")
+    """One --field-name flag per FitConfig field."""
     for name, cast in FitConfig.field_casters().items():
         p.add_argument("--" + name.replace("_", "-"), type=cast, default=None)
 
 
 def _resolve_config(args) -> FitConfig:
-    """Defaults, overridden by --config file, overridden by flags."""
-    cfg = FitConfig.from_file(args.config) if args.config else FitConfig()
+    """Defaults, overridden by the flags given."""
     overrides = {
         name: getattr(args, name)
         for name in FitConfig.field_casters()
         if getattr(args, name) is not None
     }
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return FitConfig(**overrides)
 
 
 def _out_dir(args) -> str:

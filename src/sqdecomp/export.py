@@ -166,8 +166,7 @@ def export_level_obj(tree: SqTree, depth: int, path, resolution: int = 32) -> No
             base += len(vertices)
 
 
-# Column lists of the split-field CSVs.
-_COMBINED_CSV = ("x", "y", "Fa", "Fb", "da", "db", "selector")
+# Column lists of the split-demo CSVs.
 _SPLIT_DEMO_CSVS = {
     "split_f.csv": ("x", "y", "Fa", "Fb"),
     "split_d.csv": ("x", "y", "da", "db"),
@@ -191,24 +190,14 @@ def _write_csv(path, columns: dict, names) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def export_split_csv(sq_a: Superquadric, sq_b: Superquadric, spec: SliceSpec, path) -> None:
-    """Write one slice's combined fields as CSV.
-
-    Columns: x,y (slice coordinates), Fa,Fb (the F^e1 values the split rule
-    compares), da,db (radial distances), selector (A or B). Row order is
-    row-major over the (nv, nu) grid. Deterministic: identical inputs yield
-    identical bytes.
-    """
-    _write_csv(path, _split_columns(split_field_2d(sq_a, sq_b, spec)), _COMBINED_CSV)
-
-
 def export_split_demo_csvs(
     sq_a: Superquadric, sq_b: Superquadric, spec: SliceSpec, out_dir
 ) -> list:
     """Write the three split-demo CSVs (F^e1 fields, d fields, selector).
 
     Returns the written paths: split_f.csv, split_d.csv, split_selector.csv
-    inside ``out_dir``. Same grid layout as :func:`export_split_csv`.
+    inside ``out_dir``. Rows are row-major over the (nv, nu) grid, and
+    identical inputs yield identical bytes.
     """
     columns = _split_columns(split_field_2d(sq_a, sq_b, spec))
     paths = []

@@ -148,7 +148,7 @@ _BOX_HI = np.array([SIZE_BOUNDS[1]] * 3 + [EXPONENT_BOUNDS[1]] * 2)
 
 
 class ConfigError(ValueError):
-    """A fit configuration value or config-file entry is invalid."""
+    """A fit configuration value is invalid."""
 
 
 @dataclass(frozen=True)
@@ -183,47 +183,9 @@ class FitConfig:
 
     @classmethod
     def field_casters(cls) -> dict:
-        """Field name -> int or float, the parser of its config-file and flag
-        values, in field order."""
+        """Field name -> int or float, the parser of its flag values, in field
+        order."""
         return {f.name: {"int": int, "float": float}[f.type] for f in fields(cls)}
-
-    @classmethod
-    def from_file(cls, path) -> "FitConfig":
-        """Parse a plain key-value config file (`key = value`, # comments).
-
-        Keys are exactly the FitConfig field names, each at most once;
-        unknown or repeated keys, unparsable values and text that is not
-        UTF-8 raise ConfigError. A leading UTF-8 byte-order mark is skipped.
-        """
-        casters = cls.field_casters()
-        overrides: dict[str, object] = {}
-        key_lines: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            try:
-                lines = fh.read().split("\n")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-            for lineno, raw in enumerate(lines, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key not in casters:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key in key_lines:
-                    raise ConfigError(
-                        f"{path}:{lineno}: {key!r} repeats line {key_lines[key]}"
-                    )
-                key_lines[key] = lineno
-                try:
-                    overrides[key] = casters[key](value)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        return cls(**overrides)
 
 
 @dataclass(eq=False)

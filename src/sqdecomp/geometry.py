@@ -187,10 +187,10 @@ def load_mesh(path) -> Mesh:
         raise
     if not len(verts):
         raise MeshFormatError(f"{path}: no vertices")
-    tris = _fan_triangles(np.array(idx, dtype=np.intp) - 1, counts)
-    if len(tris) and tris.max() >= len(verts):
-        raise MeshFormatError(f"{path}: face index {tris.max() + 1} exceeds vertex count")
-    return Mesh(verts, tris)
+    # Checked before the intp cast, which overflows on a huge reference.
+    if max(idx, default=0) > len(verts):
+        raise MeshFormatError(f"{path}: face index {max(idx)} exceeds vertex count")
+    return Mesh(verts, _fan_triangles(np.array(idx, dtype=np.intp) - 1, counts))
 
 
 def _check_records(path, lines) -> None:

@@ -27,7 +27,8 @@ class Side(str, Enum):
 def _check_key(depth: int, index: int) -> None:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if not (1 <= index <= 2 ** (depth - 1)):
+    # index <= 2^(depth-1), tested without the power, whose size grows with depth.
+    if not (index >= 1 and int(index - 1).bit_length() < depth):
         raise ValueError(f"index {index} out of range at depth {depth}")
 
 
@@ -111,6 +112,8 @@ class SqTree:
         return d
 
     def has_level(self, depth: int) -> bool:
+        if not 1 <= depth <= self.max_depth:
+            return False
         return all((depth, i) in self.nodes for i in range(1, 2 ** (depth - 1) + 1))
 
     def level_nodes(self, depth: int) -> list[SqPairNode]:

@@ -51,6 +51,10 @@ BAD_MESHES = {
     "nan": (b"v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", ":1: bad vertex coordinate"),
     "overflow": (b"v 0 0 0\nv 1e400 0 0\nv 0 1 0\nf 1 2 3\n", ":2: bad vertex coordinate"),
     "not-utf8": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\n# \xff\nf 1 2 3\n", ": not UTF-8 text"),
+    "huge-index": (
+        b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 100000000000000000000000\n",
+        ": face index 100000000000000000000000 exceeds vertex count",
+    ),
 }
 # A tree document that is not UTF-8; eval and export must exit 1 on it.
 NOT_UTF8_TREE = b'{"format_version": 1, "max_depth": 1, "nodes": [], "note": "\xff"}'
@@ -135,14 +139,12 @@ class TestFitCommand:
         assert set(metadata) == {"config", "level_iou", "node_losses", "loss_sum"}
         assert metadata == {key: report[key] for key in metadata}
 
-    def test_repeated_config_key_exits_2(self, capsys, mesh_dir, tmp_path):
-        cfg = tmp_path / "fit.cfg"
-        cfg.write_text("iterations = 100\niterations = 200\n")
-        code, _, err = run(
-            capsys, ["fit", str(mesh_dir / "sphere.obj"), "--config", str(cfg)]
-        )
-        assert code == 2
-        assert "fit.cfg:2" in err and "line 1" in err
+    def test_fit_options_are_the_config_flags_and_the_run_flags(self):
+        """A fit is set by flags alone: one per FitConfig field, plus the
+        sampling, thread and output flags. There is no --config file."""
+        config_flags = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(FitConfig)}
+        run_flags = {"--samples-uniform", "--samples-surface", "--threads", "--out-dir"}
+        assert parser_options("fit") == config_flags | run_flags
 
     @pytest.mark.parametrize("threads", ["-3", "0", "2"])
     def test_negative_threads_exits_2(self, capsys, mesh_dir, tmp_path, threads):
@@ -199,15 +201,6 @@ class TestFitCommand:
         assert code == 2
         assert "error:" in err
 
-    def test_config_file_not_utf8_exits_2(self, capsys, mesh_dir, tmp_path):
-        cfg = tmp_path / "fit.cfg"
-        cfg.write_bytes(b"iterations = 100\n# caf\xe9\n")
-        code, _, err = run(
-            capsys, ["fit", str(mesh_dir / "sphere.obj"), "--config", str(cfg)]
-        )
-        assert code == 2
-        assert f"error: {cfg}: not UTF-8 text" in err
-
     def test_diverging_step_size_exits_2_naming_it(self, capsys, mesh_dir, tmp_path):
         """A step size that makes the fit diverge used to exit 2 with the
         quaternion normalizer's message alone, after three numpy overflow
@@ -230,39 +223,6 @@ class TestFitCommand:
             "error: node (1, 1), restart 0 diverged at iteration 0 with step_size 1e+300: "
             "cannot normalize a zero or non-finite quaternion\n"
         )
-
-    def test_bad_config_file_exits_2(self, capsys, mesh_dir, tmp_path):
-        """An unknown key is refused, a key of the fixed parameter box
-        (a_min) among them."""
-        cfg = tmp_path / "fit.cfg"
-        for key in ("warp_factor = 9", "a_min = 0.01"):
-            cfg.write_text(key + "\n")
-            code, _, err = run(
-                capsys, ["fit", str(mesh_dir / "sphere.obj"), "--config", str(cfg)]
-            )
-            assert code == 2
-            assert f"error: {cfg}:1: unknown config key {key.split()[0]!r}" in err
-
-    def test_flags_override_config_file(self, capsys, mesh_dir, tmp_path):
-        cfg = tmp_path / "fit.cfg"
-        cfg.write_text("iterations = 9999\nsharpness = 50\nstep_size = 0.005\n")
-        code, _, _ = run(
-            capsys,
-            [
-                "fit", str(mesh_dir / "sphere.obj"),
-                "--config", str(cfg),
-                "--iterations", "40",
-                "--max-depth", "1",
-                "--restarts", "1",
-                "--samples-uniform", "800",
-                "--samples-surface", "200",
-                "--out-dir", str(tmp_path),
-            ],
-        )
-        assert code == 0
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["config"]["iterations"] == 40  # flag wins
-        assert doc["config"]["sharpness"] == 50.0  # file survives where no flag given
 
 
 @pytest.fixture()

@@ -13,7 +13,6 @@ from sqdecomp import (
     Superquadric,
     TreeFormatError,
     export_level_obj,
-    export_split_csv,
     export_split_demo_csvs,
     inside_outside_stable,
     load_mesh,
@@ -356,41 +355,38 @@ class TestSplitCsv:
     def make_pair(self, seed=30):
         return random_pair(np.random.default_rng(seed))
 
-    def test_header_and_row_count(self, tmp_path):
-        sq_a, sq_b = self.make_pair()
-        spec = SliceSpec(nu=9, nv=7)
-        path = tmp_path / "split.csv"
-        export_split_csv(sq_a, sq_b, spec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,Fa,Fb,da,db,selector"
-        assert len(lines) == 9 * 7 + 1
-        assert {row.rsplit(",", 1)[1] for row in lines[1:]} <= {"A", "B"}
-
     def test_values_match_field_evaluation(self, tmp_path):
+        """Every cell of the three CSVs reads back bitwise as split_field_2d's
+        value, and the selector is its to_a mask."""
         sq_a, sq_b = self.make_pair(seed=31)
         spec = SliceSpec(axis=1, offset=0.1, nu=6, nv=5)
-        path = tmp_path / "split.csv"
-        export_split_csv(sq_a, sq_b, spec, path)
+        paths = export_split_demo_csvs(sq_a, sq_b, spec, tmp_path)
         fld = split_field_2d(sq_a, sq_b, spec)
-        rows = path.read_text().splitlines()[1:]
+        f_rows, d_rows, sel_rows = (Path(p).read_text().splitlines()[1:] for p in paths)
         for iv in range(5):
             for iu in range(6):
-                cells = rows[iv * 6 + iu].split(",")
-                assert float(cells[0]) == fld.u[iu]
-                assert float(cells[1]) == fld.v[iv]
-                assert float(cells[2]) == fld.h_a[iv, iu]
-                assert float(cells[3]) == fld.h_b[iv, iu]
-                assert float(cells[4]) == fld.d_a[iv, iu]
-                assert float(cells[5]) == fld.d_b[iv, iu]
-                assert cells[6] == ("A" if fld.to_a[iv, iu] else "B")
+                row = iv * 6 + iu
+                f_cells, d_cells, sel_cells = (
+                    rows[row].split(",") for rows in (f_rows, d_rows, sel_rows)
+                )
+                for cells in (f_cells, d_cells, sel_cells):
+                    assert float(cells[0]) == fld.u[iu]
+                    assert float(cells[1]) == fld.v[iv]
+                assert float(f_cells[2]) == fld.h_a[iv, iu]
+                assert float(f_cells[3]) == fld.h_b[iv, iu]
+                assert float(d_cells[2]) == fld.d_a[iv, iu]
+                assert float(d_cells[3]) == fld.d_b[iv, iu]
+                assert sel_cells[2] == ("A" if fld.to_a[iv, iu] else "B")
 
     def test_reexport_is_byte_identical(self, tmp_path):
         sq_a, sq_b = self.make_pair(seed=32)
         spec = SliceSpec(nu=16, nv=16)
-        p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-        export_split_csv(sq_a, sq_b, spec, p1)
-        export_split_csv(sq_a, sq_b, spec, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        (tmp_path / "one").mkdir()
+        (tmp_path / "two").mkdir()
+        first = export_split_demo_csvs(sq_a, sq_b, spec, tmp_path / "one")
+        second = export_split_demo_csvs(sq_a, sq_b, spec, tmp_path / "two")
+        for p1, p2 in zip(first, second, strict=True):
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_demo_export_writes_three_csvs(self, tmp_path):
         sq_a, sq_b = self.make_pair(seed=33)
@@ -405,14 +401,3 @@ class TestSplitCsv:
         assert headers == ["x,y,Fa,Fb", "x,y,da,db", "x,y,selector"]
         for p in paths:
             assert len(Path(p).read_text().splitlines()) == 8 * 8 + 1
-
-    def test_demo_selector_agrees_with_combined_export(self, tmp_path):
-        sq_a, sq_b = self.make_pair(seed=34)
-        spec = SliceSpec(nu=10, nv=10)
-        combined = tmp_path / "combined.csv"
-        export_split_csv(sq_a, sq_b, spec, combined)
-        paths = export_split_demo_csvs(sq_a, sq_b, spec, tmp_path)
-        sel_rows = Path(paths[2]).read_text().splitlines()[1:]
-        combined_rows = combined.read_text().splitlines()[1:]
-        for sel_row, comb_row in zip(sel_rows, combined_rows, strict=True):
-            assert sel_row.rsplit(",", 1)[1] == comb_row.rsplit(",", 1)[1]

@@ -164,61 +164,6 @@ class TestFitConfig:
         with pytest.raises(ConfigError, match="restarts"):
             fit_node(pts, labels, FitConfig(restarts=0))
 
-    def test_from_file_parses_keys_and_comments(self, tmp_path):
-        p = tmp_path / "fit.cfg"
-        p.write_text(
-            "# training setup\n"
-            "max_depth = 3\n"
-            "iterations = 250  # raised from default\n"
-            "\n"
-            "sharpness = 25\n"
-            "step_size = 0.004\n"
-        )
-        cfg = FitConfig.from_file(p)
-        assert cfg.max_depth == 3
-        assert cfg.iterations == 250
-        assert cfg.sharpness == 25.0
-        assert cfg.step_size == 0.004
-        assert cfg.restarts == FitConfig().restarts  # untouched fields keep defaults
-
-    def test_from_file_rejects_unknown_key(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("learning_rate = 0.1\n")
-        with pytest.raises(ConfigError):
-            FitConfig.from_file(p)
-
-    def test_from_file_rejects_unparsable_value(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("iterations = soon\n")
-        with pytest.raises(ConfigError):
-            FitConfig.from_file(p)
-
-    def test_from_file_rejects_repeated_key_naming_both_lines(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("iterations = 100\n# comment\nsharpness = 20\niterations = 200\n")
-        with pytest.raises(ConfigError, match=r"bad\.cfg:4: 'iterations' repeats line 1"):
-            FitConfig.from_file(p)
-
-    def test_from_file_rejects_missing_separator(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("iterations 100\n")
-        with pytest.raises(ConfigError):
-            FitConfig.from_file(p)
-
-    def test_from_file_skips_a_leading_byte_order_mark(self, tmp_path):
-        """The BOM used to stick to the first key: unknown key '\\ufeffmax_depth'."""
-        p = tmp_path / "fit.cfg"
-        p.write_bytes(b"\xef\xbb\xbfmax_depth = 3\niterations = 250\n")
-        cfg = FitConfig.from_file(p)
-        assert (cfg.max_depth, cfg.iterations) == (3, 250)
-
-    def test_from_file_rejects_text_that_is_not_utf8(self, tmp_path):
-        """A bare UnicodeDecodeError used to escape, without the path."""
-        p = tmp_path / "bad.cfg"
-        p.write_bytes(b"iterations = 100\n# caf\xe9\n")
-        with pytest.raises(ConfigError, match=r"bad\.cfg: not UTF-8 text"):
-            FitConfig.from_file(p)
-
 
 class TestInitNode:
     def test_box_points_give_pair_offset_along_long_axis(self):

@@ -138,6 +138,11 @@ MALFORMED_OBJ = [
     ("# a comment\nvn 0 0 1\nf 1 2 3\n", ": no vertices"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", ": face index 4 exceeds vertex count"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 7 5\n", ": face index 7 exceeds vertex count"),
+    # A reference too large for a C long is malformed, not an internal error.
+    (
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 100000000000000000000000\n",
+        ": face index 100000000000000000000000 exceeds vertex count",
+    ),
     # The first bad record in file order wins, whatever its kind.
     ("v 0 0 0\nf 1 1 x\nv 0 0 y\n", ":2: bad face index 'x'"),
     ("v 0 0 y\nf 1 1 x\n", ":1: bad vertex coordinate"),

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sqdecomp
 from helpers import random_pair
 from sqdecomp import (
     Side,
@@ -8,6 +14,7 @@ from sqdecomp import (
     SqTree,
     parent_node,
     recompute_labels,
+    save_tree,
     split_node,
     split_pair,
 )
@@ -50,6 +57,77 @@ class TestIndexing:
         assert child_node(1, 1, Side.B) == (2, 1)
         assert child_node(2, 2, Side.A) == (3, 4)
         assert child_node(2, 2, Side.B) == (3, 3)
+
+
+def run_cli_guarded(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``sqdecomp argv`` in a fresh interpreter capped at 512 MB of
+    address space and 20 s, so that work growing with 2^depth fails there,
+    fast, and not in the test process."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from sqdecomp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sqdecomp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+
+
+class TestHugeDepth:
+    """A depth or level far past the tree's is refused without building
+    2^(depth - 1): it used to take 18 s and gigabytes at level 3·10^9."""
+
+    @pytest.fixture()
+    def tree_path(self, tmp_path):
+        tree = SqTree(max_depth=1)
+        tree.add_node(make_node(1, 1, np.random.default_rng(80)))
+        path = tmp_path / "tree.json"
+        save_tree(tree, None, path)
+        return path
+
+    def test_export_of_a_huge_level_is_refused(self, tree_path):
+        done = run_cli_guarded(
+            "export", str(tree_path), "--level", "3000000000",
+            "--out-dir", str(tree_path.parent),
+        )
+        assert (done.returncode, done.stderr) == (
+            2, "error: level 3000000000 is not fully fitted\n"
+        )
+
+    def test_tree_node_with_a_huge_depth_is_refused(self, tree_path):
+        doc = json.loads(tree_path.read_text())
+        doc["nodes"][0]["depth"] = 1_000_000_000_000
+        tree_path.write_text(json.dumps(doc))
+        done = run_cli_guarded("export", str(tree_path), "--out-dir", str(tree_path.parent))
+        assert (done.returncode, done.stderr) == (
+            1,
+            f"error: {tree_path}: malformed tree document: "
+            "node depth 1000000000000 exceeds max_depth 1\n",
+        )
+
+    def test_keys_and_levels_at_the_power_of_two_bound(self):
+        """Index 2^(d-1) is the last of depth d, at small and large d."""
+        for depth in (1, 2, 3, 64, 65):
+            last = 2 ** (depth - 1)
+            assert parent_node(depth + 1, 2 * last) == (depth, last)
+            with pytest.raises(ValueError, match="out of range"):
+                parent_node(depth + 1, 2 * last + 1)
+        # numpy integers are keys too, as they were before the bound test.
+        assert parent_node(np.int64(3), np.int64(4)) == (2, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            parent_node(np.int64(3), np.int64(5))
+        tree = SqTree(max_depth=1)
+        assert not tree.has_level(1)
+        tree.add_node(make_node(1, 1, np.random.default_rng(82)))
+        assert tree.has_level(1)
+        assert not tree.has_level(2)
+        assert not tree.has_level(0)
 
 
 def make_node(depth, index, rng, labels=None):
